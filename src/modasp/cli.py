@@ -19,7 +19,10 @@ import sys
 from typing import Optional
 
 from .engine import (
+    CHECK_ENGINES,
+    ENGINES,
     Interpretation,
+    _require_engine,
     enumerate_kappa_stable,
     is_kappa_stable,
 )
@@ -28,6 +31,7 @@ from .grounding import Domain
 from .instantiation import collective_modular, collective_union
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
+    MODULAR_ENGINES,
     closure_holds,
     is_coherent,
     is_model_of_module,
@@ -37,9 +41,6 @@ from .modular import (
 from .parsing import parse_control, parse_ground_atom, parse_program
 from .program import Program, atom_order_key
 from .subprograms import ClingoProgram, ControlPlan
-
-UNION_ENGINES = ("brute", "reduct", "fixpoint")
-MODULAR_ENGINES = ("brute", "reduct", "topo")
 
 
 class _UsageError(ModaspError):
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--engine",
-                choices=("brute", "reduct", "fixpoint", "topo"),
+                choices=tuple(dict.fromkeys(ENGINES + MODULAR_ENGINES)),
                 default="reduct",
                 help="model engine (default reduct)",
             )
@@ -125,7 +126,9 @@ def _load_program(path: str) -> ClingoProgram:
         raise _UsageError(f"cannot read {path}: {err.strerror}")
 
 
-def _load_control(args, prog: ClingoProgram) -> ControlPlan:
+def _load_plan(args) -> tuple[ClingoProgram, ControlPlan]:
+    """The program and the control plan named on the command line."""
+    prog = _load_program(args.program)
     if not args.control:
         raise _UsageError(f"command {args.command!r} needs --control")
     try:
@@ -133,16 +136,19 @@ def _load_control(args, prog: ClingoProgram) -> ControlPlan:
             text = handle.read()
     except OSError as err:
         raise _UsageError(f"cannot read {args.control}: {err.strerror}")
-    return parse_control(text, prog, _parse_overrides(args.const))
+    return prog, parse_control(text, prog, _parse_overrides(args.const))
 
 
-def _domain_of(plan: ControlPlan, union: Program) -> Domain:
+def _load_union(args) -> tuple[ClingoProgram, ControlPlan, Program, Domain]:
+    """The program and plan, the union program and the domain built over it."""
+    prog, plan = _load_plan(args)
+    union = collective_union(prog, plan.specs)
     if plan.domain is None:
         raise _UsageError(
             "the control file must declare a domain, e.g. `domain 0..10.`"
         )
     lo, hi = plan.domain
-    return Domain.build([union], lo, hi)
+    return prog, plan, union, Domain.build([union], lo, hi)
 
 
 def _global_kappa(plan: ControlPlan, union: Program) -> IntensionalityStatement:
@@ -199,8 +205,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_instantiate(args) -> int:
-    prog = _load_program(args.program)
-    plan = _load_control(args, prog)
+    prog, plan = _load_plan(args)
     if args.mode == "union":
         union = collective_union(prog, plan.specs)
         _emit(
@@ -240,30 +245,17 @@ def _cmd_instantiate(args) -> int:
     return 0
 
 
-def _solve_models(args, prog, plan):
-    union = collective_union(prog, plan.specs)
-    dom = _domain_of(plan, union)
-    if args.mode == "union":
-        if args.engine not in UNION_ENGINES:
-            raise _UsageError(
-                f"engine {args.engine!r} is not available in union mode; "
-                f"choose one of {', '.join(UNION_ENGINES)}"
-            )
-        kappa = _global_kappa(plan, union)
-        return enumerate_kappa_stable(kappa, union, dom, args.engine, args.cap)
-    if args.engine not in MODULAR_ENGINES:
-        raise _UsageError(
-            f"engine {args.engine!r} is not available in modular mode; "
-            f"choose one of {', '.join(MODULAR_ENGINES)}"
-        )
-    modular = collective_modular(prog, plan)
-    return modular_answer_sets(modular, dom, args.engine, args.cap)
-
-
 def _cmd_solve(args) -> int:
-    prog = _load_program(args.program)
-    plan = _load_control(args, prog)
-    models = _sorted_models(_solve_models(args, prog, plan))
+    prog, plan, union, dom = _load_union(args)
+    if args.mode == "union":
+        _require_engine(args.engine, ENGINES)
+        kappa = _global_kappa(plan, union)
+        models = enumerate_kappa_stable(kappa, union, dom, args.engine, args.cap)
+    else:
+        _require_engine(args.engine, MODULAR_ENGINES)
+        modular = collective_modular(prog, plan)
+        models = modular_answer_sets(modular, dom, args.engine, args.cap)
+    models = _sorted_models(models)
     _emit(
         args,
         [str(I) for I in models],
@@ -279,8 +271,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_coherence(args) -> int:
-    prog = _load_program(args.program)
-    plan = _load_control(args, prog)
+    prog, plan = _load_plan(args)
     modular = collective_modular(prog, plan)
     report = is_coherent(modular)
     _emit(
@@ -298,16 +289,9 @@ def _cmd_check_coherence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    prog = _load_program(args.program)
-    plan = _load_control(args, prog)
-    union = collective_union(prog, plan.specs)
-    dom = _domain_of(plan, union)
+    prog, plan, _, dom = _load_union(args)
     modular = collective_modular(prog, plan)
-    if args.engine not in MODULAR_ENGINES:
-        raise _UsageError(
-            f"engine {args.engine!r} is not available for compare; "
-            f"choose one of {', '.join(MODULAR_ENGINES)}"
-        )
+    _require_engine(args.engine, MODULAR_ENGINES)
     report = theorem1_check(modular, dom, args.engine, args.cap)
     _emit(
         args,
@@ -325,25 +309,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
-    prog = _load_program(args.program)
-    plan = _load_control(args, prog)
-    union = collective_union(prog, plan.specs)
-    dom = _domain_of(plan, union)
+    prog, plan, union, dom = _load_union(args)
     atoms = [parse_ground_atom(part) for part in args.model.split()]
     candidate = Interpretation.of(atoms)
+    _require_engine(args.engine, CHECK_ENGINES)
     if args.mode == "union":
-        if args.engine not in ("brute", "reduct"):
-            raise _UsageError(
-                "check-model supports engines brute and reduct"
-            )
         kappa = _global_kappa(plan, union)
         verdict = is_kappa_stable(candidate, kappa, union, dom, args.engine)
         text = "kappa-stable model" if verdict else "not a kappa-stable model"
     else:
-        if args.engine not in ("brute", "reduct"):
-            raise _UsageError(
-                "check-model supports engines brute and reduct"
-            )
         modular = collective_modular(prog, plan)
         verdict = all(
             is_model_of_module(candidate, m, dom, args.engine)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
-from .grounding import Domain, GroundProgram, GroundRule, ground
+from .grounding import Domain, GroundProgram, GroundRule, _eval_atom, ground
 from .intensionality import IntensionalityStatement, lambda_holds
 from .program import (
     Comparison,
@@ -36,6 +36,8 @@ from .terms import (
 )
 
 ENGINES = ("brute", "reduct", "fixpoint")
+# The engines that decide the stability of one given candidate.
+CHECK_ENGINES = ("brute", "reduct")
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,6 @@ class HTInterpretation:
 
 
 # --- direct satisfaction (reference implementations) ---------------------------
-
-
-def _eval_atom(atom: PredAtom) -> PredAtom:
-    return PredAtom(atom.name, tuple(eval_ground(a) for a in atom.args))
 
 
 def _comparison_truth(comparison: Comparison) -> bool:
@@ -377,7 +375,7 @@ def is_kappa_stable(
     Classical satisfaction of the rules is checked first (the choice axioms
     are classical tautologies), then minimality with the selected engine.
     """
-    _require_engine(engine, ("brute", "reduct"))
+    _require_engine(engine, CHECK_ENGINES)
     _validate_within_domain(I, dom)
     gp = ground(pi, dom)
     universe = I.sorted_atoms()

@@ -183,13 +183,11 @@ def collective_union(
 ) -> Program:
     """The non-modular reading of a control plan: the set union of every
     instantiated subprogram."""
-    out = Program.of(())
-    for spec in specs:
-        instantiated = apply_valuation(
-            clingo_program.subprogram(spec.name), spec.valuation, spec.placeholders
-        )
-        out = out | instantiated
-    return out
+    return Program.of(
+        apply_valuation(rule, spec.valuation, spec.placeholders)
+        for spec in specs
+        for rule in clingo_program.subprogram(spec.name).rules
+    )
 
 
 def _plan_chi(
@@ -218,18 +216,19 @@ def collective_modular(
         name: _plan_chi(clingo_program, plan, name)
         for name in dict.fromkeys(spec.name for spec in plan.specs)
     }
-    modules: list[Module] = []
-    for spec in plan.specs:
-        module = instantiate_module(
-            ParametricModule(
-                frozenset(spec.placeholders),
-                chis[spec.name],
-                clingo_program.subprogram(spec.name),
-            ),
-            spec.valuation,
+    modules = list(
+        dict.fromkeys(
+            instantiate_module(
+                ParametricModule(
+                    frozenset(spec.placeholders),
+                    chis[spec.name],
+                    clingo_program.subprogram(spec.name),
+                ),
+                spec.valuation,
+            )
+            for spec in plan.specs
         )
-        if module not in modules:
-            modules.append(module)
+    )
 
     global_patterns = plan.global_kappa_dict()
     if global_patterns is not None:

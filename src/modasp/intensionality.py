@@ -9,6 +9,7 @@ every tuple outside that formula into an unconditional choice.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PatternError, RequirementError, UnboundPlaceholderError
@@ -85,8 +86,23 @@ def _canonical_entries(
     return tuple(sorted(out))
 
 
+class _PatternTable:
+    """Lookups shared by plain and parametric statements over their
+    `entries`, whose predicates are distinct (`_canonical_entries`)."""
+
+    def as_dict(self) -> dict[PredKey, tuple[Pattern, ...]]:
+        return dict(self.entries)
+
+    @cached_property
+    def _table(self) -> dict[PredKey, tuple[Pattern, ...]]:
+        return self.as_dict()
+
+    def patterns_for(self, key: PredKey) -> tuple[Pattern, ...]:
+        return self._table.get(key, ())
+
+
 @dataclass(frozen=True)
-class IntensionalityStatement:
+class IntensionalityStatement(_PatternTable):
     """Map from predicates to sets of simple patterns.
 
     Predicates without an entry are purely extensional (empty pattern set).
@@ -111,15 +127,6 @@ class IntensionalityStatement:
         }
         return cls.of(mapping)
 
-    def as_dict(self) -> dict[PredKey, tuple[Pattern, ...]]:
-        return dict(self.entries)
-
-    def patterns_for(self, key: PredKey) -> tuple[Pattern, ...]:
-        for k, patterns in self.entries:
-            if k == key:
-                return patterns
-        return ()
-
     def predicates(self) -> tuple[PredKey, ...]:
         return tuple(k for k, _ in self.entries)
 
@@ -140,7 +147,7 @@ class IntensionalityStatement:
 
 
 @dataclass(frozen=True)
-class ParametricIntensionality:
+class ParametricIntensionality(_PatternTable):
     """Intensionality patterns whose ground elements may mention placeholders."""
 
     placeholders: frozenset[str] = frozenset()
@@ -182,15 +189,6 @@ class ParametricIntensionality:
         cls, placeholders: Iterable[str], mapping: Mapping[PredKey, Iterable[Pattern]]
     ) -> "ParametricIntensionality":
         return cls(frozenset(placeholders), _canonical_entries(mapping))
-
-    def as_dict(self) -> dict[PredKey, tuple[Pattern, ...]]:
-        return dict(self.entries)
-
-    def patterns_for(self, key: PredKey) -> tuple[Pattern, ...]:
-        for k, patterns in self.entries:
-            if k == key:
-                return patterns
-        return ()
 
 
 def instantiate_chi(

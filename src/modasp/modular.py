@@ -7,14 +7,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .engine import (
+    CHECK_ENGINES,
     Interpretation,
     StabilityChecker,
+    _require_engine,
     enumerate_kappa_stable,
     extensional_region,
     is_kappa_stable,
 )
 from .errors import CapacityError, EngineError
-from .grounding import Domain, ground
+from .grounding import Domain, GroundProgram, ground
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
@@ -26,7 +28,7 @@ from .intensionality import (
 )
 from .program import PredAtom, Program, Rule, atom_order_key
 
-MODULAR_ENGINES = ("brute", "reduct", "topo")
+MODULAR_ENGINES = CHECK_ENGINES + ("topo",)
 
 
 def closure_holds(
@@ -89,6 +91,19 @@ class DependencyGraph:
         return sorted(v for u, v in self.edges if u == vertex)
 
 
+def _matching_modules(P: ModularProgram, atom: PredAtom) -> list[int]:
+    """Indices of the modules with a pattern for `atom` that may share an
+    instance with its arguments."""
+    return [
+        i
+        for i, module in enumerate(P.modules)
+        if any(
+            may_share_instance(u, atom.args)
+            for u in module.kappa.patterns_for(atom.pred)
+        )
+    ]
+
+
 def dependency_graph(P: ModularProgram) -> DependencyGraph:
     """Build the dependency graph of a modular program.
 
@@ -104,15 +119,6 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
     preds = sorted(P.signature().predicates)
     n = len(P.modules)
     vertices = tuple((name, i) for name, _ in preds for i in range(n))
-
-    def matching_modules(atom: PredAtom) -> list[int]:
-        out = []
-        for i, module in enumerate(P.modules):
-            patterns = module.kappa.patterns_for(atom.pred)
-            if any(may_share_instance(u, atom.args) for u in patterns):
-                out.append(i)
-        return out
-
     edges: set[tuple[Vertex, Vertex]] = set()
     seen_rules: set[Rule] = set()
     for module in P.modules:
@@ -120,13 +126,13 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
             if rule in seen_rules or rule.head is None:
                 continue
             seen_rules.add(rule)
-            head_modules = matching_modules(rule.head)
+            head_modules = _matching_modules(P, rule.head)
             if not head_modules:
                 continue
             for literal in rule.body:
                 if literal.negations != 0 or not isinstance(literal.atom, PredAtom):
                     continue
-                for j in matching_modules(literal.atom):
+                for j in _matching_modules(P, literal.atom):
                     for i in head_modules:
                         edge = ((rule.head.name, i), (literal.atom.name, j))
                         if edge[0] != edge[1]:
@@ -217,6 +223,10 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
     No interpretation is ever constructed; the cost is polynomial in the
     number of rules times the square of the number of patterns.
     """
+    return _coherence(P, dependency_graph(P))
+
+
+def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
     violations: list[Violation] = []
     for i, module in enumerate(P.modules):
         simple, witness = is_simple_module(module)
@@ -243,7 +253,6 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
                                     f"of module {j}",
                                 )
                             )
-    graph = dependency_graph(P)
     for component in strongly_connected_components(graph.vertices, graph.edges):
         indices = {i for _, i in component}
         if len(indices) > 1:
@@ -260,21 +269,28 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
 
 def union_program(P: ModularProgram) -> Program:
     """Set union of all module rule sets."""
-    out = Program.of(())
-    for module in P.modules:
-        out = out | module.pi
-    return out
+    return Program.of(rule for module in P.modules for rule in module.pi.rules)
 
 
 # --- answer sets of modular programs ----------------------------------------------
 
 
-def _relevant_base(P: ModularProgram, dom: Domain) -> list[PredAtom]:
-    atoms: set[PredAtom] = set()
-    for module in P.modules:
-        atoms |= ground(module.pi, dom).heads()
-    atoms |= extensional_region(P.kappa, P.signature().predicates, dom)
-    return sorted(atoms, key=atom_order_key)
+def _ground_modules(
+    P: ModularProgram, dom: Domain, cap: int
+) -> tuple[list[GroundProgram], list[PredAtom]]:
+    """Ground every module once; return the ground programs and the sorted
+    relevant base (every ground head plus the global extensional region),
+    refusing a base larger than the cap."""
+    grounded = [ground(module.pi, dom) for module in P.modules]
+    atoms = set(extensional_region(P.kappa, P.signature().predicates, dom))
+    for gp in grounded:
+        atoms |= gp.heads()
+    if len(atoms) > cap:
+        raise CapacityError(
+            f"relevant atom base has {len(atoms)} atoms (cap {cap}); shrink "
+            "the domain or raise the cap"
+        )
+    return grounded, sorted(atoms, key=atom_order_key)
 
 
 def _forced_false_mask(P: ModularProgram, checker: StabilityChecker) -> int:
@@ -303,21 +319,13 @@ def modular_answer_sets(
     shared relevant atom base; `topo` evaluates modules in dependency order
     and requires coherence plus an acyclic module ordering.
     """
-    if engine not in MODULAR_ENGINES:
-        raise EngineError(
-            f"engine {engine!r} is not applicable here; choose one of "
-            f"{', '.join(MODULAR_ENGINES)}"
-        )
+    _require_engine(engine, MODULAR_ENGINES)
     if engine == "topo":
         return _topological_answer_sets(P, dom, cap)
-    base = _relevant_base(P, dom)
-    if len(base) > cap:
-        raise CapacityError(
-            f"relevant atom base has {len(base)} atoms (cap {cap}); shrink "
-            "the domain or raise the cap"
-        )
+    grounded, base = _ground_modules(P, dom, cap)
     checkers = [
-        StabilityChecker(ground(m.pi, dom).rules, m.kappa, base) for m in P.modules
+        StabilityChecker(gp.rules, m.kappa, base)
+        for gp, m in zip(grounded, P.modules)
     ]
     reference = StabilityChecker((), P.kappa, base)
     forced_false = _forced_false_mask(P, reference)
@@ -330,7 +338,7 @@ def modular_answer_sets(
     return frozenset(found)
 
 
-def _module_order(P: ModularProgram, dom: Domain) -> list[int]:
+def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
     """Topological order of modules, dependencies first.
 
     Edges come from the dependency graph plus negated body atoms (the graph
@@ -339,25 +347,16 @@ def _module_order(P: ModularProgram, dom: Domain) -> list[int]:
     """
     n = len(P.modules)
     succ: dict[int, set[int]] = {i: set() for i in range(n)}
-    graph = dependency_graph(P)
     for (p, i), (q, j) in graph.edges:
         if i != j:
             succ[i].add(j)
-
-    def matching_modules(atom: PredAtom) -> list[int]:
-        out = []
-        for j, module in enumerate(P.modules):
-            patterns = module.kappa.patterns_for(atom.pred)
-            if any(may_share_instance(u, atom.args) for u in patterns):
-                out.append(j)
-        return out
 
     for i, module in enumerate(P.modules):
         for rule in module.pi.rules:
             for literal in rule.body:
                 if literal.negations == 0 or not isinstance(literal.atom, PredAtom):
                     continue
-                for j in matching_modules(literal.atom):
+                for j in _matching_modules(P, literal.atom):
                     if j != i:
                         succ[i].add(j)
 
@@ -394,36 +393,21 @@ def _module_order(P: ModularProgram, dom: Domain) -> list[int]:
 def _topological_answer_sets(
     P: ModularProgram, dom: Domain, cap: int
 ) -> frozenset[Interpretation]:
-    report = is_coherent(P)
+    graph = dependency_graph(P)
+    report = _coherence(P, graph)
     if not report.coherent:
         raise EngineError(
             "the topological engine requires a coherent modular program:\n"
             + str(report)
         )
-    order = _module_order(P, dom)
-    base = _relevant_base(P, dom)
-    if len(base) > cap:
-        raise CapacityError(
-            f"relevant atom base has {len(base)} atoms (cap {cap}); shrink "
-            "the domain or raise the cap"
-        )
+    order = _module_order(P, graph)
+    grounded, base = _ground_modules(P, dom, cap)
     reference = StabilityChecker((), P.kappa, base)
     forced_false = _forced_false_mask(P, reference)
-    checkers = {
-        i: StabilityChecker(ground(P.modules[i].pi, dom).rules, P.modules[i].kappa, base)
-        for i in range(len(P.modules))
-    }
-    region_masks = {}
-    head_masks = {}
-    for i, module in enumerate(P.modules):
-        mask = 0
-        for atom, bit in reference.index.items():
-            if lambda_holds(module.kappa, atom):
-                mask |= bit
-        region_masks[i] = mask
-        head_masks[i] = reference.mask_of(
-            a for a in ground(module.pi, dom).heads() if a in reference.index
-        )
+    checkers = [
+        StabilityChecker(gp.rules, m.kappa, base)
+        for gp, m in zip(grounded, P.modules)
+    ]
 
     # Globally extensional atoms are free choices shared by every module.
     ext_mask = reference.ext_mask & ~forced_false
@@ -436,7 +420,11 @@ def _topological_answer_sets(
         s = (s - 1) & ext_mask
 
     for i in order:
-        candidates_mask = head_masks[i] & region_masks[i] & ~forced_false
+        # A module extends a partial only by its own ground heads in its region.
+        kappa = P.modules[i].kappa
+        candidates_mask = reference.mask_of(
+            a for a in grounded[i].heads() if lambda_holds(kappa, a)
+        ) & ~forced_false
         extended = []
         for partial in partials:
             s = candidates_mask
@@ -449,15 +437,14 @@ def _topological_answer_sets(
                 s = (s - 1) & candidates_mask
         partials = extended
 
-    module_kappas = [m.kappa for m in P.modules]
-    results = []
-    for T in partials:
-        I = Interpretation(reference.atoms_of(T))
-        if all(
-            is_model_of_module(I, m, dom, "reduct") for m in P.modules
-        ) and closure_holds(I, P.kappa, module_kappas):
-            results.append(I)
-    return frozenset(results)
+    # A module checked before a later one fixed more atoms may now reject
+    # the candidate, so every module checks the full candidate again.  The
+    # closure condition needs no check: every mask above excludes forced_false.
+    return frozenset(
+        Interpretation(reference.atoms_of(T))
+        for T in partials
+        if all(checker.check(T, "reduct") for checker in checkers)
+    )
 
 
 # --- the union/modular comparison harness -------------------------------------------

@@ -2,16 +2,18 @@
 answer sets and the union comparison harness."""
 
 import warnings
+from pathlib import Path
 
 import pytest
 
 from modasp.engine import Interpretation, enumerate_kappa_stable
 from modasp.errors import EngineError
-from modasp.grounding import Domain
+from modasp.grounding import Domain, ground
 from modasp.instantiation import (
     Module,
     ModularProgram,
     collective_modular,
+    collective_union,
 )
 from modasp.intensionality import IntensionalityStatement
 from modasp.modular import (
@@ -30,6 +32,7 @@ from modasp.program import PredAtom, Program
 from modasp.terms import Numeral, Variable
 
 Q = ("q", 2)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def num(n):
@@ -277,6 +280,13 @@ class TestUnionProgram:
         assert union_program(P) == rules("q(0,0).")
 
 
+def plan_program(program_text, control_text):
+    prog = parse_program(program_text)
+    plan = parse_control(control_text, prog)
+    dom = Domain.build([collective_union(prog, plan.specs)], *plan.domain)
+    return collective_modular(prog, plan), dom
+
+
 class TestModularAnswerSets:
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_p1_unique_model(self, engine):
@@ -330,6 +340,45 @@ class TestModularAnswerSets:
             applicable += 1
             assert topo == modular_answer_sets(P, dom, "reduct")
         assert applicable >= 20
+
+    def test_early_constraint_on_later_atom(self):
+        # The dependency graph skips headless rules, so `base` may be solved
+        # before `def(1)` fixes p(1); only the final re-check of every
+        # module on the full candidate rejects {p(1)}.
+        P, dom = plan_program(
+            "#program base.\n:- p(1).\n#program def(k).\np(k).\n",
+            "use base. use def(1). domain 0..1.",
+        )
+        assert is_coherent(P).coherent
+        for engine in ("topo", "reduct", "brute"):
+            assert modular_answer_sets(P, dom, engine) == frozenset()
+
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_grounds_each_module_once(self, engine, monkeypatch):
+        import modasp.engine as engine_mod
+        import modasp.modular as modular_mod
+
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        calls, graphs = [], []
+
+        def counting_ground(pi, dom):
+            calls.append(pi)
+            return ground(pi, dom)
+
+        def counting_graph(P):
+            graphs.append(P)
+            return dependency_graph(P)
+
+        monkeypatch.setattr(modular_mod, "ground", counting_ground)
+        monkeypatch.setattr(engine_mod, "ground", counting_ground)
+        monkeypatch.setattr(modular_mod, "dependency_graph", counting_graph)
+        models = modular_answer_sets(P, dom, engine)
+        assert len(calls) == len(P.modules) == 4
+        assert len(graphs) == (engine == "topo")
+        assert models == frozenset({interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3))})
 
 
 class TestDefinitionalReference:
