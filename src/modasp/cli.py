@@ -32,6 +32,7 @@ from .instantiation import collective_modular, collective_union
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
+    _sorted_interpretations,
     closure_holds,
     is_coherent,
     is_model_of_module,
@@ -39,7 +40,7 @@ from .modular import (
     theorem1_check,
 )
 from .parsing import parse_control, parse_ground_atom, parse_program
-from .program import Program, atom_order_key
+from .program import Program
 from .subprograms import ClingoProgram, ControlPlan
 
 
@@ -169,12 +170,6 @@ def _models_json(models) -> list[list[str]]:
     return [[str(a) for a in I.sorted_atoms()] for I in models]
 
 
-def _sorted_models(models) -> list[Interpretation]:
-    return sorted(
-        models, key=lambda I: [atom_order_key(a) for a in I.sorted_atoms()]
-    )
-
-
 def _emit(args, text_lines, machine_doc) -> None:
     if args.output == "machine":
         print(json.dumps(machine_doc, sort_keys=True))
@@ -255,7 +250,7 @@ def _cmd_solve(args) -> int:
         _require_engine(args.engine, MODULAR_ENGINES)
         modular = collective_modular(prog, plan)
         models = modular_answer_sets(modular, dom, args.engine, args.cap)
-    models = _sorted_models(models)
+    models = _sorted_interpretations(models)
     _emit(
         args,
         [str(I) for I in models],
@@ -290,8 +285,8 @@ def _cmd_check_coherence(args) -> int:
 
 def _cmd_compare(args) -> int:
     prog, plan, _, dom = _load_union(args)
-    modular = collective_modular(prog, plan)
     _require_engine(args.engine, MODULAR_ENGINES)
+    modular = collective_modular(prog, plan)
     report = theorem1_check(modular, dom, args.engine, args.cap)
     _emit(
         args,

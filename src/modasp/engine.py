@@ -412,15 +412,14 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
 def _fixpoint_models(
     gp: GroundProgram,
     kappa: IntensionalityStatement,
-    pi: Program,
+    predicates: Iterable[tuple[str, int]],
     dom: Domain,
 ) -> frozenset[Interpretation]:
     if any(r.neg or r.negneg for r in gp.rules):
         raise EngineError(
             "the fixpoint engine requires a negation-free ground program"
         )
-    preds = set(pi.signature().predicates) | set(kappa.predicates())
-    if extensional_region(kappa, preds, dom):
+    if extensional_region(kappa, predicates, dom):
         raise EngineError(
             "the fixpoint engine requires an empty extensional region over "
             "the domain (make every predicate purely intensional)"
@@ -431,6 +430,54 @@ def _fixpoint_models(
         if rule.head is None and all(a in lm for a in rule.pos):
             return frozenset()  # a constraint rejects the least model
     return frozenset({I})
+
+
+def _relevant_base(
+    grounded: Iterable[GroundProgram],
+    kappa: IntensionalityStatement,
+    predicates: Iterable[tuple[str, int]],
+    dom: Domain,
+    cap: int,
+) -> list[PredAtom]:
+    """Every ground head plus the extensional region over the domain,
+    sorted; refuses a base larger than the cap."""
+    atoms = set(extensional_region(kappa, predicates, dom))
+    for gp in grounded:
+        atoms |= gp.heads()
+    if len(atoms) > cap:
+        raise CapacityError(
+            f"relevant atom base has {len(atoms)} atoms (cap {cap}); shrink "
+            "the domain or raise the cap"
+        )
+    return sorted(atoms, key=atom_order_key)
+
+
+def _search(
+    blocks: Iterable[tuple[int, Sequence[StabilityChecker]]], engine: str
+) -> list[int]:
+    """Splitting-set search over candidate bit masks.
+
+    Starting from the empty candidate, each block `(mask, checkers)` extends
+    every candidate so far by every subset of `mask` and keeps the
+    extensions that all of its checkers accept.
+    """
+    candidates = [0]
+    for mask, checkers in blocks:
+        extended = []
+        for partial in candidates:
+            s = mask
+            while True:
+                T = partial | s
+                for checker in checkers:
+                    if not checker.check(T, engine):
+                        break
+                else:
+                    extended.append(T)
+                if s == 0:
+                    break
+                s = (s - 1) & mask
+        candidates = extended
+    return candidates
 
 
 def enumerate_kappa_stable(
@@ -448,23 +495,15 @@ def enumerate_kappa_stable(
     """
     _require_engine(engine, ENGINES)
     gp = ground(pi, dom)
-    if engine == "fixpoint":
-        return _fixpoint_models(gp, kappa, pi, dom)
     preds = set(pi.signature().predicates) | set(kappa.predicates())
-    base = sorted(
-        gp.heads() | extensional_region(kappa, preds, dom), key=atom_order_key
-    )
-    if len(base) > cap:
-        raise CapacityError(
-            f"relevant atom base has {len(base)} atoms (cap {cap}); use the "
-            "fixpoint engine if applicable, shrink the domain, or raise the cap"
-        )
+    if engine == "fixpoint":
+        return _fixpoint_models(gp, kappa, preds, dom)
+    base = _relevant_base([gp], kappa, preds, dom, cap)
     checker = StabilityChecker(gp.rules, kappa, base)
-    found = []
-    for T in range(1 << len(base)):
-        if checker.check(T, engine):
-            found.append(Interpretation(checker.atoms_of(T)))
-    return frozenset(found)
+    return frozenset(
+        Interpretation(checker.atoms_of(T))
+        for T in _search([((1 << len(base)) - 1, [checker])], engine)
+    )
 
 
 # --- support (derivability) -------------------------------------------------------

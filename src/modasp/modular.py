@@ -10,13 +10,14 @@ from .engine import (
     CHECK_ENGINES,
     Interpretation,
     StabilityChecker,
+    _relevant_base,
     _require_engine,
+    _search,
     enumerate_kappa_stable,
-    extensional_region,
     is_kappa_stable,
 )
-from .errors import CapacityError, EngineError
-from .grounding import Domain, GroundProgram, ground
+from .errors import EngineError
+from .grounding import Domain, ground
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
@@ -275,24 +276,6 @@ def union_program(P: ModularProgram) -> Program:
 # --- answer sets of modular programs ----------------------------------------------
 
 
-def _ground_modules(
-    P: ModularProgram, dom: Domain, cap: int
-) -> tuple[list[GroundProgram], list[PredAtom]]:
-    """Ground every module once; return the ground programs and the sorted
-    relevant base (every ground head plus the global extensional region),
-    refusing a base larger than the cap."""
-    grounded = [ground(module.pi, dom) for module in P.modules]
-    atoms = set(extensional_region(P.kappa, P.signature().predicates, dom))
-    for gp in grounded:
-        atoms |= gp.heads()
-    if len(atoms) > cap:
-        raise CapacityError(
-            f"relevant atom base has {len(atoms)} atoms (cap {cap}); shrink "
-            "the domain or raise the cap"
-        )
-    return grounded, sorted(atoms, key=atom_order_key)
-
-
 def _forced_false_mask(P: ModularProgram, checker: StabilityChecker) -> int:
     # Globally intensional atoms lying in no module region must be false.
     mask = 0
@@ -321,21 +304,46 @@ def modular_answer_sets(
     """
     _require_engine(engine, MODULAR_ENGINES)
     if engine == "topo":
-        return _topological_answer_sets(P, dom, cap)
-    grounded, base = _ground_modules(P, dom, cap)
+        graph = dependency_graph(P)
+        report = _coherence(P, graph)
+        if not report.coherent:
+            raise EngineError(
+                "the topological engine requires a coherent modular program:\n"
+                + str(report)
+            )
+        order = _module_order(P, graph)
+    grounded = [ground(module.pi, dom) for module in P.modules]
+    base = _relevant_base(grounded, P.kappa, P.signature().predicates, dom, cap)
     checkers = [
         StabilityChecker(gp.rules, m.kappa, base)
         for gp, m in zip(grounded, P.modules)
     ]
     reference = StabilityChecker((), P.kappa, base)
-    forced_false = _forced_false_mask(P, reference)
-    found = []
-    for T in range(1 << len(base)):
-        if T & forced_false:
-            continue
-        if all(checker.check(T, engine) for checker in checkers):
-            found.append(Interpretation(reference.atoms_of(T)))
-    return frozenset(found)
+    # The closure condition needs no check: every block mask below lies
+    # inside `allowed`, which excludes the forced-false atoms (these are
+    # globally intensional, so never among the global choices).
+    allowed = ((1 << len(base)) - 1) & ~_forced_false_mask(P, reference)
+    if engine != "topo":
+        blocks = [(allowed, checkers)]
+    else:
+        # Globally extensional atoms are free choices shared by every
+        # module; then each module, dependencies first, adds only its own
+        # ground heads in its region.  A module checked before a later one
+        # fixed more atoms may now reject the candidate, so the last block
+        # checks every module on the full candidate again.
+        blocks = [(reference.ext_mask, [])]
+        blocks += [
+            (
+                reference.mask_of(grounded[i].heads())
+                & ~checkers[i].ext_mask
+                & allowed,
+                [checkers[i]],
+            )
+            for i in order
+        ]
+        blocks.append((0, checkers))
+    found = _search(blocks, "reduct" if engine == "topo" else engine)
+    return frozenset(Interpretation(reference.atoms_of(T)) for T in found)
 
 
 def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
@@ -388,63 +396,6 @@ def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
         if state.get(i, 0) == 0:
             visit(i)
     return order  # dependencies come first
-
-
-def _topological_answer_sets(
-    P: ModularProgram, dom: Domain, cap: int
-) -> frozenset[Interpretation]:
-    graph = dependency_graph(P)
-    report = _coherence(P, graph)
-    if not report.coherent:
-        raise EngineError(
-            "the topological engine requires a coherent modular program:\n"
-            + str(report)
-        )
-    order = _module_order(P, graph)
-    grounded, base = _ground_modules(P, dom, cap)
-    reference = StabilityChecker((), P.kappa, base)
-    forced_false = _forced_false_mask(P, reference)
-    checkers = [
-        StabilityChecker(gp.rules, m.kappa, base)
-        for gp, m in zip(grounded, P.modules)
-    ]
-
-    # Globally extensional atoms are free choices shared by every module.
-    ext_mask = reference.ext_mask & ~forced_false
-    partials = []
-    s = ext_mask
-    while True:
-        partials.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & ext_mask
-
-    for i in order:
-        # A module extends a partial only by its own ground heads in its region.
-        kappa = P.modules[i].kappa
-        candidates_mask = reference.mask_of(
-            a for a in grounded[i].heads() if lambda_holds(kappa, a)
-        ) & ~forced_false
-        extended = []
-        for partial in partials:
-            s = candidates_mask
-            while True:
-                candidate = partial | s
-                if checkers[i].check(candidate, "reduct"):
-                    extended.append(candidate)
-                if s == 0:
-                    break
-                s = (s - 1) & candidates_mask
-        partials = extended
-
-    # A module checked before a later one fixed more atoms may now reject
-    # the candidate, so every module checks the full candidate again.  The
-    # closure condition needs no check: every mask above excludes forced_false.
-    return frozenset(
-        Interpretation(reference.atoms_of(T))
-        for T in partials
-        if all(checker.check(T, "reduct") for checker in checkers)
-    )
 
 
 # --- the union/modular comparison harness -------------------------------------------

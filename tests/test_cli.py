@@ -244,6 +244,22 @@ class TestCompare:
         assert "equal: yes" in out
         assert "q(0,0) q(1,1) q(2,2) q(3,3)" in out
 
+    def test_fixpoint_refused_before_modular_construction(self, capsys):
+        # property.lp has no subprogram gamma1.ctl's modules could come
+        # from, so the modular construction would fail; the engine check
+        # comes first, as in `solve`.
+        code, _, err = run(
+            capsys,
+            "compare",
+            fixture("property.lp"),
+            "--control",
+            fixture("gamma1.ctl"),
+            "--engine",
+            "fixpoint",
+        )
+        assert code == 2
+        assert "brute, reduct, topo" in err
+
     def test_machine_report(self, capsys):
         code, out, _ = run(
             capsys,

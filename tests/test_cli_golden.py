@@ -1,0 +1,68 @@
+"""Golden CLI outputs: stdout and exit code of `solve`, `compare` and
+`check-coherence` over every program x control pairing of the fixtures.
+
+The expected outputs live in `fixtures/cli_golden.json`.  Regenerate them
+with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "cli_golden.json"
+SOLVE_ENGINES = ("brute", "reduct", "fixpoint", "topo")
+
+
+def matrix() -> list[list[str]]:
+    """Argument vectors, with fixture paths relative to the fixtures."""
+    out = []
+    for lp in sorted(FIXTURES.glob("*.lp")):
+        for ctl in sorted(FIXTURES.glob("*.ctl")):
+            files = [lp.name, "--control", ctl.name]
+            if ctl.name.startswith("property"):
+                files += ["-c", "n=3"]
+            for mode in ("union", "modular"):
+                for engine in SOLVE_ENGINES:
+                    out.append(["solve", *files, "--mode", mode, "--engine", engine])
+            for engine in SOLVE_ENGINES:
+                out.append(["compare", *files, "--engine", engine])
+            out.append(["check-coherence", *files])
+    return out
+
+
+def run_cli(argv: list[str]) -> dict:
+    from modasp.cli import main
+
+    resolved = [
+        str(FIXTURES / a) if a.endswith((".lp", ".ctl")) else a for a in argv
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(resolved)
+    return {"exit": code, "stdout": stdout.getvalue()}
+
+
+def _load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", matrix(), ids=" ".join)
+def test_matches_golden(argv):
+    assert run_cli(argv) == _load_golden()[" ".join(argv)]
+
+
+def test_golden_covers_matrix():
+    assert sorted(_load_golden()) == sorted(" ".join(a) for a in matrix())
+
+
+if __name__ == "__main__":
+    golden = {" ".join(argv): run_cli(argv) for argv in matrix()}
+    GOLDEN.write_text(
+        json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {len(golden)} entries to {GOLDEN}", file=sys.stderr)

@@ -7,6 +7,9 @@ import pytest
 from modasp.engine import (
     HTInterpretation,
     Interpretation,
+    StabilityChecker,
+    _relevant_base,
+    _search,
     check_support,
     classical_satisfies,
     enumerate_kappa_stable,
@@ -337,6 +340,36 @@ class TestReferenceAgreement:
                 assert is_kappa_stable(I, kappa, pi, dom, "reduct") == want
                 compared += 1
         assert compared > 200
+
+
+class TestSearch:
+    def test_blocks_match_plain_sweep(self):
+        import randprog
+
+        rng = random.Random(7)
+        for _ in range(40):
+            kappa, pi, dom = randprog.random_ground_instance(rng)
+            gp = ground(pi, dom)
+            base = _relevant_base(
+                [gp], kappa, pi.signature().predicates, dom, cap=24
+            )
+            checker = StabilityChecker(gp.rules, kappa, base)
+            full = (1 << len(base)) - 1
+            for engine in ("brute", "reduct"):
+                sweep = {
+                    T for T in range(1 << len(base)) if checker.check(T, engine)
+                }
+                one_block = _search([(full, [checker])], engine)
+                assert sorted(one_block) == sorted(sweep)
+                # Extensional choices first, unchecked; then the rest.
+                split = _search(
+                    [
+                        (checker.ext_mask, []),
+                        (full & ~checker.ext_mask, [checker]),
+                    ],
+                    engine,
+                )
+                assert sorted(split) == sorted(sweep)
 
 
 class TestLeastModel:

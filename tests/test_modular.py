@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from modasp.engine import Interpretation, enumerate_kappa_stable
-from modasp.errors import EngineError
+from modasp.errors import CapacityError, EngineError
 from modasp.grounding import Domain, ground
 from modasp.instantiation import (
     Module,
@@ -352,6 +352,13 @@ class TestModularAnswerSets:
         assert is_coherent(P).coherent
         for engine in ("topo", "reduct", "brute"):
             assert modular_answer_sets(P, dom, engine) == frozenset()
+
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_capacity_error(self, engine):
+        # The relevant base of p1 over 0..4 has 13 atoms.
+        with pytest.raises(CapacityError, match=r"13 atoms \(cap 12\)"):
+            modular_answer_sets(p1(), Domain(0, 4), engine, cap=12)
+        assert modular_answer_sets(p1(), Domain(0, 4), engine, cap=13)
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_grounds_each_module_once(self, engine, monkeypatch):
