@@ -1,5 +1,7 @@
 """Golden CLI outputs: stdout and exit code of `solve`, `compare` and
 `check-coherence` over every program x control pairing of the fixtures.
+Every `solve` and `compare` entry also runs with `--cap 4`, which exposes
+which inputs the relevant-base cap refuses (exit 3).
 
 The expected outputs live in `fixtures/cli_golden.json`.  Regenerate them
 with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
@@ -26,11 +28,14 @@ def matrix() -> list[list[str]]:
             files = [lp.name, "--control", ctl.name]
             if ctl.name.startswith("property"):
                 files += ["-c", "n=3"]
-            for mode in ("union", "modular"):
+            for cap in ([], ["--cap", "4"]):
+                for mode in ("union", "modular"):
+                    for engine in SOLVE_ENGINES:
+                        out.append(
+                            ["solve", *files, "--mode", mode, "--engine", engine, *cap]
+                        )
                 for engine in SOLVE_ENGINES:
-                    out.append(["solve", *files, "--mode", mode, "--engine", engine])
-            for engine in SOLVE_ENGINES:
-                out.append(["compare", *files, "--engine", engine])
+                    out.append(["compare", *files, "--engine", engine, *cap])
             out.append(["check-coherence", *files])
     return out
 
