@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
-from .grounding import Domain, GroundProgram, GroundRule, _eval_atom, ground
+from .grounding import (
+    Domain,
+    GroundProgram,
+    GroundRule,
+    _eval_atom,
+    ground,
+    ground_reachable,
+)
 from .intensionality import IntensionalityStatement, lambda_holds
 from .program import (
     Comparison,
@@ -410,16 +417,13 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
 
 
 def _fixpoint_models(
-    gp: GroundProgram,
-    kappa: IntensionalityStatement,
-    predicates: Iterable[tuple[str, int]],
-    dom: Domain,
+    gp: GroundProgram, region: frozenset[PredAtom]
 ) -> frozenset[Interpretation]:
     if any(r.neg or r.negneg for r in gp.rules):
         raise EngineError(
             "the fixpoint engine requires a negation-free ground program"
         )
-    if extensional_region(kappa, predicates, dom):
+    if region:
         raise EngineError(
             "the fixpoint engine requires an empty extensional region over "
             "the domain (make every predicate purely intensional)"
@@ -433,15 +437,11 @@ def _fixpoint_models(
 
 
 def _relevant_base(
-    grounded: Iterable[GroundProgram],
-    kappa: IntensionalityStatement,
-    predicates: Iterable[tuple[str, int]],
-    dom: Domain,
-    cap: int,
+    grounded: Iterable[GroundProgram], region: frozenset[PredAtom], cap: int
 ) -> list[PredAtom]:
-    """Every ground head plus the extensional region over the domain,
-    sorted; refuses a base larger than the cap."""
-    atoms = set(extensional_region(kappa, predicates, dom))
+    """Every ground head plus the extensional region, sorted; refuses a
+    base larger than the cap."""
+    atoms = set(region)
     for gp in grounded:
         atoms |= gp.heads()
     if len(atoms) > cap:
@@ -489,16 +489,20 @@ def enumerate_kappa_stable(
 ) -> frozenset[Interpretation]:
     """All stable models over the relevant atom base.
 
-    The base holds the ground rule heads plus every extensional atom over
-    the domain; any atom outside it is false in every stable model, because
-    a true atom needs either a deriving rule or a choice axiom.
+    Only the rule instances whose positive body can be derived from the
+    extensional region are ground (`ground_reachable`): every stable model
+    lies inside their least model, so the others are vacuous.  The base
+    holds their heads plus every extensional atom over the domain; any atom
+    outside it is false in every stable model, because a true atom needs
+    either a deriving rule or a choice axiom.
     """
     _require_engine(engine, ENGINES)
-    gp = ground(pi, dom)
     preds = set(pi.signature().predicates) | set(kappa.predicates())
+    region = extensional_region(kappa, preds, dom)
+    gp = ground_reachable(pi, dom, region)
     if engine == "fixpoint":
-        return _fixpoint_models(gp, kappa, preds, dom)
-    base = _relevant_base([gp], kappa, preds, dom, cap)
+        return _fixpoint_models(gp, region)
+    base = _relevant_base([gp], region, cap)
     checker = StabilityChecker(gp.rules, kappa, base)
     return frozenset(
         Interpretation(checker.atoms_of(T))

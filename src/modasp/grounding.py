@@ -9,6 +9,11 @@ arithmetic, resolves comparison literals, and drops every rule instance that
 mentions an atom outside the domain in its head or positively in its body
 (such atoms are false in every representable interpretation; a negated
 out-of-domain atom is simply true).
+
+`ground` is the full instantiation.  The solving path uses
+`ground_reachable`, which keeps only the instances whose positive body can
+be derived, and finds them by joining body atoms against derived atoms
+instead of enumerating the cross product.
 """
 
 import itertools
@@ -16,8 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import RangeError, SafetyError
+from .intensionality import _solve_arith
 from .program import Comparison, Literal, PredAtom, Program, Rule, substitute_rule
 from .terms import (
+    Arith,
     Func,
     Numeral,
     Sort,
@@ -27,6 +34,8 @@ from .terms import (
     eval_ground,
     is_precomputed,
     order_key,
+    simplify,
+    substitute_variables,
     subterms,
 )
 
@@ -239,4 +248,167 @@ def ground(pi: Program, dom: Domain) -> GroundProgram:
             finished = _finish_instance(instance, dom)
             if finished is not None:
                 out[finished] = None
+    return GroundProgram(tuple(sorted(out, key=str)))
+
+
+def _matchable(rule: Rule, sorts: dict[str, Sort]) -> bool:
+    """Can `_match` bind the rule's variables as `ground` assigns them?
+    Not when an occurrence disagrees with the variable's sort, or when
+    arithmetic mentions a symbolic constant or a general variable, which
+    may leave it without a value (`make_rule` rules out all but the last)."""
+    for t in rule.terms():
+        for s in subterms(t):
+            if isinstance(s, Variable) and s.sort is not sorts[s.name]:
+                return False
+            if isinstance(s, Arith) and any(
+                isinstance(x, SymbolicConstant)
+                or (isinstance(x, Variable) and x.sort is not Sort.INTEGER)
+                for x in subterms(s)
+            ):
+                return False
+    return True
+
+
+def _match(t: Term, value: Term, theta: dict[str, Term], dom: Domain) -> bool:
+    """Extend `theta` towards an assignment under which `t` evaluates to
+    `value`; False when no assignment `ground` would try can.
+
+    Variables met directly or inside function terms are bound to the
+    matching part of `value`, if `ground` would give them that value; an
+    arithmetic term whose only variable occurs once is solved for it.  Any
+    other arithmetic leaves its variables unbound, to be enumerated.
+    """
+    t = simplify(substitute_variables(t, theta))
+    if isinstance(t, Variable):
+        if t.sort is Sort.INTEGER:
+            if not (isinstance(value, Numeral) and dom.int_lo <= value.value <= dom.int_hi):
+                return False
+        elif value not in dom:
+            return False
+        theta[t.name] = value
+        return True
+    if isinstance(t, Func):
+        return (
+            isinstance(value, Func)
+            and value.name == t.name
+            and len(value.args) == len(t.args)
+            and all(_match(a, v, theta, dom) for a, v in zip(t.args, value.args))
+        )
+    if isinstance(t, Arith):
+        if not isinstance(value, Numeral):
+            return False
+        solved: dict[str, Term] = {}
+        if _solve_arith(t, value.value, solved) is False:
+            return False
+        # At most the one variable of `t` is solved; bind it like any other.
+        return all(
+            _match(Variable(name, Sort.INTEGER), bound, theta, dom)
+            for name, bound in solved.items()
+        )
+    return t == value
+
+
+def ground_reachable(
+    pi: Program, dom: Domain, seeds: Iterable[PredAtom]
+) -> GroundProgram:
+    """The instances of `ground(pi, dom)` whose positive body lies in the
+    least model `R` of all its rules (negated literals read as true) plus
+    the seeds as facts, in the same order.
+
+    Every stable model whose extensional atoms are among the seeds lies
+    inside `R`, so the instances left out are vacuous in all of them.
+
+    Semi-naive evaluation: each derived atom, once taken from the queue,
+    is matched against the positive body literals of its predicate that
+    agree with it at their ground positions, and the rule's other positive
+    literals are joined against the atoms taken so far, indexed by
+    predicate and by the value at each argument position.  Variables left
+    unbound run over their domain pool, as in `ground`; an instance is kept
+    only if all of its positive atoms are derived.
+    """
+    pools = {Sort.INTEGER: dom.integers(), Sort.GENERAL: dom.terms_sorted()}
+    out: dict[GroundRule, None] = {}
+    derived: set[PredAtom] = set()
+    queue: list[PredAtom] = []
+    # Atoms taken from the queue, under (pred,) and (pred, position, value).
+    taken: dict[tuple, list[PredAtom]] = {}
+    # Positive body literals, under (pred,) or their first ground position.
+    watch: dict[tuple, list[tuple[Rule, dict[str, Sort], list[PredAtom], int]]] = {}
+
+    def derive(atom: PredAtom):
+        if atom not in derived:
+            derived.add(atom)
+            queue.append(atom)
+
+    def emit(rule: Rule, sorts: dict[str, Sort], theta: dict[str, Term]):
+        free = sorted(set(sorts) - set(theta))
+        for combo in itertools.product(*(pools[sorts[name]] for name in free)):
+            full = dict(theta)
+            full.update(zip(free, combo))
+            finished = _finish_instance(substitute_rule(rule, full), dom)
+            if (
+                finished is not None
+                and finished not in out
+                and all(a in derived for a in finished.pos)
+            ):
+                out[finished] = None
+                if finished.head is not None:
+                    derive(finished.head)
+
+    def join(rule, sorts, rest: list[PredAtom], theta: dict[str, Term]):
+        if not rest:
+            emit(rule, sorts, theta)
+            return
+        literal = rest[0]
+        args = [simplify(substitute_variables(a, theta)) for a in literal.args]
+        bucket = taken.get((literal.pred,), ())
+        for k, arg in enumerate(args):
+            if is_precomputed(arg):
+                candidates = taken.get((literal.pred, k, arg), ())
+                if len(candidates) < len(bucket):
+                    bucket = candidates
+        for atom in bucket:
+            extended = dict(theta)
+            if all(_match(a, v, extended, dom) for a, v in zip(args, atom.args)):
+                join(rule, sorts, rest[1:], extended)
+
+    instantiable: list[tuple[Rule, dict[str, Sort]]] = []
+    for rule in pi.rules:
+        sorts = _variable_sorts(rule)
+        _check_safety(rule, sorts)
+        if _matchable(rule, sorts):
+            instantiable.append((rule, sorts))
+        else:
+            # Instantiate in full, failing exactly where `ground` fails, and
+            # watch the variable-free instances instead.
+            gp = ground(Program((rule,)), dom)
+            instantiable += [(r.as_rule(), {}) for r in gp.rules]
+    for rule, sorts in instantiable:
+        pos = [
+            lit.atom
+            for lit in rule.body
+            if lit.negations == 0 and isinstance(lit.atom, PredAtom)
+        ]
+        if not pos:
+            emit(rule, sorts, {})
+        for i, atom in enumerate(pos):
+            key: tuple = (atom.pred,)
+            for k, arg in enumerate(atom.args):
+                arg = simplify(arg)
+                if is_precomputed(arg):
+                    key = (atom.pred, k, arg)
+                    break
+            watch.setdefault(key, []).append((rule, sorts, pos, i))
+    for atom in seeds:
+        derive(atom)
+    while queue:
+        atom = queue.pop()
+        keys = [(atom.pred,)] + [(atom.pred, k, v) for k, v in enumerate(atom.args)]
+        for key in keys:
+            taken.setdefault(key, []).append(atom)
+        for key in keys:
+            for rule, sorts, pos, i in watch.get(key, ()):
+                theta: dict[str, Term] = {}
+                if all(_match(a, v, theta, dom) for a, v in zip(pos[i].args, atom.args)):
+                    join(rule, sorts, pos[:i] + pos[i + 1 :], theta)
     return GroundProgram(tuple(sorted(out, key=str)))

@@ -28,6 +28,7 @@ from .terms import (
     simplify,
     substitute_constants,
     substitute_variables,
+    subterms,
     variables_of,
 )
 
@@ -455,10 +456,10 @@ def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
     a variable position of the pattern constrains nothing; at a ground
     position the rule term must be able to evaluate to that value under a
     consistent assignment of rule variables.  Arithmetic against a numeral
-    is inverted exactly while one variable is free; with several free
-    variables integer solutions always exist for +, - and *, so the answer
-    is yes without recording bindings (an over-approximation that can only
-    add dependency edges).
+    is inverted exactly while one variable occurs once; with several free
+    variables, or one occurring several times, the answer is yes without
+    recording bindings (an over-approximation that can only add dependency
+    edges).
     """
     if len(pattern) != len(terms):
         return False
@@ -497,8 +498,14 @@ def _instance_match(g: Term, t: Term, bindings: dict[str, Term]) -> bool:
 
 
 def _solve_arith(t: Term, target: int, bindings: dict[str, Term]) -> Optional[bool]:
+    """Solve `t = target` for the free variable of `t`, recording its value.
+
+    True or False when decided; None (undecided, so a solution may exist)
+    when several variables, or several occurrences of one, are free, as in
+    `N+N` or `N*N`, which `_invert` cannot peel apart.
+    """
     t = simplify(substitute_variables(t, bindings))
-    free = variables_of(t)
+    free = [s for s in subterms(t) if isinstance(s, Variable)]
     if not free:
         return isinstance(t, Numeral) and t.value == target
     if len(free) > 1:

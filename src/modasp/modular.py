@@ -14,6 +14,7 @@ from .engine import (
     _require_engine,
     _search,
     enumerate_kappa_stable,
+    extensional_region,
     is_kappa_stable,
 )
 from .errors import EngineError
@@ -303,17 +304,37 @@ def modular_answer_sets(
     and requires coherence plus an acyclic module ordering.
     """
     _require_engine(engine, MODULAR_ENGINES)
+    order = None
     if engine == "topo":
         graph = dependency_graph(P)
-        report = _coherence(P, graph)
-        if not report.coherent:
-            raise EngineError(
-                "the topological engine requires a coherent modular program:\n"
-                + str(report)
-            )
-        order = _module_order(P, graph)
+        order = _topo_order(P, graph, _coherence(P, graph))
+    return _answer_sets(P, dom, engine, cap, order)
+
+
+def _topo_order(
+    P: ModularProgram, graph: DependencyGraph, report: CoherenceReport
+) -> list[int]:
+    """The module order of the `topo` engine; refuses incoherent programs."""
+    if not report.coherent:
+        raise EngineError(
+            "the topological engine requires a coherent modular program:\n"
+            + str(report)
+        )
+    return _module_order(P, graph)
+
+
+def _answer_sets(
+    P: ModularProgram,
+    dom: Domain,
+    engine: str,
+    cap: int,
+    order: Optional[list[int]],
+) -> frozenset[Interpretation]:
+    """`modular_answer_sets` once the engine is checked; `order` is the
+    module order for `topo` and None otherwise."""
     grounded = [ground(module.pi, dom) for module in P.modules]
-    base = _relevant_base(grounded, P.kappa, P.signature().predicates, dom, cap)
+    region = extensional_region(P.kappa, P.signature().predicates, dom)
+    base = _relevant_base(grounded, region, cap)
     checkers = [
         StabilityChecker(gp.rules, m.kappa, base)
         for gp, m in zip(grounded, P.modules)
@@ -323,7 +344,7 @@ def modular_answer_sets(
     # inside `allowed`, which excludes the forced-false atoms (these are
     # globally intensional, so never among the global choices).
     allowed = ((1 << len(base)) - 1) & ~_forced_false_mask(P, reference)
-    if engine != "topo":
+    if order is None:
         blocks = [(allowed, checkers)]
     else:
         # Globally extensional atoms are free choices shared by every
@@ -443,15 +464,18 @@ def theorem1_check(
     an incoherent input the harness warns, still computes both sides, and
     reports whatever it finds.
     """
-    report = is_coherent(P)
+    graph = dependency_graph(P)
+    report = _coherence(P, graph)
     if not report.coherent:
         warnings.warn(
             "comparing an incoherent modular program; the union theorem "
             "does not apply",
             stacklevel=2,
         )
+    _require_engine(engine, MODULAR_ENGINES)
+    order = _topo_order(P, graph, report) if engine == "topo" else None
+    modular = _answer_sets(P, dom, engine, cap, order)
     union_engine = "reduct" if engine == "topo" else engine
-    modular = modular_answer_sets(P, dom, engine, cap)
     union = enumerate_kappa_stable(P.kappa, union_program(P), dom, union_engine, cap)
     return ComparisonReport(
         _sorted_interpretations(modular),

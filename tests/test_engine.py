@@ -350,9 +350,8 @@ class TestSearch:
         for _ in range(40):
             kappa, pi, dom = randprog.random_ground_instance(rng)
             gp = ground(pi, dom)
-            base = _relevant_base(
-                [gp], kappa, pi.signature().predicates, dom, cap=24
-            )
+            region = extensional_region(kappa, pi.signature().predicates, dom)
+            base = _relevant_base([gp], region, cap=24)
             checker = StabilityChecker(gp.rules, kappa, base)
             full = (1 << len(base)) - 1
             for engine in ("brute", "reduct"):

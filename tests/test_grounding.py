@@ -1,0 +1,297 @@
+"""Reachable grounding: `ground_reachable` keeps exactly the instances of
+`ground` whose positive body lies in the least model of all instances plus
+the seeds, and the union engines built on it keep their answers."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from modasp.cli import _global_kappa
+from modasp.engine import (
+    Interpretation,
+    StabilityChecker,
+    _relevant_base,
+    _search,
+    enumerate_kappa_stable,
+    extensional_region,
+    least_model,
+)
+from modasp.errors import ModaspError, SafetyError, SortError
+from modasp.grounding import Domain, GroundRule, ground, ground_reachable
+from modasp.instantiation import collective_union
+from modasp.intensionality import IntensionalityStatement
+from modasp.modular import union_program
+from modasp.parsing import parse_control, parse_program
+from modasp.program import Literal, PredAtom, Program, Rule, make_rule
+from modasp.terms import Arith, Func, Numeral, SymbolicConstant, Variable
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def num(n):
+    return Numeral(n)
+
+
+def atom(name, *args):
+    return PredAtom(name, tuple(num(a) if isinstance(a, int) else a for a in args))
+
+
+def rules(text):
+    return parse_program(text).subprogram("base")
+
+
+def oracle(pi, dom, seeds):
+    """The contract: instances of the full grounding whose positive body
+    lies in the least model of all of them plus the seeds as facts."""
+    full = ground(pi, dom)
+    reach = least_model(list(full.rules) + [GroundRule(a) for a in seeds])
+    return tuple(r for r in full.rules if set(r.pos) <= reach)
+
+
+def assert_contract(pi, dom, seeds):
+    got = ground_reachable(pi, dom, seeds)
+    assert got.rules == oracle(pi, dom, seeds)
+    return got
+
+
+def region_of(kappa, pi, dom):
+    preds = set(pi.signature().predicates) | set(kappa.predicates())
+    return extensional_region(kappa, preds, dom)
+
+
+# --- random non-ground programs ------------------------------------------------
+
+
+def _term(rng, names):
+    """A body or head argument over the rule's variables."""
+    v = Variable(rng.choice(names))
+    r = rng.random()
+    if r < 0.35:
+        return v
+    if r < 0.5:
+        return num(rng.randint(-1, 3))
+    if r < 0.6:
+        return Func("f", (v,))
+    op = rng.choice("+-*")
+    if rng.random() < 0.2:
+        return Arith(op, v, v)  # repeated variable: N+N, N-N, N*N
+    c = num(rng.randint(0, 2))
+    return Arith(op, v, c) if rng.random() < 0.7 else Arith(op, c, v)
+
+
+def random_rule_program(rng):
+    """Up to five rules over p/1, q/2 and r/1 with arithmetic, function
+    terms and negation; heads stay free of function terms over arithmetic."""
+    preds = (("p", 1), ("q", 2), ("r", 1))
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        names = rng.sample(("N", "M", "K"), rng.randint(1, 2))
+        body = []
+        for _ in range(rng.randint(0, 3)):
+            name, arity = rng.choice(preds)
+            args = tuple(_term(rng, names) for _ in range(arity))
+            body.append(Literal(PredAtom(name, args), rng.choice((0, 0, 0, 1, 2))))
+        head = None
+        if rng.random() > 0.15:
+            name, arity = rng.choice(preds)
+            args = []
+            for _ in range(arity):
+                t = _term(rng, names)
+                if isinstance(t, Func):
+                    t = t.args[0]
+                args.append(t)
+            head = PredAtom(name, tuple(args))
+        if head is None and not body:
+            continue
+        rule = make_rule(head, body)
+        try:
+            ground(Program.of([rule]), Domain(0, 1))
+        except ModaspError:
+            continue  # unsafe: a general variable outside the positive body
+        out.append(rule)
+    return Program.of(out)
+
+
+class TestContract:
+    def test_random_ground_instances(self):
+        import randprog
+
+        rng = random.Random(11)
+        for _ in range(80):
+            kappa, pi, dom = randprog.random_ground_instance(rng)
+            assert_contract(pi, dom, region_of(kappa, pi, dom))
+
+    def test_random_coherent_unions(self):
+        import randprog
+
+        rng = random.Random(12)
+        for _ in range(60):
+            P, dom = randprog.random_coherent_program(rng)
+            union = union_program(P)
+            assert_contract(union, dom, region_of(P.kappa, union, dom))
+
+    def test_random_rule_programs(self):
+        rng = random.Random(13)
+        dom = Domain.build([], 0, 3, func_depth=1)
+        nonempty = 0
+        for _ in range(150):
+            pi = random_rule_program(rng)
+            seeds = {
+                atom(name, *(rng.randint(0, 3) for _ in range(arity)))
+                for name, arity in (("p", 1), ("q", 2), ("r", 1))
+                for _ in range(rng.randint(0, 2))
+            }
+            got = assert_contract(pi, dom, seeds)
+            nonempty += bool(got.rules)
+        assert nonempty > 50
+
+    def test_fixture_unions(self):
+        loaded = 0
+        for lp in sorted(FIXTURES.glob("*.lp")):
+            for ctl in sorted(FIXTURES.glob("*.ctl")):
+                prog = parse_program(lp.read_text(encoding="utf-8"))
+                consts = {"n": 3} if ctl.name.startswith("property") else {}
+                try:
+                    plan = parse_control(ctl.read_text(encoding="utf-8"), prog, consts)
+                except ModaspError:
+                    continue  # the control file uses subprograms lp lacks
+                union = collective_union(prog, plan.specs)
+                dom = Domain.build([union], *plan.domain)
+                kappa = _global_kappa(plan, union)
+                assert_contract(union, dom, region_of(kappa, union, dom))
+                loaded += 1
+        assert loaded == 6
+
+    def test_property_chain_grounds_linearly(self):
+        prog = parse_program((FIXTURES / "property.lp").read_text(encoding="utf-8"))
+        plan = parse_control(
+            (FIXTURES / "property.ctl").read_text(encoding="utf-8"), prog, {"n": 400}
+        )
+        union = collective_union(prog, plan.specs)
+        gp = ground_reachable(union, Domain.build([union], *plan.domain), ())
+        assert len(gp.rules) == 401
+
+
+class TestHandCases:
+    def test_repeated_variable_left_unbound(self):
+        # p(N+N) cannot be solved for N by inversion; N runs over 0..3 and
+        # the instances whose body atom is derived stay.
+        pi = rules("r(N) :- p(N+N).")
+        gp = assert_contract(pi, Domain(0, 3), {atom("p", 2), atom("p", 3)})
+        assert [str(r) for r in gp.rules] == ["r(1) :- p(2)."]
+
+    def test_zero_coefficient_left_unbound(self):
+        pi = rules("r(N) :- p(0*N).")
+        gp = assert_contract(pi, Domain(0, 2), {atom("p", 0)})
+        assert [str(r) for r in gp.rules] == [
+            "r(0) :- p(0).",
+            "r(1) :- p(0).",
+            "r(2) :- p(0).",
+        ]
+
+    def test_arithmetic_inverted(self):
+        pi = rules("r(N) :- p(2*N-1). s(N) :- p(3-N).")
+        gp = assert_contract(pi, Domain(0, 3), {atom("p", 3), atom("p", 2)})
+        assert [str(r) for r in gp.rules] == [
+            "r(2) :- p(3).",
+            "s(0) :- p(3).",
+            "s(1) :- p(2).",
+        ]
+
+    def test_empty_positive_body_grounds_fully(self):
+        pi = rules("p(X+1) :- not r(X).")
+        gp = assert_contract(pi, Domain(0, 1), ())
+        assert [str(r) for r in gp.rules] == ["p(1) :- not r(0)."]
+
+    def test_constraint_kept_only_when_reachable(self):
+        pi = rules("q(0). :- q(X), p(X). :- q(X).")
+        gp = assert_contract(pi, Domain(0, 1), ())
+        assert [str(r) for r in gp.rules] == [":- q(0).", "q(0)."]
+
+    def test_double_negation(self):
+        pi = rules("q(0). p(X) :- q(X), not not r(X). s(X) :- r(X), not not q(X).")
+        gp = assert_contract(pi, Domain(0, 1), ())
+        assert [str(r) for r in gp.rules] == ["p(0) :- q(0), not not r(0).", "q(0)."]
+
+    def test_function_terms(self):
+        pi = rules("p(f(0)). q(X) :- p(f(X)). r(X) :- q(X), p(f(g(X))).")
+        dom = Domain.build([pi], 0, 1)
+        gp = assert_contract(pi, dom, ())
+        assert [str(r) for r in gp.rules] == ["p(f(0)).", "q(0) :- p(f(0))."]
+
+    def test_atoms_outside_the_domain(self):
+        # q(N+1) for N=2 and the seed p(5) lie outside 0..2.
+        pi = rules("p(0). p(N+1) :- p(N). r(X) :- p(X).")
+        gp = assert_contract(pi, Domain(0, 2), {atom("p", 5)})
+        assert [str(r) for r in gp.rules] == [
+            "p(0).",
+            "p(1) :- p(0).",
+            "p(2) :- p(1).",
+            "r(0) :- p(0).",
+            "r(1) :- p(1).",
+            "r(2) :- p(2).",
+        ]
+
+    def test_values_outside_the_variable_pools(self):
+        # `ground` gives N only 0..1 and X only domain terms: neither the
+        # numeral 5 nor the constant a inside f(a) may bind them.
+        a, f, g = SymbolicConstant("a"), "f", "g"
+        dom = Domain(0, 1, frozenset({num(5), Func(f, (a,)), Func(g, (a,))}))
+        pi = rules("r(N+0) :- p(N). q(g(X)) :- p(f(X)).")
+        gp = assert_contract(pi, dom, {atom("p", 5), atom("p", Func(f, (a,)))})
+        assert gp.rules == ()
+
+    def test_unevaluable_arithmetic_fails_as_in_ground(self):
+        # No p atom is derivable, but `ground` evaluates N+a and fails.
+        pi = rules("r(N) :- p(N+a).")
+        with pytest.raises(SortError):
+            ground(pi, Domain(0, 1))
+        with pytest.raises(SortError):
+            ground_reachable(pi, Domain(0, 1), ())
+
+    def test_unevaluable_arithmetic_instantiated_as_in_ground(self):
+        # A general variable in arithmetic (built without `make_rule`)
+        # takes every domain term; the domain here holds numerals only.
+        n = Variable("X")
+        rule = Rule(atom("r", n), (Literal(atom("p", Arith("+", n, num(1)))),))
+        dom = Domain(0, 1, frozenset({num(5), num(6)}))
+        gp = assert_contract(Program.of([rule]), dom, {atom("p", 6), atom("p", 1)})
+        assert [str(r) for r in gp.rules] == ["r(0) :- p(1).", "r(5) :- p(6)."]
+
+    def test_unsafe_general_variable_rejected(self):
+        pi = rules("p(X) :- not r(X).")
+        with pytest.raises(SafetyError, match="X"):
+            ground_reachable(pi, Domain(0, 1), ())
+
+
+class TestUnionEngines:
+    def test_brute_matches_full_grounding(self):
+        import randprog
+
+        rng = random.Random(14)
+        for _ in range(60):
+            kappa, pi, dom = randprog.random_ground_instance(rng)
+            gp = ground(pi, dom)
+            region = region_of(kappa, pi, dom)
+            base = _relevant_base([gp], region, cap=24)
+            checker = StabilityChecker(gp.rules, kappa, base)
+            expected = {
+                Interpretation(checker.atoms_of(T))
+                for T in _search([((1 << len(base)) - 1, [checker])], "brute")
+            }
+            assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected
+
+    def test_cap_counts_reachable_base(self):
+        # q(X,1) and q(X,2) for X in 0..3 are heads, but only q(0,*) is
+        # reachable from q(0,0): a 3-atom base under cap 3.
+        pi = rules("q(0,0). q(X,1) :- q(X,0). q(X,2) :- q(X,1).")
+        kappa = IntensionalityStatement.purely_intensional([("q", 2)])
+        (model,) = enumerate_kappa_stable(kappa, pi, Domain(0, 3), "reduct", cap=3)
+        assert str(model) == "q(0,0) q(0,1) q(0,2)"
+
+    def test_fixpoint_ignores_unreachable_negation(self):
+        pi = rules("q(0). p(X) :- r(X), not q(X).")
+        kappa = IntensionalityStatement.purely_intensional([("p", 1), ("q", 1), ("r", 1)])
+        (model,) = enumerate_kappa_stable(kappa, pi, Domain(0, 1), "fixpoint")
+        assert str(model) == "q(0)"

@@ -389,6 +389,13 @@ class TestMayShareInstance:
         assert may_share_instance((num(6),), (Arith("*", Variable("N"), num(2)),))
         assert not may_share_instance((num(7),), (Arith("*", Variable("N"), num(2)),))
 
+    def test_repeated_variable_is_undecided(self):
+        # N+N = 4 at N=2 and N*N = 4 at N=2: one variable occurring twice
+        # cannot be inverted, so the overlap must stay possible.
+        n = Variable("N")
+        assert may_share_instance((num(4),), (Arith("+", n, n),))
+        assert may_share_instance((num(4),), (Arith("*", n, n),))
+
     def test_agrees_with_enumeration_oracle(self):
         # Window is wide enough that every solvable one-variable equation
         # generated below (targets in -3..3, offsets in 0..2) solves inside it.

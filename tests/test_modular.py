@@ -234,6 +234,23 @@ class TestCoherence:
         assert not report.coherent
         assert {v.kind for v in report.violations} == {"scc-spans-modules"}
 
+    def test_repeated_variable_cycle(self):
+        # q(1) :- p(N+N) reaches p(2) at N=2, which module b derives from
+        # q(1): a cycle across modules, and {p(2), q(1)} is a modular answer
+        # set that topological evaluation would miss.
+        P, dom = plan_program(
+            "#program a.\nq(1) :- p(N+N).\n#program b.\np(2) :- q(1).\n",
+            "use a. use b. domain 0..2. intensional p(X). intensional q(X). "
+            "module a: q(1). module b: p(2).",
+        )
+        report = is_coherent(P)
+        assert not report.coherent
+        assert {v.kind for v in report.violations} == {"scc-spans-modules"}
+        with pytest.raises(EngineError):
+            modular_answer_sets(P, dom, "topo")
+        p2, q1 = PredAtom("p", (num(2),)), PredAtom("q", (num(1),))
+        assert interp(p2, q1) in modular_answer_sets(P, dom, "brute")
+
     def test_not_simple_reported(self):
         P = ModularProgram(
             IntensionalityStatement.of({Q: [(var("X"), var("Y"))]}),
@@ -453,6 +470,46 @@ class TestTheorem1:
             report = theorem1_check(P, Domain(0, 2))
         assert any("incoherent" in str(w.message) for w in caught)
         assert isinstance(report.equal, bool)
+
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_builds_one_dependency_graph(self, engine, monkeypatch):
+        import modasp.modular as modular_mod
+
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        graphs = []
+
+        def counting_graph(P):
+            graphs.append(P)
+            return dependency_graph(P)
+
+        monkeypatch.setattr(modular_mod, "dependency_graph", counting_graph)
+        report = theorem1_check(P, dom, engine)
+        assert len(graphs) == 1
+        assert report.equal
+        assert report.modular_sets == (interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3)),)
+
+    def test_topo_incoherent_warns_then_refuses(self):
+        kappa = IntensionalityStatement.of({Q: [(var("X"), num(1))]})
+        P = ModularProgram(
+            IntensionalityStatement.of({Q: [(var("X"), var("Y"))]}),
+            (
+                Module(kappa, rules("q(0,1).")),
+                Module(kappa, rules("q(1,1).")),
+            ),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                EngineError, match="requires a coherent modular program:\nincoherent"
+            ):
+                theorem1_check(P, Domain(0, 2), "topo")
+        assert [str(w.message) for w in caught] == [
+            "comparing an incoherent modular program; the union theorem "
+            "does not apply"
+        ]
 
     def test_union_side_matches_direct_enumeration(self):
         P = p1()
