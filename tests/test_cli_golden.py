@@ -1,7 +1,9 @@
-"""Golden CLI outputs: stdout and exit code of `solve`, `compare` and
-`check-coherence` over every program x control pairing of the fixtures.
-Every `solve` and `compare` entry also runs with `--cap 4`, which exposes
-which inputs the relevant-base cap refuses (exit 3).
+"""Golden CLI outputs: stdout and exit code of `solve`, `compare`,
+`check-coherence`, `instantiate` and `check-model` over every program x
+control pairing of the fixtures.  Every `solve` and `compare` entry also
+runs with `--cap 4`, which exposes which inputs the relevant-base cap
+refuses (exit 3).  `instantiate` runs in both modes and output formats,
+`check-model` in both modes with both checking engines on three candidates.
 
 The expected outputs live in `fixtures/cli_golden.json`.  Regenerate them
 with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
@@ -18,6 +20,7 @@ import pytest
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 SOLVE_ENGINES = ("brute", "reduct", "fixpoint", "topo")
+CANDIDATES = ("", "q(0,0)", "q(0,0) q(1,1) q(2,2) q(3,3)")
 
 
 def matrix() -> list[list[str]]:
@@ -37,6 +40,17 @@ def matrix() -> list[list[str]]:
                 for engine in SOLVE_ENGINES:
                     out.append(["compare", *files, "--engine", engine, *cap])
             out.append(["check-coherence", *files])
+            for mode in ("union", "modular"):
+                for output in ("text", "machine"):
+                    out.append(
+                        ["instantiate", *files, "--mode", mode, "--output", output]
+                    )
+                for engine in ("brute", "reduct"):
+                    for model in CANDIDATES:
+                        out.append(
+                            ["check-model", *files, "--mode", mode,
+                             "--engine", engine, "--model", model]
+                        )
     return out
 
 
