@@ -28,7 +28,7 @@ from .engine import (
 )
 from .errors import CapacityError, ModaspError, RequirementError
 from .grounding import Domain
-from .instantiation import collective_modular, collective_union
+from .instantiation import collective_modular, collective_union, global_statement
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
@@ -152,13 +152,6 @@ def _load_union(args) -> tuple[ClingoProgram, ControlPlan, Program, Domain]:
     return prog, plan, union, Domain.build([union], lo, hi)
 
 
-def _global_kappa(plan: ControlPlan, union: Program) -> IntensionalityStatement:
-    patterns = plan.global_kappa_dict()
-    if patterns is not None:
-        return IntensionalityStatement.of(patterns)
-    return IntensionalityStatement.purely_intensional(union.signature().predicates)
-
-
 def _kappa_json(kappa: IntensionalityStatement) -> dict:
     out = {}
     for (name, arity), patterns in kappa.entries:
@@ -243,8 +236,7 @@ def _cmd_instantiate(args) -> int:
 def _cmd_solve(args) -> int:
     prog, plan, union, dom = _load_union(args)
     if args.mode == "union":
-        _require_engine(args.engine, ENGINES)
-        kappa = _global_kappa(plan, union)
+        kappa = global_statement(plan, union.signature().predicates)
         models = enumerate_kappa_stable(kappa, union, dom, args.engine, args.cap)
     else:
         _require_engine(args.engine, MODULAR_ENGINES)
@@ -309,7 +301,7 @@ def _cmd_check_model(args) -> int:
     candidate = Interpretation.of(atoms)
     _require_engine(args.engine, CHECK_ENGINES)
     if args.mode == "union":
-        kappa = _global_kappa(plan, union)
+        kappa = global_statement(plan, union.signature().predicates)
         verdict = is_kappa_stable(candidate, kappa, union, dom, args.engine)
         text = "kappa-stable model" if verdict else "not a kappa-stable model"
     else:

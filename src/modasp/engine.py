@@ -419,6 +419,11 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
 def _fixpoint_models(
     gp: GroundProgram, region: frozenset[PredAtom]
 ) -> frozenset[Interpretation]:
+    """The one stable model of a negation-free program with no choices.
+
+    `gp` is `ground_reachable` over the (empty) region: exactly the
+    instances whose positive body lies in the least model, so their heads
+    are the least model, and a constraint among them rejects it."""
     if any(r.neg or r.negneg for r in gp.rules):
         raise EngineError(
             "the fixpoint engine requires a negation-free ground program"
@@ -428,12 +433,9 @@ def _fixpoint_models(
             "the fixpoint engine requires an empty extensional region over "
             "the domain (make every predicate purely intensional)"
         )
-    lm = least_model(gp.rules)
-    I = Interpretation(lm)
-    for rule in gp.rules:
-        if rule.head is None and all(a in lm for a in rule.pos):
-            return frozenset()  # a constraint rejects the least model
-    return frozenset({I})
+    if any(r.head is None for r in gp.rules):
+        return frozenset()
+    return frozenset({Interpretation(gp.heads())})
 
 
 def _relevant_base(

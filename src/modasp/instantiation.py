@@ -190,6 +190,17 @@ def collective_union(
     )
 
 
+def global_statement(
+    plan: ControlPlan, predicates: Iterable[PredKey]
+) -> IntensionalityStatement:
+    """The global statement of a plan: its `intensional` patterns, or purely
+    intensional over `predicates` when it has none (read only then)."""
+    patterns = plan.global_kappa_dict()
+    if patterns is not None:
+        return IntensionalityStatement.of(patterns)
+    return IntensionalityStatement.purely_intensional(predicates)
+
+
 def _plan_chi(
     clingo_program: ClingoProgram, plan: ControlPlan, name: str
 ) -> ParametricIntensionality:
@@ -229,13 +240,7 @@ def collective_modular(
             for spec in plan.specs
         )
     )
-
-    global_patterns = plan.global_kappa_dict()
-    if global_patterns is not None:
-        kappa = IntensionalityStatement.of(global_patterns)
-    else:
-        preds: set[PredKey] = set()
-        for module in modules:
-            preds |= set(module.signature().predicates)
-        kappa = IntensionalityStatement.purely_intensional(preds)
+    kappa = global_statement(
+        plan, (key for m in modules for key in m.signature().predicates)
+    )
     return ModularProgram(kappa, tuple(modules))

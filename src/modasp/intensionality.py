@@ -40,8 +40,11 @@ def pattern_str(pattern: Pattern) -> str:
     return f"({','.join(str(e) for e in pattern)})"
 
 
-def validate_pattern(pattern: Pattern):
-    """A simple pattern holds variables and precomputed terms, linearly."""
+def validate_pattern(pattern: Pattern, placeholders: Iterable[str] = ()):
+    """A pattern holds each variable at most once; every other element is
+    precomputed or, when it mentions a placeholder, ground over the
+    placeholders (combining them only with numerals and arithmetic)."""
+    names = set(placeholders)
     seen: set[str] = set()
     for elem in pattern:
         if isinstance(elem, Variable):
@@ -50,10 +53,19 @@ def validate_pattern(pattern: Pattern):
                     f"variable {elem.name} occurs twice in {pattern_str(pattern)}"
                 )
             seen.add(elem.name)
-        elif not is_precomputed(elem):
+        elif not (
+            is_placeholder_ground(elem, names)
+            if names and constants_of(elem) & names
+            else is_precomputed(elem)
+        ):
+            allowed = "a variable or a precomputed term"
+            if names:
+                allowed = (
+                    "a variable, a precomputed term, or ground over "
+                    f"{{{','.join(sorted(names))}}}"
+                )
             raise PatternError(
-                f"element {elem} of {pattern_str(pattern)} is neither a "
-                "variable nor a precomputed term"
+                f"element {elem} of {pattern_str(pattern)} must be {allowed}"
             )
 
 
@@ -88,8 +100,15 @@ def _canonical_entries(
 
 
 class _PatternTable:
-    """Lookups shared by plain and parametric statements over their
-    `entries`, whose predicates are distinct (`_canonical_entries`)."""
+    """Validation and lookups shared by plain and parametric statements over
+    their `entries`, whose predicates are distinct (`_canonical_entries`)."""
+
+    placeholders: frozenset[str] = frozenset()  # none in a plain statement
+
+    def __post_init__(self):
+        for _, patterns in self.entries:
+            for p in patterns:
+                validate_pattern(p, self.placeholders)
 
     def as_dict(self) -> dict[PredKey, tuple[Pattern, ...]]:
         return dict(self.entries)
@@ -110,11 +129,6 @@ class IntensionalityStatement(_PatternTable):
     """
 
     entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...] = ()
-
-    def __post_init__(self):
-        for _, patterns in self.entries:
-            for p in patterns:
-                validate_pattern(p)
 
     @classmethod
     def of(cls, mapping: Mapping[PredKey, Iterable[Pattern]]) -> "IntensionalityStatement":
@@ -153,37 +167,6 @@ class ParametricIntensionality(_PatternTable):
 
     placeholders: frozenset[str] = frozenset()
     entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...] = ()
-
-    def __post_init__(self):
-        for _, patterns in self.entries:
-            for p in patterns:
-                seen: set[str] = set()
-                for elem in p:
-                    if isinstance(elem, Variable):
-                        if elem.name in seen:
-                            raise PatternError(
-                                f"variable {elem.name} occurs twice in "
-                                f"{pattern_str(p)}"
-                            )
-                        seen.add(elem.name)
-                        continue
-                    # A placeholder-free element must be precomputed; an
-                    # element mentioning placeholders may combine them only
-                    # with numerals and arithmetic.
-                    placeholder_free = not (
-                        constants_of(elem) & set(self.placeholders)
-                    )
-                    if placeholder_free and is_precomputed(elem):
-                        continue
-                    if not placeholder_free and is_placeholder_ground(
-                        elem, set(self.placeholders)
-                    ):
-                        continue
-                    raise PatternError(
-                        f"element {elem} of {pattern_str(p)} must be a "
-                        "variable, a precomputed term, or ground over "
-                        f"{{{','.join(sorted(self.placeholders))}}}"
-                    )
 
     @classmethod
     def of(
@@ -252,9 +235,6 @@ class LambdaFormula:
             all(args[i] == value for i, value in disjunct)
             for disjunct in self.disjuncts
         )
-
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(f"X{i + 1}" for i in range(self.pred[1]))
 
     def __str__(self):
         if self.is_false():

@@ -4,7 +4,7 @@ answer sets of the plain rule union."""
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .engine import (
     CHECK_ENGINES,
@@ -78,6 +78,7 @@ def is_simple_module(delta: Module) -> tuple[bool, Optional[PredAtom]]:
 
 
 Vertex = tuple[str, int]
+V = TypeVar("V")  # any sortable vertex: a Vertex, or a module index
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,6 @@ class DependencyGraph:
 
     vertices: tuple[Vertex, ...]
     edges: frozenset[tuple[Vertex, Vertex]]
-
-    def successors(self, vertex: Vertex) -> list[Vertex]:
-        return sorted(v for u, v in self.edges if u == vertex)
 
 
 def _matching_modules(P: ModularProgram, atom: PredAtom) -> list[int]:
@@ -143,17 +141,19 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
 
 
 def strongly_connected_components(
-    vertices: Sequence[Vertex], edges: Iterable[tuple[Vertex, Vertex]]
-) -> list[list[Vertex]]:
-    """Iterative Tarjan; linear in vertices plus edges."""
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
+    vertices: Sequence[V], edges: Iterable[tuple[V, V]]
+) -> list[list[V]]:
+    """Iterative Tarjan; linear in vertices plus edges.  A component comes
+    out after every component it has an edge to (reverse topological
+    order)."""
+    succ: dict[V, list[V]] = {v: [] for v in vertices}
     for u, v in sorted(edges):
         succ[u].append(v)
-    index: dict[Vertex, int] = {}
-    lowlink: dict[Vertex, int] = {}
-    on_stack: set[Vertex] = set()
-    stack: list[Vertex] = []
-    components: list[list[Vertex]] = []
+    index: dict[V, int] = {}
+    lowlink: dict[V, int] = {}
+    on_stack: set[V] = set()
+    stack: list[V] = []
+    components: list[list[V]] = []
     counter = [0]
 
     for root in vertices:
@@ -372,51 +372,26 @@ def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
 
     Edges come from the dependency graph plus negated body atoms (the graph
     tracks only positive dependencies, but evaluation order must respect
-    negative ones too).  Raises when the module-level relation is cyclic.
+    negative ones too).  Tarjan's algorithm emits components dependencies
+    first, so on an acyclic relation its components are the order; raises
+    when the module-level relation is cyclic.
     """
-    n = len(P.modules)
-    succ: dict[int, set[int]] = {i: set() for i in range(n)}
-    for (p, i), (q, j) in graph.edges:
-        if i != j:
-            succ[i].add(j)
-
+    edges = {(i, j) for (_, i), (_, j) in graph.edges if i != j}
     for i, module in enumerate(P.modules):
         for rule in module.pi.rules:
             for literal in rule.body:
                 if literal.negations == 0 or not isinstance(literal.atom, PredAtom):
                     continue
-                for j in _matching_modules(P, literal.atom):
-                    if j != i:
-                        succ[i].add(j)
-
-    order: list[int] = []
-    state: dict[int, int] = {}
-
-    def visit(node: int):
-        stack = [(node, iter(sorted(succ[node])))]
-        state[node] = 1
-        while stack:
-            current, it = stack[-1]
-            advanced = False
-            for child in it:
-                if state.get(child, 0) == 1:
-                    raise EngineError(
-                        "module dependencies are cyclic; the topological "
-                        "engine is not applicable"
-                    )
-                if state.get(child, 0) == 0:
-                    state[child] = 1
-                    stack.append((child, iter(sorted(succ[child]))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                state[current] = 2
-                order.append(current)
-    for i in range(n):
-        if state.get(i, 0) == 0:
-            visit(i)
-    return order  # dependencies come first
+                edges.update(
+                    (i, j) for j in _matching_modules(P, literal.atom) if j != i
+                )
+    components = strongly_connected_components(range(len(P.modules)), edges)
+    if any(len(component) > 1 for component in components):
+        raise EngineError(
+            "module dependencies are cyclic; the topological engine is not "
+            "applicable"
+        )
+    return [i for (i,) in components]
 
 
 # --- the union/modular comparison harness -------------------------------------------

@@ -15,11 +15,10 @@ from .errors import (
     ArityMismatchError,
     DeclarationConflictError,
     ParseError,
-    PatternError,
     RangeError,
     UnboundConstantError,
-    UnknownSubprogramError,
 )
+from .intensionality import validate_pattern
 from .program import Comparison, Literal, PredAtom, Rule, make_rule
 from .subprograms import (
     BASE,
@@ -27,6 +26,8 @@ from .subprograms import (
     ControlPlan,
     ProgramDeclaration,
     SubprogramSpec,
+    declaration_conflict,
+    declared_params,
 )
 from .terms import (
     Arith,
@@ -99,10 +100,16 @@ def _tokenize(text: str, comment: str) -> list[Token]:
     return tokens
 
 
+# Parentheses, function argument lists and arithmetic operators one term may
+# nest; deeper terms are refused before they can exhaust the Python stack.
+MAX_TERM_DEPTH = 100
+
+
 class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -129,18 +136,34 @@ class _TokenStream:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def deeper(self) -> Token:
+        """Consume the next token, which opens one more level of the term."""
+        tok = self.next()
+        self.depth += 1
+        if self.depth > MAX_TERM_DEPTH:
+            raise ParseError(
+                f"term nests deeper than {MAX_TERM_DEPTH} parentheses, "
+                "function arguments and arithmetic operators",
+                tok.line,
+                tok.column,
+            )
+        return tok
+
 
 # --- terms -------------------------------------------------------------------
 
 
 def _parse_term(ts: _TokenStream) -> Term:
-    return _parse_additive(ts)
+    depth = ts.depth
+    term = _parse_additive(ts)
+    ts.depth = depth  # operators count only inside the term they build
+    return term
 
 
 def _parse_additive(ts: _TokenStream) -> Term:
     term = _parse_multiplicative(ts)
     while ts.at("ARITH") and ts.peek().text in ("+", "-"):
-        op = ts.next().text
+        op = ts.deeper().text
         term = Arith(op, term, _parse_multiplicative(ts))
     return term
 
@@ -148,7 +171,7 @@ def _parse_additive(ts: _TokenStream) -> Term:
 def _parse_multiplicative(ts: _TokenStream) -> Term:
     term = _parse_primary(ts)
     while ts.at("ARITH") and ts.peek().text == "*":
-        ts.next()
+        ts.deeper()
         term = Arith("*", term, _parse_primary(ts))
     return term
 
@@ -167,21 +190,31 @@ def _parse_primary(ts: _TokenStream) -> Term:
         return Variable(tok.text)
     if tok.kind == "IDENT":
         ts.next()
-        if ts.at("LPAREN"):
-            ts.next()
-            args = [_parse_term(ts)]
-            while ts.at("COMMA"):
-                ts.next()
-                args.append(_parse_term(ts))
-            ts.expect("RPAREN")
-            return Func(tok.text, tuple(args))
-        return SymbolicConstant(tok.text)
+        args = _parse_term_list(ts)
+        return Func(tok.text, args) if args else SymbolicConstant(tok.text)
     if tok.kind == "LPAREN":
-        ts.next()
+        ts.deeper()
         term = _parse_term(ts)
         ts.expect("RPAREN")
+        ts.depth -= 1
         return term
     ts.error(f"expected a term, found {tok.text!r}")
+
+
+def _parse_term_list(ts: _TokenStream) -> tuple[Term, ...]:
+    """A parenthesised, comma-separated list of at least one term, or the
+    empty tuple when no parenthesis follows: the arguments of a function
+    term or atom, of a pattern atom, or of a `use` line."""
+    if not ts.at("LPAREN"):
+        return ()
+    ts.deeper()
+    terms = [_parse_term(ts)]
+    while ts.at("COMMA"):
+        ts.next()
+        terms.append(_parse_term(ts))
+    ts.expect("RPAREN")
+    ts.depth -= 1
+    return tuple(terms)
 
 
 def parse_term(text: str) -> Term:
@@ -195,7 +228,7 @@ def parse_term(text: str) -> Term:
 # --- rules and program files --------------------------------------------------
 
 
-def _term_to_pred_atom(ts: _TokenStream, term: Term, tok: Token) -> PredAtom:
+def _term_to_pred_atom(term: Term, tok: Token) -> PredAtom:
     if isinstance(term, SymbolicConstant):
         return PredAtom(term.name)
     if isinstance(term, Func):
@@ -210,7 +243,7 @@ def _parse_atom(ts: _TokenStream):
         rel = ts.next().text
         rhs = _parse_term(ts)
         return Comparison(rel, term, rhs)
-    return _term_to_pred_atom(ts, term, tok)
+    return _term_to_pred_atom(term, tok)
 
 
 def _parse_literal(ts: _TokenStream) -> Literal:
@@ -286,15 +319,9 @@ def parse_program(text: str) -> ClingoProgram:
         if ts.at("DIRECTIVE"):
             tok = ts.peek()
             decl = _parse_declaration(ts)
-            if decl.name in seen and seen[decl.name] != decl.params:
-                raise DeclarationConflictError(
-                    f"subprogram {decl.name!r} declared with parameters "
-                    f"({','.join(decl.params)}) but previously with "
-                    f"({','.join(seen[decl.name])})",
-                    tok.line,
-                    tok.column,
-                )
-            seen[decl.name] = decl.params
+            conflict = declaration_conflict(seen, decl)
+            if conflict:
+                raise DeclarationConflictError(conflict, tok.line, tok.column)
             items.append(decl)
         else:
             items.append(_parse_rule(ts))
@@ -319,15 +346,16 @@ def parse_ground_atom(text: str) -> PredAtom:
 # --- control files -------------------------------------------------------------
 
 
+def _fold(term: Term, env: dict[str, int], placeholders: tuple[str, ...]) -> Term:
+    """Substitute the constants of `env`, other than the placeholders, and
+    simplify."""
+    mapping = {k: Numeral(v) for k, v in env.items() if k not in placeholders}
+    return simplify(substitute_constants(term, mapping))
+
+
 def _eval_const_expr(ts: _TokenStream, env: dict[str, int]) -> int:
     term = _parse_term(ts)
-    return _fold_const_term(term, env, ts)
-
-
-def _fold_const_term(term: Term, env: dict[str, int], ts: _TokenStream) -> int:
-    folded = simplify(
-        substitute_constants(term, {k: Numeral(v) for k, v in env.items()})
-    )
+    folded = _fold(term, env, ())
     if isinstance(folded, Numeral):
         return folded.value
     raise UnboundConstantError(
@@ -337,9 +365,7 @@ def _fold_const_term(term: Term, env: dict[str, int], ts: _TokenStream) -> int:
 
 
 def _resolve_value(term: Term, env: dict[str, int]) -> Term:
-    value = simplify(
-        substitute_constants(term, {k: Numeral(v) for k, v in env.items()})
-    )
+    value = _fold(term, env, ())
     if not is_precomputed(value):
         raise UnboundConstantError(
             f"value {term} does not resolve to a precomputed term"
@@ -348,20 +374,14 @@ def _resolve_value(term: Term, env: dict[str, int]) -> Term:
 
 
 def _parse_pattern_atom(
-    ts: _TokenStream, env: dict[str, int], shadowed: tuple[str, ...] = ()
+    ts: _TokenStream, env: dict[str, int], placeholders: tuple[str, ...]
 ):
-    """Parse a pattern atom like ``q(X, k+1)`` into ``((name, arity), pattern)``."""
+    """Parse a pattern atom like ``q(X, k+1)`` into ``((name, arity), pattern)``,
+    folding in the constants other than the placeholders; the result must be
+    a valid pattern over the placeholders."""
     name = ts.expect("IDENT", "a predicate name").text
-    elems: list[Term] = []
-    if ts.at("LPAREN"):
-        ts.next()
-        elems.append(_parse_term(ts))
-        while ts.at("COMMA"):
-            ts.next()
-            elems.append(_parse_term(ts))
-        ts.expect("RPAREN")
-    mapping = {k: Numeral(v) for k, v in env.items() if k not in shadowed}
-    pattern = tuple(simplify(substitute_constants(e, mapping)) for e in elems)
+    pattern = tuple(_fold(e, env, placeholders) for e in _parse_term_list(ts))
+    validate_pattern(pattern, placeholders)
     return (name, len(pattern)), pattern
 
 
@@ -416,25 +436,18 @@ def parse_control(
                 raise RangeError(f"reversed domain {lo}..{hi}")
             domain = (lo, hi)
         elif word == "intensional":
-            key, pattern = _parse_pattern_atom(ts, env)
+            key, pattern = _parse_pattern_atom(ts, env, ())
             ts.expect("DOT", "'.' at end of statement")
-            _check_simple_pattern(pattern)
             if global_kappa is None:
                 global_kappa = {}
             global_kappa.setdefault(key, []).append(pattern)
         elif word == "module":
             name = ts.expect("IDENT", "a subprogram name").text
-            if name not in decls:
-                known = ", ".join(sorted(decls))
-                raise UnknownSubprogramError(
-                    f"unknown subprogram {name!r}; declared names: {known}"
-                )
+            params = declared_params(decls, name)
             ts.expect("COLON", "':'")
-            params = decls[name]
             entries = module_chi.setdefault(name, {})
             while True:
-                key, pattern = _parse_pattern_atom(ts, env, shadowed=params)
-                _check_parametric_pattern(pattern, params)
+                key, pattern = _parse_pattern_atom(ts, env, params)
                 entries.setdefault(key, []).append(pattern)
                 if ts.at("COMMA"):
                     ts.next()
@@ -469,20 +482,8 @@ def _parse_use(
 ) -> list[SubprogramSpec]:
     name_tok = ts.expect("IDENT", "a subprogram name")
     name = name_tok.text
-    if name not in decls:
-        known = ", ".join(sorted(decls))
-        raise UnknownSubprogramError(
-            f"unknown subprogram {name!r}; declared names: {known}"
-        )
-    params = decls[name]
-    arg_terms: Optional[list[Term]] = None
-    if ts.at("LPAREN"):
-        ts.next()
-        arg_terms = [_parse_term(ts)]
-        while ts.at("COMMA"):
-            ts.next()
-            arg_terms.append(_parse_term(ts))
-        ts.expect("RPAREN")
+    params = declared_params(decls, name)
+    arg_terms = _parse_term_list(ts)
 
     if ts.at("IDENT") and ts.peek().text == "for":
         ts.next()
@@ -502,7 +503,7 @@ def _parse_use(
                 raise ParseError("expected 'empty'", kw.line, kw.column)
             allow_empty = True
         ts.expect("DOT", "'.' at end of statement")
-        if arg_terms is None or len(arg_terms) != 1 or not (
+        if len(arg_terms) != 1 or not (
             isinstance(arg_terms[0], SymbolicConstant) and arg_terms[0].name == loop
         ):
             raise ParseError(
@@ -525,48 +526,9 @@ def _parse_use(
         ]
 
     ts.expect("DOT", "'.' at end of statement")
-    values = [] if arg_terms is None else [_resolve_value(t, env) for t in arg_terms]
+    values = [_resolve_value(t, env) for t in arg_terms]
     if len(values) != len(params):
         raise ArityMismatchError(
             f"subprogram {name!r} takes {len(params)} parameters, got {len(values)}"
         )
     return [SubprogramSpec(name, params, Valuation.of(dict(zip(params, values))))]
-
-
-def _check_simple_pattern(pattern: tuple[Term, ...]):
-    seen: set[str] = set()
-    for elem in pattern:
-        if isinstance(elem, Variable):
-            if elem.name in seen:
-                raise PatternError(
-                    f"variable {elem.name} occurs twice in pattern {pattern}"
-                )
-            seen.add(elem.name)
-        elif not is_precomputed(elem):
-            raise PatternError(
-                f"pattern element {elem} is neither a variable nor precomputed"
-            )
-
-
-def _check_parametric_pattern(pattern: tuple[Term, ...], placeholders: tuple[str, ...]):
-    from .intensionality import is_placeholder_ground
-    from .terms import constants_of
-
-    seen: set[str] = set()
-    for elem in pattern:
-        if isinstance(elem, Variable):
-            if elem.name in seen:
-                raise PatternError(
-                    f"variable {elem.name} occurs twice in pattern {pattern}"
-                )
-            seen.add(elem.name)
-            continue
-        placeholder_free = not (constants_of(elem) & set(placeholders))
-        if placeholder_free and is_precomputed(elem):
-            continue
-        if not placeholder_free and is_placeholder_ground(elem, set(placeholders)):
-            continue
-        raise PatternError(
-            f"pattern element {elem} must be a variable, a precomputed term, "
-            f"or ground over the placeholders {{{','.join(placeholders)}}}"
-        )

@@ -107,9 +107,6 @@ class Rule:
             out |= variables_of(t)
         return out
 
-    def is_fact(self) -> bool:
-        return self.head is not None and not self.body
-
     def __str__(self):
         body = ", ".join(str(lit) for lit in self.body)
         if self.head is None:
@@ -176,14 +173,6 @@ def make_rule(head: Optional[PredAtom], body: Iterable[Literal] = ()) -> Rule:
     return map_rule_terms(rule, fix)
 
 
-def fact(name: str, *args: Term) -> Rule:
-    return make_rule(PredAtom(name, tuple(args)))
-
-
-def constraint(*body: Literal) -> Rule:
-    return make_rule(None, body)
-
-
 @dataclass(frozen=True)
 class Signature:
     """Predicate, constant and function symbols occurring in a program.
@@ -242,9 +231,6 @@ class Program:
 
     def __str__(self):
         return "\n".join(str(r) for r in self.rules)
-
-
-EMPTY_PROGRAM = Program()
 
 
 def atom_order_key(atom: PredAtom):

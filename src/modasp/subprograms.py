@@ -5,8 +5,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DeclarationConflictError, UnknownSubprogramError
+from .intensionality import Pattern, PredKey
 from .program import Program, Rule
-from .terms import Term, Valuation
+from .terms import Valuation
 
 BASE = "base"
 
@@ -38,13 +39,9 @@ class ClingoProgram:
         seen: dict[str, tuple[str, ...]] = {BASE: ()}
         for item in self.items:
             if isinstance(item, ProgramDeclaration):
-                if item.name in seen and seen[item.name] != item.params:
-                    raise DeclarationConflictError(
-                        f"subprogram {item.name!r} declared with parameters "
-                        f"({','.join(item.params)}) but previously with "
-                        f"({','.join(seen[item.name])})"
-                    )
-                seen[item.name] = item.params
+                conflict = declaration_conflict(seen, item)
+                if conflict:
+                    raise DeclarationConflictError(conflict)
 
     def declarations(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, tuple[str, ...]] = {BASE: ()}
@@ -64,12 +61,7 @@ class ClingoProgram:
         return pairs
 
     def subprogram(self, name: str) -> Program:
-        decls = self.declarations()
-        if name not in decls:
-            known = ", ".join(sorted(decls))
-            raise UnknownSubprogramError(
-                f"unknown subprogram {name!r}; declared names: {known}"
-            )
+        declared_params(self.declarations(), name)
         return Program.of(rule for scope, rule in self.scopes() if scope == name)
 
     def __str__(self):
@@ -77,6 +69,33 @@ class ClingoProgram:
         for item in self.items:
             lines.append(str(item))
         return "\n".join(lines)
+
+
+def declaration_conflict(
+    seen: dict[str, tuple[str, ...]], decl: ProgramDeclaration
+) -> Optional[str]:
+    """Record `decl` in `seen`, the parameter lists declared so far; the
+    conflict, if `decl` redeclares a name with other parameters."""
+    previous = seen.setdefault(decl.name, decl.params)
+    if previous == decl.params:
+        return None
+    return (
+        f"subprogram {decl.name!r} declared with parameters "
+        f"({','.join(decl.params)}) but previously with ({','.join(previous)})"
+    )
+
+
+def declared_params(
+    decls: dict[str, tuple[str, ...]], name: str
+) -> tuple[str, ...]:
+    """The parameters of subprogram `name` in `decls`; raises when it is
+    not declared."""
+    if name not in decls:
+        known = ", ".join(sorted(decls))
+        raise UnknownSubprogramError(
+            f"unknown subprogram {name!r}; declared names: {known}"
+        )
+    return decls[name]
 
 
 def subprogram(clingo_program: ClingoProgram, name: str) -> Program:
@@ -96,10 +115,6 @@ class SubprogramSpec:
         return f"[{self.name},{{{','.join(self.placeholders)}}},{self.valuation}]"
 
 
-Pattern = tuple[Term, ...]
-PredKey = tuple[str, int]
-
-
 @dataclass(frozen=True)
 class ControlPlan:
     """The parsed content of a control file, ranges already expanded.
@@ -115,9 +130,6 @@ class ControlPlan:
     domain: Optional[tuple[int, int]] = None
     global_kappa: Optional[tuple[tuple[PredKey, tuple[Pattern, ...]], ...]] = None
     module_chi: tuple[tuple[str, tuple[tuple[PredKey, tuple[Pattern, ...]], ...]], ...] = ()
-
-    def constants_dict(self) -> dict[str, int]:
-        return dict(self.constants)
 
     def global_kappa_dict(self) -> Optional[dict[PredKey, tuple[Pattern, ...]]]:
         if self.global_kappa is None:

@@ -294,6 +294,3 @@ class Valuation:
     def __str__(self):
         inner = ",".join(f"{k}->{v}" for k, v in self.items)
         return f"({inner})"
-
-
-EMPTY_VALUATION = Valuation()

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from modasp.cli import _global_kappa
 from modasp.engine import (
     Interpretation,
     StabilityChecker,
@@ -19,7 +18,7 @@ from modasp.engine import (
 )
 from modasp.errors import ModaspError, SafetyError, SortError
 from modasp.grounding import Domain, GroundRule, ground, ground_reachable
-from modasp.instantiation import collective_union
+from modasp.instantiation import collective_union, global_statement
 from modasp.intensionality import IntensionalityStatement
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
@@ -158,7 +157,7 @@ class TestContract:
                     continue  # the control file uses subprograms lp lacks
                 union = collective_union(prog, plan.specs)
                 dom = Domain.build([union], *plan.domain)
-                kappa = _global_kappa(plan, union)
+                kappa = global_statement(plan, union.signature().predicates)
                 assert_contract(union, dom, region_of(kappa, union, dom))
                 loaded += 1
         assert loaded == 6
@@ -295,3 +294,26 @@ class TestUnionEngines:
         kappa = IntensionalityStatement.purely_intensional([("p", 1), ("q", 1), ("r", 1)])
         (model,) = enumerate_kappa_stable(kappa, pi, Domain(0, 1), "fixpoint")
         assert str(model) == "q(0)"
+
+    def test_fixpoint_equals_least_model_of_full_grounding(self):
+        # `fixpoint` reads the least model off the reachable grounding; it
+        # must equal the least model of every instance, and a constraint
+        # whose positive body lies in it must reject it.
+        rng = random.Random(15)
+        dom = Domain.build([], 0, 3, func_depth=1)
+        checked = models = 0
+        for _ in range(400):
+            pi = random_rule_program(rng)
+            if any(lit.negations for rule in pi.rules for lit in rule.body):
+                continue
+            kappa = IntensionalityStatement.purely_intensional(
+                pi.signature().predicates
+            )
+            full = ground(pi, dom)
+            lm = least_model(full.rules)
+            rejected = any(r.head is None and set(r.pos) <= lm for r in full.rules)
+            expected = frozenset() if rejected else frozenset({Interpretation(lm)})
+            assert enumerate_kappa_stable(kappa, pi, dom, "fixpoint") == expected
+            checked += 1
+            models += len(expected)
+        assert checked > 100 and 0 < models < checked

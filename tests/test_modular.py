@@ -370,6 +370,20 @@ class TestModularAnswerSets:
         for engine in ("topo", "reduct", "brute"):
             assert modular_answer_sets(P, dom, engine) == frozenset()
 
+    def test_topo_refuses_negative_module_cycle(self):
+        # The modules depend on each other only through negated atoms: the
+        # program is coherent, but no module can be evaluated first.
+        P, dom = plan_program(
+            "#program a.\np :- not q.\n#program b.\nq :- not p.\n",
+            "use a. use b. domain 0..0.",
+        )
+        assert is_coherent(P).coherent
+        with pytest.raises(EngineError, match="module dependencies are cyclic"):
+            modular_answer_sets(P, dom, "topo")
+        assert modular_answer_sets(P, dom, "brute") == frozenset(
+            {interp(PredAtom("p")), interp(PredAtom("q"))}
+        )
+
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_capacity_error(self, engine):
         # The relevant base of p1 over 0..4 has 13 atoms.

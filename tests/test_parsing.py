@@ -2,16 +2,25 @@
 
 import pytest
 
+from modasp.cli import main
 from modasp.errors import (
     ArityMismatchError,
     DeclarationConflictError,
     ParseError,
+    PatternError,
     RangeError,
     SortError,
     UnboundConstantError,
     UnknownSubprogramError,
 )
-from modasp.parsing import parse_control, parse_ground_atom, parse_program, parse_term
+from modasp.intensionality import IntensionalityStatement, ParametricIntensionality
+from modasp.parsing import (
+    MAX_TERM_DEPTH,
+    parse_control,
+    parse_ground_atom,
+    parse_program,
+    parse_term,
+)
 from modasp.program import Comparison, Literal, PredAtom, Program, make_rule
 from modasp.subprograms import SubprogramSpec, subprogram
 from modasp.terms import Arith, Numeral, SymbolicConstant, Valuation, Variable
@@ -222,6 +231,79 @@ class TestParseTerm:
             parse_ground_atom("q(X)")
 
 
+def nested_functions(levels):
+    """`p(f(...f(1)...))`: the atom's argument list plus `levels - 1`
+    function argument lists."""
+    return "p(" + "f(" * (levels - 1) + "1" + ")" * levels
+
+
+def nested_parentheses(levels):
+    return "p(" + "(" * (levels - 1) + "1" + ")" * levels
+
+
+def long_sum(levels):
+    """`p(1+...+1)`: the argument list plus `levels - 1` operators."""
+    return "p(" + "+".join(["1"] * levels) + ")"
+
+
+def opener_column(text, level):
+    """Column of the token that opens nesting level `level` of `text`."""
+    opened = 0
+    for index, ch in enumerate(text):
+        if ch in "(+":
+            opened += 1
+            if opened == level:
+                return index + 1
+    raise AssertionError("text is not nested that deep")
+
+
+class TestTermDepth:
+    """Terms nest at most MAX_TERM_DEPTH parentheses, function argument
+    lists and arithmetic operators; deeper ones are refused with a
+    location instead of exhausting the Python stack."""
+
+    SHAPES = [nested_functions, nested_parentheses, long_sum]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_depth_at_the_bound_parses(self, shape):
+        prog = parse_program(shape(MAX_TERM_DEPTH) + ".")
+        assert len(prog.subprogram("base")) == 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_past_the_bound_is_refused(self, shape):
+        text = shape(MAX_TERM_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            parse_program("a.\n" + text + ".")
+        column = opener_column(text, MAX_TERM_DEPTH + 1)
+        assert (err.value.line, err.value.column) == (2, column)
+
+    @pytest.mark.parametrize(
+        "shape,size", [(nested_functions, 3000), (nested_parentheses, 3000), (long_sum, 5000)]
+    )
+    def test_cli_probe_exits_2_with_location(self, shape, size, tmp_path, capsys):
+        text = shape(size)
+        lp = tmp_path / "deep.lp"
+        lp.write_text(text + ".\n", encoding="utf-8")
+        assert main(["parse", str(lp)]) == 2
+        err = capsys.readouterr().err
+        column = opener_column(text, MAX_TERM_DEPTH + 1)
+        assert f"line 1, column {column}:" in err
+
+    def test_siblings_do_not_add_up(self):
+        inner = "f(" * (MAX_TERM_DEPTH - 2) + "1" + ")" * (MAX_TERM_DEPTH - 2)
+        parse_program(f"p({inner},{inner}) :- q({inner}), {inner} = {inner}.")
+
+    def test_control_terms_are_bounded(self):
+        prog = parse_program(PROPERTY_LP)
+        sum_ = "+".join(["1"] * (MAX_TERM_DEPTH + 2))  # one operator too many
+        with pytest.raises(ParseError):
+            parse_control(f"domain 0..{sum_}.", prog)
+        with pytest.raises(ParseError):
+            parse_control(f"use property({sum_}).", prog)
+        with pytest.raises(ParseError):
+            parse_control(f"intensional q(X,{sum_}).", prog)
+
+
 CONTROL_A = """\
 # collective control for the running example
 const n = 100.
@@ -322,3 +404,71 @@ class TestParseControl:
     def test_duplicate_const_rejected(self):
         with pytest.raises(ParseError):
             parse_control("const n = 1. const n = 2.", self.prog)
+
+
+# Malformed patterns: a repeated variable, an element that is not
+# precomputed, and placeholder arithmetic mixed with a variable.
+MALFORMED_PATTERNS = ["q(X,X)", "q(X,Y+1)", "q(X,k+Y)"]
+
+
+class TestMalformedPatterns:
+    """One table of malformed patterns, refused the same way by every entry
+    point that accepts a pattern."""
+
+    def setup_method(self):
+        self.prog = parse_program(PROPERTY_LP)
+
+    @staticmethod
+    def pattern(text):
+        return parse_term(text).args
+
+    @staticmethod
+    def assert_names_pattern(err, pattern):
+        message = str(err.value)
+        assert f"({','.join(str(e) for e in pattern)})" in message
+        assert "Variable(" not in message
+
+    @pytest.mark.parametrize("text", MALFORMED_PATTERNS)
+    def test_intensional_line(self, text):
+        with pytest.raises(PatternError) as err:
+            parse_control(f"use base. intensional {text}.", self.prog)
+        self.assert_names_pattern(err, self.pattern(text))
+
+    @pytest.mark.parametrize("text", MALFORMED_PATTERNS)
+    def test_module_line(self, text):
+        with pytest.raises(PatternError) as err:
+            parse_control(f"use property(0). module property: {text}.", self.prog)
+        self.assert_names_pattern(err, self.pattern(text))
+
+    @pytest.mark.parametrize("text", MALFORMED_PATTERNS)
+    def test_statement(self, text):
+        pattern = self.pattern(text)
+        with pytest.raises(PatternError) as err:
+            IntensionalityStatement.of({("q", 2): [pattern]})
+        self.assert_names_pattern(err, pattern)
+
+    @pytest.mark.parametrize("text", MALFORMED_PATTERNS)
+    def test_parametric_statement(self, text):
+        pattern = self.pattern(text)
+        with pytest.raises(PatternError) as err:
+            ParametricIntensionality.of(["k"], {("q", 2): [pattern]})
+        self.assert_names_pattern(err, pattern)
+
+    @pytest.mark.parametrize("text", MALFORMED_PATTERNS)
+    @pytest.mark.parametrize(
+        "line", ["intensional {}.", "module property: {}."]
+    )
+    def test_instantiate_union_exits_2(self, text, line, tmp_path, capsys):
+        lp = tmp_path / "p.lp"
+        lp.write_text(PROPERTY_LP, encoding="utf-8")
+        ctl = tmp_path / "p.ctl"
+        ctl.write_text(
+            "use base. use property(0). domain 0..2. " + line.format(text),
+            encoding="utf-8",
+        )
+        code = main(["instantiate", str(lp), "--control", str(ctl), "--mode", "union"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Variable(" not in captured.err
