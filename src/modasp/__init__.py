@@ -17,6 +17,7 @@ from .engine import (
     ground_with_choices,
     ht_satisfies,
     is_kappa_stable,
+    is_stable_in_parts,
     least_model,
 )
 from .errors import (

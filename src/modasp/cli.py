@@ -24,7 +24,7 @@ from .engine import (
     Interpretation,
     _require_engine,
     enumerate_kappa_stable,
-    is_kappa_stable,
+    is_stable_in_parts,
 )
 from .errors import CapacityError, ModaspError, RequirementError
 from .grounding import Domain
@@ -33,9 +33,7 @@ from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
     _sorted_interpretations,
-    closure_holds,
     is_coherent,
-    is_model_of_module,
     modular_answer_sets,
     theorem1_check,
 )
@@ -60,7 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, control_required=True, solverish=False):
+    flags = {
+        "--mode": dict(
+            choices=("union", "modular"), default="union",
+            help="semantics to use (default union)",
+        ),
+        "--engine": dict(
+            choices=tuple(dict.fromkeys(ENGINES + MODULAR_ENGINES)), default="reduct",
+            help="model engine (default reduct)",
+        ),
+        "--cap": dict(
+            type=int, default=24, help="relevant atom base cap for enumeration (default 24)"
+        ),
+    }
+
+    def add(name, help_text, *options):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("program", help="program file (.lp)")
         p.add_argument("--control", help="control file (.ctl)")
@@ -76,29 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--output", choices=("text", "machine"), default="text",
             help="output format (default text)",
         )
-        if solverish:
-            p.add_argument(
-                "--mode", choices=("union", "modular"), default="union",
-                help="semantics to use (default union)",
-            )
-            p.add_argument(
-                "--engine",
-                choices=tuple(dict.fromkeys(ENGINES + MODULAR_ENGINES)),
-                default="reduct",
-                help="model engine (default reduct)",
-            )
-            p.add_argument(
-                "--cap", type=int, default=24,
-                help="relevant atom base cap for enumeration (default 24)",
-            )
+        for option in options:
+            p.add_argument(option, **flags[option])
         return p
 
-    add("parse", "list subprograms and their rules", control_required=False)
-    add("instantiate", "print the instantiated program", solverish=True)
-    add("solve", "compute and print answer sets", solverish=True)
+    add("parse", "list subprograms and their rules")
+    add("instantiate", "print the instantiated program", "--mode")
+    add("solve", "compute and print answer sets", "--mode", "--engine", "--cap")
     add("check-coherence", "check the modular program for coherence")
-    compare = add("compare", "compare modular and union answer sets", solverish=True)
-    check_model = add("check-model", "check a candidate model", solverish=True)
+    add("compare", "compare modular and union answer sets", "--mode", "--engine", "--cap")
+    check_model = add("check-model", "check a candidate model", "--mode", "--engine")
     check_model.add_argument(
         "--model", required=True, metavar="ATOMS",
         help='candidate atoms, space-separated, e.g. "q(0,0) q(1,1)"',
@@ -302,15 +301,14 @@ def _cmd_check_model(args) -> int:
     _require_engine(args.engine, CHECK_ENGINES)
     if args.mode == "union":
         kappa = global_statement(plan, union.signature().predicates)
-        verdict = is_kappa_stable(candidate, kappa, union, dom, args.engine)
-        text = "kappa-stable model" if verdict else "not a kappa-stable model"
+        parts = [(union, kappa)]
+        yes, no = "kappa-stable model", "not a kappa-stable model"
     else:
         modular = collective_modular(prog, plan)
-        verdict = all(
-            is_model_of_module(candidate, m, dom, args.engine)
-            for m in modular.modules
-        ) and closure_holds(candidate, modular.kappa, [m.kappa for m in modular.modules])
-        text = "answer set" if verdict else "not an answer set"
+        kappa, parts = modular.kappa, [(m.pi, m.kappa) for m in modular.modules]
+        yes, no = "answer set", "not an answer set"
+    verdict = is_stable_in_parts(candidate, kappa, parts, dom, args.engine)
+    text = yes if verdict else no
     _emit(
         args,
         [text],

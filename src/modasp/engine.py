@@ -224,27 +224,20 @@ def ground_with_choices(
 
 
 class StabilityChecker:
-    """Mask-compiled stability test over a fixed atom universe.
+    """Mask-compiled stability test of one program over a shared atom index.
 
-    Candidates are bit masks over the universe; atoms outside the universe
-    are false in every candidate, which resolves their literals at compile
-    time.  A rule whose head falls outside the universe compiles to a
-    constraint: no candidate making its body true can be a classical model.
+    Candidates are bit masks over the index; atoms outside it are false in
+    every candidate, which resolves their literals at compile time.  A rule
+    whose head falls outside the index compiles to a constraint: no
+    candidate making its body true can be a classical model.  `ext_mask`
+    holds the atoms extensional under the program's own statement.
     """
 
     def __init__(
-        self,
-        rules: Sequence[GroundRule],
-        kappa: IntensionalityStatement,
-        universe: Sequence[PredAtom],
+        self, rules: Sequence[GroundRule], index: dict[PredAtom, int], ext_mask: int
     ):
-        self.universe = list(universe)
-        self.index = {atom: 1 << i for i, atom in enumerate(self.universe)}
-        ext = 0
-        for atom, bit in self.index.items():
-            if not lambda_holds(kappa, atom):
-                ext |= bit
-        self.ext_mask = ext
+        self.index = index
+        self.ext_mask = ext_mask
         self.compiled: list[tuple[Optional[int], int, int, int]] = []
         for rule in rules:
             entry = self._compile_rule(rule)
@@ -271,20 +264,6 @@ class StabilityChecker:
                 neg |= bit  # out-of-universe atoms make `not` literals true
         head = None if rule.head is None else self.index.get(rule.head)
         return (head, pos, neg, negneg)
-
-    def atoms_of(self, mask: int) -> frozenset[PredAtom]:
-        return frozenset(
-            atom for atom, bit in self.index.items() if mask & bit
-        )
-
-    def mask_of(self, atoms: Iterable[PredAtom]) -> int:
-        mask = 0
-        for atom in atoms:
-            bit = self.index.get(atom)
-            if bit is None:
-                raise DomainError(f"atom {atom} is outside the atom universe")
-            mask |= bit
-        return mask
 
     def classical(self, T: int) -> bool:
         for head, pos, neg, negneg in self.compiled:
@@ -356,18 +335,54 @@ class StabilityChecker:
         return self.minimal_reduct(T)
 
 
+class CompiledParts:
+    """The stability checkers of several parts over one atom universe.
+
+    Each part `(ground rules, statement)` gets a `StabilityChecker` over one
+    shared atom-to-bit index.  Region masks are computed once per distinct
+    statement: `ext_mask` holds the atoms extensional under the global
+    statement, and `allowed` every atom but the globally intensional ones
+    that lie in no part's region, which the closure condition makes false.
+    Union solving is the one-part case under the global statement.
+    """
+
+    def __init__(
+        self,
+        universe: Sequence[PredAtom],
+        kappa: IntensionalityStatement,
+        parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
+    ):
+        self.index = {atom: 1 << i for i, atom in enumerate(universe)}
+        self.full = (1 << len(self.index)) - 1
+        regions: dict[IntensionalityStatement, int] = {}
+        masks = []
+        for statement in (kappa, *(st for _, st in parts)):
+            if statement not in regions:
+                regions[statement] = sum(
+                    bit for atom, bit in self.index.items() if lambda_holds(statement, atom)
+                )
+            masks.append(regions[statement])
+        intensional, *part_regions = masks
+        self.checkers = [
+            StabilityChecker(rules, self.index, self.full & ~region)
+            for (rules, _), region in zip(parts, part_regions)
+        ]
+        defined = 0
+        for region in part_regions:
+            defined |= region
+        self.ext_mask = self.full & ~intensional
+        self.allowed = self.full & ~(intensional & ~defined)
+
+    def atoms_of(self, mask: int) -> frozenset[PredAtom]:
+        return frozenset(atom for atom, bit in self.index.items() if mask & bit)
+
+
 def _require_engine(engine: str, allowed: tuple[str, ...]):
     if engine not in allowed:
         raise EngineError(
             f"engine {engine!r} is not applicable here; choose one of "
             f"{', '.join(allowed)}"
         )
-
-
-def _validate_within_domain(I: Interpretation, dom: Domain):
-    for atom in I.sorted_atoms():
-        if not dom.contains_atom(atom):
-            raise DomainError(f"atom {atom} lies outside the declared domain")
 
 
 def is_kappa_stable(
@@ -382,12 +397,36 @@ def is_kappa_stable(
     Classical satisfaction of the rules is checked first (the choice axioms
     are classical tautologies), then minimality with the selected engine.
     """
+    return is_stable_in_parts(I, kappa, [(pi, kappa)], dom, engine)
+
+
+def is_stable_in_parts(
+    I: Interpretation,
+    kappa: IntensionalityStatement,
+    parts: Sequence[tuple[Program, IntensionalityStatement]],
+    dom: Domain,
+    engine: str,
+) -> bool:
+    """Is `I` stable in every part `(program, statement)`, with each true
+    atom intensional under `kappa` in some part's region?  With one part
+    under `kappa` this is `is_kappa_stable`; with the modules of a modular
+    program, membership among its answer sets.
+
+    Each part is ground only where `I` reaches: an instance left out has a
+    positive body atom outside `I`, so compiling would drop it anyway.
+    """
     _require_engine(engine, CHECK_ENGINES)
-    _validate_within_domain(I, dom)
-    gp = ground(pi, dom)
     universe = I.sorted_atoms()
-    checker = StabilityChecker(gp.rules, kappa, universe)
-    return checker.check((1 << len(universe)) - 1, engine)
+    for atom in universe:
+        if not dom.contains_atom(atom):
+            raise DomainError(f"atom {atom} lies outside the declared domain")
+    compiled = CompiledParts(
+        universe,
+        kappa,
+        [(ground_reachable(pi, dom, I.atoms).rules, st) for pi, st in parts],
+    )
+    T = compiled.full
+    return compiled.allowed == T and all(c.check(T, engine) for c in compiled.checkers)
 
 
 def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
@@ -505,10 +544,10 @@ def enumerate_kappa_stable(
     if engine == "fixpoint":
         return _fixpoint_models(gp, region)
     base = _relevant_base([gp], region, cap)
-    checker = StabilityChecker(gp.rules, kappa, base)
+    compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
     return frozenset(
-        Interpretation(checker.atoms_of(T))
-        for T in _search([((1 << len(base)) - 1, [checker])], engine)
+        Interpretation(compiled.atoms_of(T))
+        for T in _search([(compiled.allowed, compiled.checkers)], engine)
     )
 
 

@@ -10,10 +10,10 @@ mentions an atom outside the domain in its head or positively in its body
 (such atoms are false in every representable interpretation; a negated
 out-of-domain atom is simply true).
 
-`ground` is the full instantiation.  The solving path uses
-`ground_reachable`, which keeps only the instances whose positive body can
-be derived, and finds them by joining body atoms against derived atoms
-instead of enumerating the cross product.
+`ground` is the full instantiation, used by modular enumeration.  Union
+solving and every model check use `ground_reachable`, which keeps only the
+instances whose positive body can be derived, and finds them by joining
+body atoms against derived atoms instead of enumerating the cross product.
 """
 
 import itertools
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import RangeError, SafetyError
-from .intensionality import _solve_arith
 from .program import Comparison, Literal, PredAtom, Program, Rule, substitute_rule
 from .terms import (
     Arith,
@@ -37,6 +36,7 @@ from .terms import (
     simplify,
     substitute_variables,
     subterms,
+    variables_of,
 )
 
 
@@ -269,21 +269,25 @@ def _matchable(rule: Rule, sorts: dict[str, Sort]) -> bool:
     return True
 
 
-def _match(t: Term, value: Term, theta: dict[str, Term], dom: Domain) -> bool:
+def _match(t: Term, value: Term, theta: dict[str, Term], dom: Optional[Domain]) -> bool:
     """Extend `theta` towards an assignment under which `t` evaluates to
     `value`; False when no assignment `ground` would try can.
 
     Variables met directly or inside function terms are bound to the
-    matching part of `value`, if `ground` would give them that value; an
-    arithmetic term whose only variable occurs once is solved for it.  Any
-    other arithmetic leaves its variables unbound, to be enumerated.
+    matching part of `value`, if `ground` would give them that value (any
+    value of their sort when `dom` is None); an arithmetic term whose only
+    variable occurs once is solved for it.  Any other arithmetic leaves its
+    variables unbound, to be enumerated.
     """
-    t = simplify(substitute_variables(t, theta))
     if isinstance(t, Variable):
+        if t.name in theta:
+            return theta[t.name] == value
         if t.sort is Sort.INTEGER:
-            if not (isinstance(value, Numeral) and dom.int_lo <= value.value <= dom.int_hi):
+            if not isinstance(value, Numeral) or (
+                dom is not None and not dom.int_lo <= value.value <= dom.int_hi
+            ):
                 return False
-        elif value not in dom:
+        elif dom is not None and value not in dom:
             return False
         theta[t.name] = value
         return True
@@ -297,15 +301,47 @@ def _match(t: Term, value: Term, theta: dict[str, Term], dom: Domain) -> bool:
     if isinstance(t, Arith):
         if not isinstance(value, Numeral):
             return False
+        t = simplify(substitute_variables(t, theta))
+        free = [s.name for s in subterms(t) if isinstance(s, Variable)]
+        if not free:
+            return t == value
+        if len(free) > 1:
+            return True  # as in `N+N`, which `_invert` cannot peel apart
         solved: dict[str, Term] = {}
-        if _solve_arith(t, value.value, solved) is False:
-            return False
-        # At most the one variable of `t` is solved; bind it like any other.
-        return all(
+        # The one variable of `t`, if solved (not under `*0`), is bound like
+        # any other.
+        return _invert(t, value.value, solved) and all(
             _match(Variable(name, Sort.INTEGER), bound, theta, dom)
             for name, bound in solved.items()
         )
     return t == value
+
+
+def _invert(t: Term, target: int, bindings: dict[str, Term]) -> bool:
+    if isinstance(t, Variable):
+        bindings[t.name] = Numeral(target)
+        return True
+    if isinstance(t, Numeral):
+        return t.value == target
+    if isinstance(t, (SymbolicConstant, Func)):
+        return False
+    left, right = simplify(t.left), simplify(t.right)
+    var_on_left = bool(variables_of(left))
+    side, other = (left, right) if var_on_left else (right, left)
+    if not isinstance(other, Numeral):
+        return False
+    c = other.value
+    if t.op == "+":
+        return _invert(side, target - c, bindings)
+    if t.op == "-":
+        if var_on_left:
+            return _invert(side, target + c, bindings)
+        return _invert(side, c - target, bindings)
+    if c == 0:
+        return target == 0
+    if target % c != 0:
+        return False
+    return _invert(side, target // c, bindings)
 
 
 def ground_reachable(

@@ -13,12 +13,11 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PatternError, RequirementError, UnboundPlaceholderError
+from .grounding import _match
 from .program import PredAtom, Signature
 from .terms import (
-    Arith,
     Func,
     Numeral,
-    Sort,
     SymbolicConstant,
     Term,
     Valuation,
@@ -27,8 +26,6 @@ from .terms import (
     is_precomputed,
     simplify,
     substitute_constants,
-    substitute_variables,
-    subterms,
     variables_of,
 )
 
@@ -443,78 +440,8 @@ def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
     """
     if len(pattern) != len(terms):
         return False
-    bindings: dict[str, Term] = {}
+    theta: dict[str, Term] = {}
     for p, t in zip(pattern, terms):
-        if isinstance(p, Variable):
-            continue
-        if not _instance_match(p, simplify(t), bindings):
+        if not isinstance(p, Variable) and not _match(simplify(t), p, theta, None):
             return False
     return True
-
-
-def _instance_match(g: Term, t: Term, bindings: dict[str, Term]) -> bool:
-    if isinstance(t, Variable):
-        bound = bindings.get(t.name)
-        if bound is not None:
-            return bound == g
-        if t.sort is Sort.INTEGER and not isinstance(g, Numeral):
-            return False
-        bindings[t.name] = g
-        return True
-    if isinstance(t, Arith):
-        if not isinstance(g, Numeral):
-            return False
-        return _solve_arith(t, g.value, bindings) is not False
-    if isinstance(t, Func):
-        if not (
-            isinstance(g, Func) and g.name == t.name and len(g.args) == len(t.args)
-        ):
-            return False
-        return all(
-            _instance_match(ga, simplify(ta), bindings)
-            for ga, ta in zip(g.args, t.args)
-        )
-    return g == t
-
-
-def _solve_arith(t: Term, target: int, bindings: dict[str, Term]) -> Optional[bool]:
-    """Solve `t = target` for the free variable of `t`, recording its value.
-
-    True or False when decided; None (undecided, so a solution may exist)
-    when several variables, or several occurrences of one, are free, as in
-    `N+N` or `N*N`, which `_invert` cannot peel apart.
-    """
-    t = simplify(substitute_variables(t, bindings))
-    free = [s for s in subterms(t) if isinstance(s, Variable)]
-    if not free:
-        return isinstance(t, Numeral) and t.value == target
-    if len(free) > 1:
-        return None
-    return _invert(t, target, bindings)
-
-
-def _invert(t: Term, target: int, bindings: dict[str, Term]) -> bool:
-    if isinstance(t, Variable):
-        bindings[t.name] = Numeral(target)
-        return True
-    if isinstance(t, Numeral):
-        return t.value == target
-    if isinstance(t, (SymbolicConstant, Func)):
-        return False
-    left, right = simplify(t.left), simplify(t.right)
-    var_on_left = bool(variables_of(left))
-    side, other = (left, right) if var_on_left else (right, left)
-    if not isinstance(other, Numeral):
-        return False
-    c = other.value
-    if t.op == "+":
-        return _invert(side, target - c, bindings)
-    if t.op == "-":
-        if var_on_left:
-            return _invert(side, target + c, bindings)
-        return _invert(side, c - target, bindings)
-    if c == 0:
-        return target == 0
-    if target % c != 0:
-        return False
-    return _invert(side, target // c, bindings)

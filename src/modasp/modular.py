@@ -8,8 +8,8 @@ from typing import Iterable, Optional, Sequence, TypeVar
 
 from .engine import (
     CHECK_ENGINES,
+    CompiledParts,
     Interpretation,
-    StabilityChecker,
     _relevant_base,
     _require_engine,
     _search,
@@ -277,18 +277,6 @@ def union_program(P: ModularProgram) -> Program:
 # --- answer sets of modular programs ----------------------------------------------
 
 
-def _forced_false_mask(P: ModularProgram, checker: StabilityChecker) -> int:
-    # Globally intensional atoms lying in no module region must be false.
-    mask = 0
-    module_kappas = [m.kappa for m in P.modules]
-    for atom, bit in checker.index.items():
-        if lambda_holds(P.kappa, atom) and not any(
-            lambda_holds(mk, atom) for mk in module_kappas
-        ):
-            mask |= bit
-    return mask
-
-
 def modular_answer_sets(
     P: ModularProgram,
     dom: Domain,
@@ -334,37 +322,35 @@ def _answer_sets(
     module order for `topo` and None otherwise."""
     grounded = [ground(module.pi, dom) for module in P.modules]
     region = extensional_region(P.kappa, P.signature().predicates, dom)
-    base = _relevant_base(grounded, region, cap)
-    checkers = [
-        StabilityChecker(gp.rules, m.kappa, base)
-        for gp, m in zip(grounded, P.modules)
-    ]
-    reference = StabilityChecker((), P.kappa, base)
+    compiled = CompiledParts(
+        _relevant_base(grounded, region, cap),
+        P.kappa,
+        [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
+    )
+    checkers = compiled.checkers
     # The closure condition needs no check: every block mask below lies
-    # inside `allowed`, which excludes the forced-false atoms (these are
-    # globally intensional, so never among the global choices).
-    allowed = ((1 << len(base)) - 1) & ~_forced_false_mask(P, reference)
+    # inside `allowed` (the global choices are globally extensional).
     if order is None:
-        blocks = [(allowed, checkers)]
+        blocks = [(compiled.allowed, checkers)]
     else:
         # Globally extensional atoms are free choices shared by every
         # module; then each module, dependencies first, adds only its own
         # ground heads in its region.  A module checked before a later one
         # fixed more atoms may now reject the candidate, so the last block
         # checks every module on the full candidate again.
-        blocks = [(reference.ext_mask, [])]
+        blocks = [(compiled.ext_mask, [])]
         blocks += [
             (
-                reference.mask_of(grounded[i].heads())
+                sum(compiled.index[a] for a in grounded[i].heads())
                 & ~checkers[i].ext_mask
-                & allowed,
+                & compiled.allowed,
                 [checkers[i]],
             )
             for i in order
         ]
         blocks.append((0, checkers))
     found = _search(blocks, "reduct" if engine == "topo" else engine)
-    return frozenset(Interpretation(reference.atoms_of(T)) for T in found)
+    return frozenset(Interpretation(compiled.atoms_of(T)) for T in found)
 
 
 def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:

@@ -14,6 +14,7 @@ from typing import Optional
 from .errors import (
     ArityMismatchError,
     DeclarationConflictError,
+    ModaspError,
     ParseError,
     RangeError,
     UnboundConstantError,
@@ -407,57 +408,64 @@ def parse_control(
     while not ts.at("EOF"):
         tok = ts.expect("IDENT", "a control statement")
         word = tok.text
-        if word == "const":
-            name = ts.expect("IDENT", "a constant name").text
-            eq = ts.expect("OP", "'='")
-            if eq.text != "=":
-                raise ParseError("expected '='", eq.line, eq.column)
-            neg = False
-            if ts.at("ARITH") and ts.peek().text == "-":
-                ts.next()
-                neg = True
-            value = int(ts.expect("INT", "an integer").text)
-            ts.expect("DOT", "'.' at end of statement")
-            if name in declared:
-                raise ParseError(f"constant {name!r} redefined", tok.line, tok.column)
-            declared.add(name)
-            if name not in overrides:
-                env[name] = -value if neg else value
-        elif word == "use":
-            specs.extend(_parse_use(ts, decls, env))
-        elif word == "domain":
-            lo = _eval_const_expr(ts, env)
-            ts.expect("RANGE", "'..'")
-            hi = _eval_const_expr(ts, env)
-            ts.expect("DOT", "'.' at end of statement")
-            if domain is not None:
-                raise ParseError("duplicate domain statement", tok.line, tok.column)
-            if lo > hi:
-                raise RangeError(f"reversed domain {lo}..{hi}")
-            domain = (lo, hi)
-        elif word == "intensional":
-            key, pattern = _parse_pattern_atom(ts, env, ())
-            ts.expect("DOT", "'.' at end of statement")
-            if global_kappa is None:
-                global_kappa = {}
-            global_kappa.setdefault(key, []).append(pattern)
-        elif word == "module":
-            name = ts.expect("IDENT", "a subprogram name").text
-            params = declared_params(decls, name)
-            ts.expect("COLON", "':'")
-            entries = module_chi.setdefault(name, {})
-            while True:
-                key, pattern = _parse_pattern_atom(ts, env, params)
-                entries.setdefault(key, []).append(pattern)
-                if ts.at("COMMA"):
+        try:
+            if word == "const":
+                name = ts.expect("IDENT", "a constant name").text
+                eq = ts.expect("OP", "'='")
+                if eq.text != "=":
+                    raise ParseError("expected '='", eq.line, eq.column)
+                neg = False
+                if ts.at("ARITH") and ts.peek().text == "-":
                     ts.next()
-                    continue
-                break
-            ts.expect("DOT", "'.' at end of statement")
-        else:
-            raise ParseError(
-                f"unknown control statement {word!r}", tok.line, tok.column
-            )
+                    neg = True
+                value = int(ts.expect("INT", "an integer").text)
+                ts.expect("DOT", "'.' at end of statement")
+                if name in declared:
+                    raise ParseError(f"constant {name!r} redefined", tok.line, tok.column)
+                declared.add(name)
+                if name not in overrides:
+                    env[name] = -value if neg else value
+            elif word == "use":
+                specs.extend(_parse_use(ts, decls, env))
+            elif word == "domain":
+                lo = _eval_const_expr(ts, env)
+                ts.expect("RANGE", "'..'")
+                hi = _eval_const_expr(ts, env)
+                ts.expect("DOT", "'.' at end of statement")
+                if domain is not None:
+                    raise ParseError("duplicate domain statement", tok.line, tok.column)
+                if lo > hi:
+                    raise RangeError(f"reversed domain {lo}..{hi}")
+                domain = (lo, hi)
+            elif word == "intensional":
+                key, pattern = _parse_pattern_atom(ts, env, ())
+                ts.expect("DOT", "'.' at end of statement")
+                if global_kappa is None:
+                    global_kappa = {}
+                global_kappa.setdefault(key, []).append(pattern)
+            elif word == "module":
+                name = ts.expect("IDENT", "a subprogram name").text
+                params = declared_params(decls, name)
+                ts.expect("COLON", "':'")
+                entries = module_chi.setdefault(name, {})
+                while True:
+                    key, pattern = _parse_pattern_atom(ts, env, params)
+                    entries.setdefault(key, []).append(pattern)
+                    if ts.at("COMMA"):
+                        ts.next()
+                        continue
+                    break
+                ts.expect("DOT", "'.' at end of statement")
+            else:
+                raise ParseError(
+                    f"unknown control statement {word!r}", tok.line, tok.column
+                )
+        except ParseError:
+            raise
+        except ModaspError as err:
+            # Errors past the syntax (names, arities, ranges, patterns) carry
+            # no position of their own: give them their statement's.
+            raise type(err)(f"line {tok.line}, column {tok.column}: {err}") from None
 
     return ControlPlan(
         constants=tuple(sorted(env.items())),

@@ -1,9 +1,13 @@
 """Command-line behaviour: output surfaces, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
+import pytest
+
 from modasp.cli import main
+from modasp.grounding import ground
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -349,6 +353,82 @@ class TestCheckModel:
         assert code == 2
         assert "outside" in err
 
+    def test_property_n200_union_grounds_only_what_the_model_reaches(self, capsys):
+        # The full grounding has 40,001 instances and took about 2 s; the
+        # candidate reaches 201 of them.
+        model = " ".join(f"q({i},{i})" for i in range(201))
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "check-model", fixture("property.lp"), "--control",
+            fixture("property.ctl"), "-c", "n=200", "--model", model,
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (0, "kappa-stable model\n")
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("mode", ["union", "modular"])
+    @pytest.mark.parametrize("engine", ["brute", "reduct"])
+    def test_grounds_nothing_in_full(self, capsys, monkeypatch, mode, engine):
+        import modasp.engine as engine_mod
+        import modasp.grounding as grounding_mod
+        import modasp.modular as modular_mod
+
+        calls = []
+
+        def counting_ground(pi, dom):
+            calls.append(pi)
+            return ground(pi, dom)
+
+        for module in (engine_mod, modular_mod, grounding_mod):
+            monkeypatch.setattr(module, "ground", counting_ground)
+        codes = []
+        for model in ("q(0,0) q(1,1) q(2,2) q(3,3)", "q(0,0) q(1,1)"):
+            code, _, _ = run(
+                capsys, "check-model", fixture("property.lp"), "--control",
+                fixture("property3.ctl"), "--mode", mode, "--engine", engine,
+                "--model", model,
+            )
+            codes.append(code)
+        assert codes == [0, 1]
+        assert calls == []
+
+
+class TestCheckModelModesAgree:
+    """Both modes validate the candidate and ground every part before any
+    part may reject it, so they fail on the same inputs."""
+
+    LP = "#program base.\np(1).\n#program s(k).\nq(X) :- not r(X).\n"
+
+    def check(self, capsys, tmp_path, control, model):
+        lp = tmp_path / "u.lp"
+        lp.write_text(self.LP, encoding="utf-8")
+        ctl = tmp_path / "u.ctl"
+        ctl.write_text(control, encoding="utf-8")
+        results = []
+        for mode in ("union", "modular"):
+            for engine in ("brute", "reduct"):
+                results.append(
+                    run(
+                        capsys, "check-model", str(lp), "--control", str(ctl),
+                        "--mode", mode, "--engine", engine, "--model", model,
+                    )
+                )
+        return results
+
+    def test_unsafe_module_is_an_error(self, capsys, tmp_path):
+        # The base module alone rejects the empty candidate; the unsafe
+        # rule of s(1) is reported all the same.
+        for code, out, err in self.check(
+            capsys, tmp_path, "use base. use s(1). domain 0..2.", ""
+        ):
+            assert (code, out) == (2, "")
+            assert "positive body atom" in err
+
+    def test_out_of_domain_candidate_without_modules(self, capsys, tmp_path):
+        for code, out, err in self.check(capsys, tmp_path, "domain 0..2.", "p(7)"):
+            assert (code, out) == (2, "")
+            assert "outside the declared domain" in err
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -402,6 +482,22 @@ class TestErrors:
         )
         assert code == 2
         assert "integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["instantiate", "--engine", "reduct"],
+            ["instantiate", "--cap", "4"],
+            ["check-model", "--model", "q(0,0)", "--cap", "4"],
+        ],
+    )
+    def test_unread_options_are_refused(self, capsys, argv):
+        command, *options = argv
+        code, out, err = run(
+            capsys, command, fixture("p1.lp"), "--control", fixture("p1.ctl"), *options
+        )
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
 
     def test_unknown_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate", "x.lp")

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from modasp.engine import (
+    CompiledParts,
     HTInterpretation,
     Interpretation,
-    StabilityChecker,
     _relevant_base,
     _search,
     check_support,
@@ -352,7 +352,8 @@ class TestSearch:
             gp = ground(pi, dom)
             region = extensional_region(kappa, pi.signature().predicates, dom)
             base = _relevant_base([gp], region, cap=24)
-            checker = StabilityChecker(gp.rules, kappa, base)
+            compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
+            (checker,) = compiled.checkers
             full = (1 << len(base)) - 1
             for engine in ("brute", "reduct"):
                 sweep = {

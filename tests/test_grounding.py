@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from modasp.engine import (
+    CompiledParts,
     Interpretation,
-    StabilityChecker,
     _relevant_base,
     _search,
     enumerate_kappa_stable,
@@ -274,10 +274,10 @@ class TestUnionEngines:
             gp = ground(pi, dom)
             region = region_of(kappa, pi, dom)
             base = _relevant_base([gp], region, cap=24)
-            checker = StabilityChecker(gp.rules, kappa, base)
+            compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
             expected = {
-                Interpretation(checker.atoms_of(T))
-                for T in _search([((1 << len(base)) - 1, [checker])], "brute")
+                Interpretation(compiled.atoms_of(T))
+                for T in _search([((1 << len(base)) - 1, compiled.checkers)], "brute")
             }
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected
 

@@ -453,6 +453,69 @@ class TestDefinitionalReference:
         assert checked == 40
 
 
+class TestModularMembership:
+    """Membership through the shared compile step (each module ground only
+    where the candidate reaches) against the brute enumeration, which
+    grounds every module in full: an independent reference, on coherent
+    and incoherent programs alike."""
+
+    @staticmethod
+    def assert_membership_matches(P, dom):
+        import itertools
+
+        from modasp.engine import extensional_region, is_stable_in_parts
+
+        base = extensional_region(P.kappa, P.signature().predicates, dom)
+        for module in P.modules:
+            base |= ground(module.pi, dom).heads()
+        # Two atoms outside the relevant base, which no answer set holds.
+        outside = [
+            PredAtom(name, args)
+            for name, arity in sorted(P.signature().predicates)
+            for args in itertools.product(dom.terms_sorted(), repeat=arity)
+            if PredAtom(name, args) not in base
+        ]
+        atoms = sorted(base, key=str) + outside[:2]
+        answer_sets = modular_answer_sets(P, dom, "brute")
+        parts = [(m.pi, m.kappa) for m in P.modules]
+        members = 0
+        for size in range(len(atoms) + 1):
+            for combo in itertools.combinations(atoms, size):
+                I = interp(*combo)
+                expected = I in answer_sets
+                members += expected
+                for engine in ("brute", "reduct"):
+                    assert is_stable_in_parts(I, P.kappa, parts, dom, engine) == expected
+        assert members == len(answer_sets)
+
+    def test_random_coherent_programs(self):
+        import random
+
+        import randprog
+
+        rng = random.Random(2718)
+        for _ in range(25):
+            self.assert_membership_matches(*randprog.random_coherent_program(rng, max_base=7))
+
+    def test_cross_module_cycle(self):
+        # Incoherent: {p(2), q(1)} supports itself across the two modules.
+        P, dom = plan_program(
+            "#program a.\nq(1) :- p(N+N).\n#program b.\np(2) :- q(1).\n",
+            "use a. use b. domain 0..2. intensional p(X). intensional q(X). "
+            "module a: q(1). module b: p(2).",
+        )
+        p2, q1 = PredAtom("p", (num(2),)), PredAtom("q", (num(1),))
+        assert interp(p2, q1) in modular_answer_sets(P, dom, "brute")
+        self.assert_membership_matches(P, dom)
+
+    def test_negative_module_cycle(self):
+        P, dom = plan_program(
+            "#program a.\np :- not q.\n#program b.\nq :- not p.\n",
+            "use a. use b. domain 0..0.",
+        )
+        self.assert_membership_matches(P, dom)
+
+
 class TestTheorem1:
     def test_p1_equal(self):
         report = theorem1_check(p1(), Domain(0, 4))

@@ -406,6 +406,26 @@ class TestParseControl:
             parse_control("const n = 1. const n = 2.", self.prog)
 
 
+# Control-file errors found past the syntax, each on a statement that is
+# not the first, with the line and column of that statement.
+CONTROL_ERRORS = [
+    (PatternError, "use base.\n  intensional q(X,X).", 2, 3),
+    (UnknownSubprogramError, "use base.\nuse nosuch.", 2, 1),
+    (ArityMismatchError, "const n = 1.\n\n use property(1,2).", 3, 2),
+    (RangeError, "use base.\nuse property(k) for k in 3..1.", 2, 1),
+    (UnboundConstantError, "use base.\n\ndomain 0..m.", 3, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "error, text, line, column", CONTROL_ERRORS, ids=[e[0].__name__ for e in CONTROL_ERRORS]
+)
+def test_control_error_carries_position(error, text, line, column):
+    with pytest.raises(error) as err:
+        parse_control(text, parse_program(PROPERTY_LP))
+    assert str(err.value).startswith(f"line {line}, column {column}: ")
+
+
 # Malformed patterns: a repeated variable, an element that is not
 # precomputed, and placeholder arithmetic mixed with a variable.
 MALFORMED_PATTERNS = ["q(X,X)", "q(X,Y+1)", "q(X,k+Y)"]
