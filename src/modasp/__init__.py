@@ -14,7 +14,6 @@ from .engine import (
     classical_satisfies,
     enumerate_kappa_stable,
     extensional_region,
-    ground_with_choices,
     ht_satisfies,
     is_kappa_stable,
     is_stable_in_parts,
@@ -77,7 +76,7 @@ from .program import (
     Signature,
     make_rule,
 )
-from .subprograms import ClingoProgram, ControlPlan, ProgramDeclaration, SubprogramSpec, subprogram
+from .subprograms import ClingoProgram, ControlPlan, ProgramDeclaration, SubprogramSpec
 from .terms import (
     Arith,
     Func,

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .engine import (
     CHECK_ENGINES,
+    DEFAULT_CAP,
     ENGINES,
     Interpretation,
     _require_engine,
@@ -68,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="model engine (default reduct)",
         ),
         "--cap": dict(
-            type=int, default=24, help="relevant atom base cap for enumeration (default 24)"
+            type=int, default=DEFAULT_CAP,
+            help=f"relevant atom base cap for enumeration (default {DEFAULT_CAP})",
         ),
     }
 
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("instantiate", "print the instantiated program", "--mode")
     add("solve", "compute and print answer sets", "--mode", "--engine", "--cap")
     add("check-coherence", "check the modular program for coherence")
-    add("compare", "compare modular and union answer sets", "--mode", "--engine", "--cap")
+    add("compare", "compare modular and union answer sets", "--engine", "--cap")
     check_model = add("check-model", "check a candidate model", "--mode", "--engine")
     check_model.add_argument(
         "--model", required=True, metavar="ATOMS",

@@ -45,6 +45,8 @@ from .terms import (
 ENGINES = ("brute", "reduct", "fixpoint")
 # The engines that decide the stability of one given candidate.
 CHECK_ENGINES = ("brute", "reduct")
+# The atom cap of enumeration (`--cap`) and of `brute` membership checks.
+DEFAULT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -209,15 +211,6 @@ def extensional_region(
             if not lambda_holds(kappa, atom):
                 out.add(atom)
     return frozenset(out)
-
-
-def ground_with_choices(
-    pi: Program, kappa: IntensionalityStatement, dom: Domain
-) -> GroundProgram:
-    """Ground image of a program plus the extensional atoms of its statement."""
-    gp = ground(pi, dom)
-    preds = set(pi.signature().predicates) | set(kappa.predicates())
-    return GroundProgram(gp.rules, extensional_region(kappa, preds, dom))
 
 
 # --- compiled stability checking -------------------------------------------------
@@ -414,6 +407,8 @@ def is_stable_in_parts(
 
     Each part is ground only where `I` reaches: an instance left out has a
     positive body atom outside `I`, so compiling would drop it anyway.
+    `brute` refuses, before it walks any subsets, a part with more than
+    `DEFAULT_CAP` intensional atoms in `I`.
     """
     _require_engine(engine, CHECK_ENGINES)
     universe = I.sorted_atoms()
@@ -426,6 +421,15 @@ def is_stable_in_parts(
         [(ground_reachable(pi, dom, I.atoms).rules, st) for pi, st in parts],
     )
     T = compiled.full
+    if engine == "brute":
+        walked = max(
+            ((T & ~c.ext_mask).bit_count() for c in compiled.checkers), default=0
+        )
+        if walked > DEFAULT_CAP:
+            raise CapacityError(
+                f"brute would walk the subsets of {walked} intensional atoms "
+                f"of one part (cap {DEFAULT_CAP}); use the reduct engine"
+            )
     return compiled.allowed == T and all(c.check(T, engine) for c in compiled.checkers)
 
 
@@ -526,7 +530,7 @@ def enumerate_kappa_stable(
     pi: Program,
     dom: Domain,
     engine: str = "reduct",
-    cap: int = 24,
+    cap: int = DEFAULT_CAP,
 ) -> frozenset[Interpretation]:
     """All stable models over the relevant atom base.
 

@@ -3,12 +3,12 @@
 The paper-level semantics quantifies integer variables over all numerals and
 general variables over all precomputed terms.  A `Domain` is the finite
 stand-in: numerals of a declared interval plus the precomputed terms the
-program itself mentions (and, optionally, function terms generated to a
-depth).  Grounding instantiates rule variables over the domain, evaluates
-arithmetic, resolves comparison literals, and drops every rule instance that
-mentions an atom outside the domain in its head or positively in its body
-(such atoms are false in every representable interpretation; a negated
-out-of-domain atom is simply true).
+program itself mentions; no function terms are generated.  Grounding
+instantiates rule variables over the domain, evaluates arithmetic, resolves
+comparison literals, and drops every rule instance that mentions an atom
+outside the domain in its head or positively in its body (such atoms are
+false in every representable interpretation; a negated out-of-domain atom
+is simply true).
 
 `ground` is the full instantiation, used by modular enumeration.  Union
 solving and every model check use `ground_reachable`, which keeps only the
@@ -60,36 +60,19 @@ class Domain:
             )
 
     @classmethod
-    def build(
-        cls,
-        programs: Iterable[Program],
-        lo: int,
-        hi: int,
-        func_depth: int = 0,
-    ) -> "Domain":
-        """Domain for a set of programs: numerals lo..hi, the symbolic
-        constants and precomputed function terms occurring in the rules, and
-        function terms generated up to `func_depth` applications."""
-        terms: set[Term] = {Numeral(i) for i in range(lo, hi + 1)}
-        functions: set[tuple[str, int]] = set()
+    def build(cls, programs: Iterable[Program], lo: int, hi: int) -> "Domain":
+        """Domain for a set of programs: numerals lo..hi plus the symbolic
+        constants and precomputed function terms occurring in the rules."""
+        terms: set[Term] = set()
         for program in programs:
             for rule in program.rules:
                 for t in rule.terms():
                     for s in subterms(t):
-                        if isinstance(s, SymbolicConstant):
+                        if isinstance(s, SymbolicConstant) or (
+                            isinstance(s, Func) and is_precomputed(s)
+                        ):
                             terms.add(s)
-                        elif isinstance(s, Func):
-                            functions.add((s.name, len(s.args)))
-                            if is_precomputed(s):
-                                terms.add(s)
-        pool = set(terms)
-        for _ in range(func_depth):
-            new: set[Term] = set()
-            for name, arity in sorted(functions):
-                for combo in itertools.product(sorted(pool, key=order_key), repeat=arity):
-                    new.add(Func(name, combo))
-            pool |= new
-        return cls(lo, hi, frozenset(pool))
+        return cls(lo, hi, frozenset(terms))
 
     def integers(self) -> tuple[Term, ...]:
         return tuple(Numeral(i) for i in range(self.int_lo, self.int_hi + 1))
@@ -137,11 +120,9 @@ class GroundRule:
 
 @dataclass(frozen=True)
 class GroundProgram:
-    """Ground image of a program over a domain, with the extensional atoms
-    (free choices) the enclosing intensionality statement contributes."""
+    """Ground image of a program over a domain."""
 
     rules: tuple[GroundRule, ...] = ()
-    choice_atoms: frozenset[PredAtom] = frozenset()
 
     def heads(self) -> frozenset[PredAtom]:
         return frozenset(r.head for r in self.rules if r.head is not None)
@@ -440,6 +421,8 @@ def ground_reachable(
     while queue:
         atom = queue.pop()
         keys = [(atom.pred,)] + [(atom.pred, k, v) for k, v in enumerate(atom.args)]
+        if not any(key in watch for key in keys):
+            continue  # no positive body literal can match it
         for key in keys:
             taken.setdefault(key, []).append(atom)
         for key in keys:

@@ -70,12 +70,7 @@ class Module:
     pi: Program
 
     def signature(self) -> Signature:
-        sig = self.pi.signature()
-        return Signature(
-            sig.predicates | frozenset(self.kappa.predicates()),
-            sig.constants,
-            sig.functions,
-        )
+        return self.pi.signature() | Signature(frozenset(self.kappa.predicates()))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from typing import Iterable, Optional, Sequence, TypeVar
 
 from .engine import (
     CHECK_ENGINES,
+    DEFAULT_CAP,
     CompiledParts,
     Interpretation,
     _relevant_base,
@@ -281,7 +282,7 @@ def modular_answer_sets(
     P: ModularProgram,
     dom: Domain,
     engine: str = "reduct",
-    cap: int = 24,
+    cap: int = DEFAULT_CAP,
 ) -> frozenset[Interpretation]:
     """Interpretations that are models of every module and satisfy the
     closure condition (true globally-intensional atoms are defined by some
@@ -329,7 +330,8 @@ def _answer_sets(
     )
     checkers = compiled.checkers
     # The closure condition needs no check: every block mask below lies
-    # inside `allowed` (the global choices are globally extensional).
+    # inside `allowed` (the global choices are globally extensional, and
+    # each module block lies in that module's region).
     if order is None:
         blocks = [(compiled.allowed, checkers)]
     else:
@@ -342,8 +344,7 @@ def _answer_sets(
         blocks += [
             (
                 sum(compiled.index[a] for a in grounded[i].heads())
-                & ~checkers[i].ext_mask
-                & compiled.allowed,
+                & ~checkers[i].ext_mask,
                 [checkers[i]],
             )
             for i in order
@@ -416,7 +417,7 @@ def theorem1_check(
     P: ModularProgram,
     dom: Domain,
     engine: str = "reduct",
-    cap: int = 24,
+    cap: int = DEFAULT_CAP,
 ) -> ComparisonReport:
     """Compare the modular answer sets with the stable models of the rule
     union under the global statement.

@@ -468,7 +468,6 @@ def parse_control(
             raise type(err)(f"line {tok.line}, column {tok.column}: {err}") from None
 
     return ControlPlan(
-        constants=tuple(sorted(env.items())),
         specs=tuple(specs),
         domain=domain,
         global_kappa=None

@@ -11,7 +11,6 @@ from .terms import (
     Term,
     Variable,
     compare,
-    constants_of,
     is_precomputed,
     order_key,
     subterms,
@@ -175,21 +174,12 @@ def make_rule(head: Optional[PredAtom], body: Iterable[Literal] = ()) -> Rule:
 
 @dataclass(frozen=True)
 class Signature:
-    """Predicate, constant and function symbols occurring in a program.
-
-    All numerals belong to every signature implicitly and are not listed.
-    """
+    """The predicate symbols occurring in a program, as (name, arity)."""
 
     predicates: frozenset[tuple[str, int]] = frozenset()
-    constants: frozenset[str] = frozenset()
-    functions: frozenset[tuple[str, int]] = frozenset()
 
     def __or__(self, other: "Signature") -> "Signature":
-        return Signature(
-            self.predicates | other.predicates,
-            self.constants | other.constants,
-            self.functions | other.functions,
-        )
+        return Signature(self.predicates | other.predicates)
 
 
 @dataclass(frozen=True)
@@ -209,19 +199,14 @@ class Program:
     __or__ = union
 
     def signature(self) -> Signature:
-        preds: set[tuple[str, int]] = set()
-        consts: set[str] = set()
-        funcs: set[tuple[str, int]] = set()
-        for rule in self.rules:
-            for atom in rule.atoms():
-                if isinstance(atom, PredAtom):
-                    preds.add(atom.pred)
-            for t in rule.terms():
-                for s in subterms(t):
-                    if isinstance(s, Func):
-                        funcs.add((s.name, len(s.args)))
-                consts |= constants_of(t)
-        return Signature(frozenset(preds), frozenset(consts), frozenset(funcs))
+        return Signature(
+            frozenset(
+                atom.pred
+                for rule in self.rules
+                for atom in rule.atoms()
+                if isinstance(atom, PredAtom)
+            )
+        )
 
     def __len__(self):
         return len(self.rules)

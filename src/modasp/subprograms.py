@@ -61,6 +61,7 @@ class ClingoProgram:
         return pairs
 
     def subprogram(self, name: str) -> Program:
+        """All rules in the scope of declarations named `name`."""
         declared_params(self.declarations(), name)
         return Program.of(rule for scope, rule in self.scopes() if scope == name)
 
@@ -98,11 +99,6 @@ def declared_params(
     return decls[name]
 
 
-def subprogram(clingo_program: ClingoProgram, name: str) -> Program:
-    """All rules in the scope of declarations named `name`."""
-    return clingo_program.subprogram(name)
-
-
 @dataclass(frozen=True)
 class SubprogramSpec:
     """A request to instantiate one subprogram with one valuation."""
@@ -125,7 +121,6 @@ class ControlPlan:
     head-derived parametric statement.
     """
 
-    constants: tuple[tuple[str, int], ...] = ()
     specs: tuple[SubprogramSpec, ...] = ()
     domain: Optional[tuple[int, int]] = None
     global_kappa: Optional[tuple[tuple[PredKey, tuple[Pattern, ...]], ...]] = None

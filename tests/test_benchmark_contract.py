@@ -2,11 +2,15 @@
 from modasp at module level and runs the CLI on inputs it writes itself, so
 a refactor that drops or renames one of those names breaks the benchmark.
 This imports the workloads module as it is and runs `prepare` for the
-three CLI workloads."""
+three CLI workloads, and runs the generator of `random_compare`."""
 
+import importlib.util
+import random
 from pathlib import Path
 
 import pytest
+
+from modasp.modular import theorem1_check
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CLI_WORKLOADS = ("property_chain", "even_loops", "module_chain")
@@ -23,3 +27,19 @@ def test_cli_workload_prepares(name, tmp_path, monkeypatch):
         assert path.read_text(encoding="utf-8")
     assert (tmp_path / "names.json").is_file()
     assert workload.argv(tmp_path)[0] == workload.command
+
+
+def test_random_compare_generator_runs():
+    # `random_compare` draws its programs from the benchmark's own copy of
+    # the generator, which calls `signature`, `ground`, `extensional_region`
+    # and `is_coherent`.  It is loaded by path: the test suite has a module
+    # of the same name.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_randprog", PERFBENCH / "randprog.py"
+    )
+    randprog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(randprog)
+    rng = random.Random(7)
+    for _ in range(20):
+        P, dom = randprog.random_coherent_program(rng)
+        assert theorem1_check(P, dom, "reduct").equal

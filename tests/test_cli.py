@@ -430,6 +430,46 @@ class TestCheckModelModesAgree:
             assert "outside the declared domain" in err
 
 
+class TestBruteCap:
+    """`brute` walks the subsets of a part's intensional atoms in the
+    candidate, so it refuses more than `DEFAULT_CAP` of them up front."""
+
+    @staticmethod
+    def check(capsys, n, mode, engine):
+        model = " ".join(f"q({i},{i})" for i in range(n + 1))
+        return run(
+            capsys, "check-model", fixture("property.lp"), "--control",
+            fixture("property.ctl"), "-c", f"n={n}", "--mode", mode,
+            "--engine", engine, "--model", model,
+        )
+
+    def test_union_over_the_cap_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = self.check(capsys, 24, "union", "brute")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (3, "")
+        assert "25 intensional atoms" in err
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+    def test_modular_parts_hold_one_atom_each(self, capsys):
+        assert self.check(capsys, 200, "modular", "brute")[:2] == (0, "answer set\n")
+
+    @pytest.mark.parametrize(
+        "mode, verdict", [("union", "kappa-stable model"), ("modular", "answer set")]
+    )
+    def test_reduct_is_not_capped(self, capsys, mode, verdict):
+        assert self.check(capsys, 24, mode, "reduct")[:2] == (0, verdict + "\n")
+
+    def test_cap_is_the_bound(self, capsys, monkeypatch):
+        # Three intensional atoms: walked at cap 3, refused at cap 2.
+        import modasp.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "DEFAULT_CAP", 3)
+        assert self.check(capsys, 2, "union", "brute")[0] == 0
+        monkeypatch.setattr(engine_mod, "DEFAULT_CAP", 2)
+        assert self.check(capsys, 2, "union", "brute")[0] == 3
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "parse", "no-such-file.lp")
@@ -489,6 +529,7 @@ class TestErrors:
             ["instantiate", "--engine", "reduct"],
             ["instantiate", "--cap", "4"],
             ["check-model", "--model", "q(0,0)", "--cap", "4"],
+            ["compare", "--mode", "union"],
         ],
     )
     def test_unread_options_are_refused(self, capsys, argv):
@@ -502,3 +543,67 @@ class TestErrors:
     def test_unknown_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate", "x.lp")
         assert code == 2
+
+
+_ERROR_LP = "#program base.\np.\n#program s(k).\nq(k).\n#program t(a,b).\nr(a,b).\n"
+
+
+def _bad_program(text, position):
+    return ["parse", "e.lp"], {"e.lp": text}, position
+
+
+def _bad_control(text, position, *options):
+    argv = ["solve", "e.lp", "--control", "e.ctl", *options]
+    return argv, {"e.lp": _ERROR_LP, "e.ctl": text}, position
+
+
+class TestErrorPaths:
+    """Every refusal exits 2; those inside a file say where.  File names in
+    `argv` are made in a fresh directory from `files` (None: a directory,
+    which cannot be read as a file)."""
+
+    @pytest.mark.parametrize(
+        "argv, files, position",
+        [
+            _bad_program("use base @.", "line 1, column 10"),
+            _bad_program("p(,).", "line 1, column 3"),
+            _bad_program("1 :- q.", "line 1, column 1"),
+            _bad_program("#program s(k,k).", "line 1, column 14"),
+            (
+                ["check-model", "e.lp", "--control", "e.ctl", "--model", "1<2"],
+                {"e.lp": _ERROR_LP, "e.ctl": "domain 0..1."},
+                "line 1, column 1",
+            ),
+            _bad_control("use s(X).", "line 1, column 1"),
+            _bad_control("const n < 3.", "line 1, column 9"),
+            _bad_control("domain 0..1.\ndomain 0..2.", "line 2, column 1"),
+            _bad_control("frobnicate.", "line 1, column 1"),
+            _bad_control("use s(k) for k of 0..1.", "line 1, column 16"),
+            _bad_control("use s(k) for k in 0..1 allow full.", "line 1, column 30"),
+            _bad_control("use s(1) for k in 0..1.", "line 1, column 5"),
+            _bad_control("use t(k) for k in 0..1.", "line 1, column 1"),
+            _bad_control("domain 0..1.", None, "-c", "n"),
+            (["solve", "e.lp"], {"e.lp": _ERROR_LP}, None),
+            _bad_control(None, None),
+        ],
+    )
+    def test_refused_with_exit_2(self, capsys, tmp_path, argv, files, position):
+        for name, text in files.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        if position is None:
+            assert "column" not in err
+        else:
+            assert f"error: {position}: " in err
+
+    def test_negative_constant_solves(self, capsys, tmp_path):
+        lp = tmp_path / "e.lp"
+        lp.write_text(_ERROR_LP, encoding="utf-8")
+        ctl = tmp_path / "e.ctl"
+        ctl.write_text("const n = -3.\nuse s(n).\ndomain n..0.\n", encoding="utf-8")
+        assert run(capsys, "solve", str(lp), "--control", str(ctl))[:2] == (0, "q(-3)\n")

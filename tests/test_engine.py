@@ -14,7 +14,6 @@ from modasp.engine import (
     classical_satisfies,
     enumerate_kappa_stable,
     extensional_region,
-    ground_with_choices,
     ht_satisfies,
     is_kappa_stable,
     least_model,
@@ -188,10 +187,6 @@ class TestExtensionalRegion:
 
     def test_purely_intensional_is_empty(self):
         assert extensional_region(kappa_int(), [Q], Domain(0, 3)) == frozenset()
-
-    def test_ground_with_choices(self):
-        gp = ground_with_choices(gamma1(), kappa1(), Domain(0, 1))
-        assert gp.choice_atoms == frozenset({q(0, 0), q(1, 0)})
 
 
 class TestIsKappaStable:

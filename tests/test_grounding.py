@@ -132,7 +132,7 @@ class TestContract:
 
     def test_random_rule_programs(self):
         rng = random.Random(13)
-        dom = Domain.build([], 0, 3, func_depth=1)
+        dom = Domain(0, 3)
         nonempty = 0
         for _ in range(150):
             pi = random_rule_program(rng)
@@ -300,7 +300,7 @@ class TestUnionEngines:
         # must equal the least model of every instance, and a constraint
         # whose positive body lies in it must reject it.
         rng = random.Random(15)
-        dom = Domain.build([], 0, 3, func_depth=1)
+        dom = Domain(0, 3)
         checked = models = 0
         for _ in range(400):
             pi = random_rule_program(rng)

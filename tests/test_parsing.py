@@ -22,7 +22,7 @@ from modasp.parsing import (
     parse_term,
 )
 from modasp.program import Comparison, Literal, PredAtom, Program, make_rule
-from modasp.subprograms import SubprogramSpec, subprogram
+from modasp.subprograms import SubprogramSpec
 from modasp.terms import Arith, Numeral, SymbolicConstant, Valuation, Variable
 
 PROPERTY_LP = """\
@@ -96,7 +96,7 @@ class TestParseProgram:
     def test_unknown_subprogram_lists_names(self):
         prog = parse_program(PROPERTY_LP)
         with pytest.raises(UnknownSubprogramError, match="base, property"):
-            subprogram(prog, "nope")
+            prog.subprogram("nope")
 
     def test_comments_and_literals(self):
         text = """\
