@@ -160,7 +160,7 @@ class TestContract:
                 kappa = global_statement(plan, union.signature().predicates)
                 assert_contract(union, dom, region_of(kappa, union, dom))
                 loaded += 1
-        assert loaded == 6
+        assert loaded == 8
 
     def test_property_chain_grounds_linearly(self):
         prog = parse_program((FIXTURES / "property.lp").read_text(encoding="utf-8"))
