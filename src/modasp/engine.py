@@ -22,7 +22,7 @@ from .grounding import (
     ground,
     ground_reachable,
 )
-from .intensionality import IntensionalityStatement, lambda_holds
+from .intensionality import IntensionalityStatement, PatternIndex, lambda_holds
 from .program import (
     Comparison,
     Literal,
@@ -333,10 +333,12 @@ class CompiledParts:
 
     Each part `(ground rules, statement)` gets a `StabilityChecker` over one
     shared atom-to-bit index.  Region masks are computed once per distinct
-    statement: `ext_mask` holds the atoms extensional under the global
-    statement, and `allowed` every atom but the globally intensional ones
-    that lie in no part's region, which the closure condition makes false.
-    Union solving is the one-part case under the global statement.
+    statement: each atom is looked up once in a `PatternIndex` of the
+    statements, and `lambda_holds` decides only the statements it returns.
+    `ext_mask` holds the atoms extensional under the global statement, and
+    `allowed` every atom but the globally intensional ones that lie in no
+    part's region, which the closure condition makes false.  Union solving
+    is the one-part case under the global statement.
     """
 
     def __init__(
@@ -347,15 +349,16 @@ class CompiledParts:
     ):
         self.index = {atom: 1 << i for i, atom in enumerate(universe)}
         self.full = (1 << len(self.index)) - 1
-        regions: dict[IntensionalityStatement, int] = {}
-        masks = []
-        for statement in (kappa, *(st for _, st in parts)):
-            if statement not in regions:
-                regions[statement] = sum(
-                    bit for atom, bit in self.index.items() if lambda_holds(statement, atom)
-                )
-            masks.append(regions[statement])
-        intensional, *part_regions = masks
+        statements = list(dict.fromkeys((kappa, *(st for _, st in parts))))
+        patterns = PatternIndex(statements)
+        regions = [0] * len(statements)
+        for atom, bit in self.index.items():
+            for s in dict.fromkeys(s for s, _ in patterns.candidates(atom.pred, atom.args)):
+                if lambda_holds(statements[s], atom):
+                    regions[s] |= bit
+        region_of = dict(zip(statements, regions))
+        intensional = region_of[kappa]
+        part_regions = [region_of[st] for _, st in parts]
         self.checkers = [
             StabilityChecker(rules, self.index, self.full & ~region)
             for (rules, _), region in zip(parts, part_regions)

@@ -18,6 +18,7 @@ body atoms against derived atoms instead of enumerating the cross product.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import RangeError, SafetyError
@@ -75,10 +76,22 @@ class Domain:
         return cls(lo, hi, frozenset(terms))
 
     def integers(self) -> tuple[Term, ...]:
-        return tuple(Numeral(i) for i in range(self.int_lo, self.int_hi + 1))
+        return self._pools[0]
 
     def terms_sorted(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.general_terms, key=order_key))
+        return self._pools[1]
+
+    @cached_property
+    def _pools(self) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+        """The interval's numerals and all terms in term order, built on
+        first use and kept: every call of `ground` reads both."""
+        terms = tuple(sorted(self.general_terms, key=order_key))
+        integers = tuple(
+            t
+            for t in terms
+            if isinstance(t, Numeral) and self.int_lo <= t.value <= self.int_hi
+        )
+        return integers, terms
 
     def __contains__(self, term: Term) -> bool:
         return term in self.general_terms

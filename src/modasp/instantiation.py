@@ -3,6 +3,7 @@ modules and their parametric templates, and the two collective readings of
 a control plan (plain union vs. a modular program)."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .errors import PatternError, UnboundPlaceholderError
@@ -157,7 +158,8 @@ class ModularProgram:
     """A global intensionality statement with a list of modules.
 
     Construction checks that every module pattern is subsumed by a global
-    pattern, so each atom defined in a module is intensional globally.
+    pattern, so each atom defined in a module is intensional globally.  The
+    signature is built on first use and kept.
     """
 
     kappa: IntensionalityStatement
@@ -167,10 +169,13 @@ class ModularProgram:
         require_coverage(self.kappa, [m.kappa for m in self.modules])
 
     def signature(self) -> Signature:
-        sig = Signature(predicates=frozenset(self.kappa.predicates()))
-        for module in self.modules:
-            sig = sig | module.signature()
-        return sig
+        return Signature(self._predicates)
+
+    @cached_property
+    def _predicates(self) -> frozenset[tuple[str, int]]:
+        return frozenset(self.kappa.predicates()).union(
+            *(m.signature().predicates for m in self.modules)
+        )
 
 
 def collective_union(
@@ -178,10 +183,15 @@ def collective_union(
 ) -> Program:
     """The non-modular reading of a control plan: the set union of every
     instantiated subprogram."""
+    specs = tuple(specs)
+    programs = {
+        name: clingo_program.subprogram(name)
+        for name in dict.fromkeys(spec.name for spec in specs)
+    }
     return Program.of(
         apply_valuation(rule, spec.valuation, spec.placeholders)
         for spec in specs
-        for rule in clingo_program.subprogram(spec.name).rules
+        for rule in programs[spec.name].rules
     )
 
 
@@ -218,17 +228,14 @@ def collective_modular(
     from the plan's `intensional` lines or defaults to purely intensional on
     every predicate of the assembled signature.
     """
-    chis = {
-        name: _plan_chi(clingo_program, plan, name)
-        for name in dict.fromkeys(spec.name for spec in plan.specs)
-    }
+    names = dict.fromkeys(spec.name for spec in plan.specs)
+    chis = {name: _plan_chi(clingo_program, plan, name) for name in names}
+    programs = {name: clingo_program.subprogram(name) for name in names}
     modules = list(
         dict.fromkeys(
             instantiate_module(
                 ParametricModule(
-                    frozenset(spec.placeholders),
-                    chis[spec.name],
-                    clingo_program.subprogram(spec.name),
+                    frozenset(spec.placeholders), chis[spec.name], programs[spec.name]
                 ),
                 spec.valuation,
             )

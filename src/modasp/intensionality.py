@@ -425,6 +425,57 @@ def require_coverage(
 # --- instance overlap (dependency analysis) -------------------------------------
 
 
+class PatternIndex:
+    """The patterns of a list of statements, bucketed so that a lookup by
+    argument tuple skips the patterns that cannot match it.
+
+    A pattern is filed under its predicate, its first ground position k and
+    the value there, or under its predicate alone when every position is a
+    variable.  `candidates(pred, args)` reads, for each such k, the bucket
+    of the simplified `args[k]` when that is precomputed and every pattern
+    filed at k when it is not, plus the all-variable patterns.  A pattern
+    left out holds a precomputed value at k that differs from a precomputed
+    `args[k]`, so it fails `lambda_holds`, `may_share_instance` and
+    `patterns_unify` alike: the index is a prefilter only, and callers still
+    decide each candidate.
+    """
+
+    def __init__(self, statements: Sequence[IntensionalityStatement]):
+        self._open: dict[PredKey, list] = {}
+        self._at: dict[tuple, list] = {}
+        self._valued: dict[tuple, list] = {}
+        for s, statement in enumerate(statements):
+            for pred, patterns in statement.entries:
+                for rank, u in enumerate(patterns):
+                    entry = (s, rank, u)
+                    k = next(
+                        (k for k, e in enumerate(u) if not isinstance(e, Variable)), None
+                    )
+                    if k is None:
+                        self._open.setdefault(pred, []).append(entry)
+                    else:
+                        self._at.setdefault((pred, k), []).append(entry)
+                        self._valued.setdefault((pred, k, u[k]), []).append(entry)
+        self._positions: dict[PredKey, list[int]] = {}
+        for pred, k in sorted(self._at):
+            self._positions.setdefault(pred, []).append(k)
+
+    def candidates(
+        self, pred: PredKey, args: Sequence[Term]
+    ) -> list[tuple[int, Pattern]]:
+        """`(statement index, pattern)` pairs that may match `args`, in the
+        order of a scan over the statements and their patterns."""
+        found = list(self._open.get(pred, ()))
+        for k in self._positions.get(pred, ()):
+            arg = simplify(args[k])
+            if is_precomputed(arg):
+                found += self._valued.get((pred, k, arg), ())
+            else:
+                found += self._at[(pred, k)]
+        found.sort()  # (statement, rank) is unique, so patterns never compare
+        return [(s, u) for s, _, u in found]
+
+
 def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
     """Could some ground instance of `terms` land in the pattern's region?
 

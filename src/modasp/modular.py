@@ -3,7 +3,7 @@ answer sets of modular programs, and the harness comparing them with the
 answer sets of the plain rule union."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TypeVar
 
 from .engine import (
@@ -23,6 +23,7 @@ from .grounding import Domain, ground
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
+    PatternIndex,
     lambda_holds,
     may_share_instance,
     pattern_match,
@@ -86,23 +87,24 @@ V = TypeVar("V")  # any sortable vertex: a Vertex, or a module index
 class DependencyGraph:
     """Vertices pair each predicate with each module index; an edge from
     (p,i) to (q,j) records that a rule can derive a region-i atom of p from
-    a region-j atom of q in its positive body."""
+    a region-j atom of q in its positive body.  `patterns` indexes the
+    module patterns (statement i = module i) the graph was read from; the
+    coherence check and the topo module order look atoms up in it too."""
 
     vertices: tuple[Vertex, ...]
     edges: frozenset[tuple[Vertex, Vertex]]
+    patterns: PatternIndex = field(compare=False, repr=False)
 
 
-def _matching_modules(P: ModularProgram, atom: PredAtom) -> list[int]:
+def _matching_modules(patterns: PatternIndex, atom: PredAtom) -> list[int]:
     """Indices of the modules with a pattern for `atom` that may share an
-    instance with its arguments."""
-    return [
-        i
-        for i, module in enumerate(P.modules)
-        if any(
-            may_share_instance(u, atom.args)
-            for u in module.kappa.patterns_for(atom.pred)
-        )
-    ]
+    instance with its arguments, ascending; only the patterns the index
+    returns for `atom` are tried."""
+    found: list[int] = []
+    for i, u in patterns.candidates(atom.pred, atom.args):
+        if (not found or found[-1] != i) and may_share_instance(u, atom.args):
+            found.append(i)
+    return found
 
 
 def dependency_graph(P: ModularProgram) -> DependencyGraph:
@@ -116,7 +118,13 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
     they never affect containment.  Predicates of equal name but different
     arity share a vertex, which can only merge components (a stricter
     containment check).
+
+    Each atom is tested with `may_share_instance` only against the module
+    patterns a `PatternIndex` returns for it, so when module patterns differ
+    in a ground value, as under collective control, the cost is linear in
+    the rules (see `is_coherent`).
     """
+    patterns = PatternIndex([m.kappa for m in P.modules])
     preds = sorted(P.signature().predicates)
     n = len(P.modules)
     vertices = tuple((name, i) for name, _ in preds for i in range(n))
@@ -127,18 +135,18 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
             if rule in seen_rules or rule.head is None:
                 continue
             seen_rules.add(rule)
-            head_modules = _matching_modules(P, rule.head)
+            head_modules = _matching_modules(patterns, rule.head)
             if not head_modules:
                 continue
             for literal in rule.body:
                 if literal.negations != 0 or not isinstance(literal.atom, PredAtom):
                     continue
-                for j in _matching_modules(P, literal.atom):
+                for j in _matching_modules(patterns, literal.atom):
                     for i in head_modules:
                         edge = ((rule.head.name, i), (literal.atom.name, j))
                         if edge[0] != edge[1]:
                             edges.add(edge)
-    return DependencyGraph(vertices, frozenset(edges))
+    return DependencyGraph(vertices, frozenset(edges), patterns)
 
 
 def strongly_connected_components(
@@ -223,8 +231,13 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
     Checks that every module is simple, that no pair of patterns of one
     predicate across distinct modules unifies, and that every strongly
     connected component of the dependency graph stays inside one module.
-    No interpretation is ever constructed; the cost is polynomial in the
-    number of rules times the square of the number of patterns.
+    No interpretation is ever constructed.  Every rule atom and every
+    pattern is checked only against the module patterns one `PatternIndex`
+    returns for it.  When the patterns of a predicate differ in a ground
+    value, as the instances of one parametric module under collective
+    control do, each lookup returns a bounded number of them and the cost is
+    linear in rules plus patterns; a pattern with a variable at every
+    position still meets every module's patterns of its predicate.
     """
     return _coherence(P, dependency_graph(P))
 
@@ -241,21 +254,27 @@ def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
                     "its statement",
                 )
             )
-    preds = sorted(P.signature().predicates)
-    for key in preds:
-        for i in range(len(P.modules)):
-            for j in range(i + 1, len(P.modules)):
-                for u_i in P.modules[i].kappa.patterns_for(key):
-                    for u_j in P.modules[j].kappa.patterns_for(key):
-                        if patterns_unify(u_i, u_j) is not None:
-                            violations.append(
-                                Violation(
-                                    "tuples-unify",
-                                    f"{key[0]}{pattern_str(u_i)} of module {i} "
-                                    f"unifies with {key[0]}{pattern_str(u_j)} "
-                                    f"of module {j}",
-                                )
-                            )
+    index = graph.patterns
+    for key in sorted(P.signature().predicates):
+        for i, module in enumerate(P.modules):
+            # Pairs (u_i, u_j) with j > i, listed by j, then u_i, then u_j.
+            pairs = []
+            for a, u_i in enumerate(module.kappa.patterns_for(key)):
+                pairs += [
+                    (j, a, b, u_i, u_j)
+                    for b, (j, u_j) in enumerate(index.candidates(key, u_i))
+                    if j > i
+                ]
+            for j, _, _, u_i, u_j in sorted(pairs, key=lambda pair: pair[:3]):
+                if patterns_unify(u_i, u_j) is not None:
+                    violations.append(
+                        Violation(
+                            "tuples-unify",
+                            f"{key[0]}{pattern_str(u_i)} of module {i} "
+                            f"unifies with {key[0]}{pattern_str(u_j)} "
+                            f"of module {j}",
+                        )
+                    )
     for component in strongly_connected_components(graph.vertices, graph.edges):
         indices = {i for _, i in component}
         if len(indices) > 1:
@@ -370,7 +389,9 @@ def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
                 if literal.negations == 0 or not isinstance(literal.atom, PredAtom):
                     continue
                 edges.update(
-                    (i, j) for j in _matching_modules(P, literal.atom) if j != i
+                    (i, j)
+                    for j in _matching_modules(graph.patterns, literal.atom)
+                    if j != i
                 )
     components = strongly_connected_components(range(len(P.modules)), edges)
     if any(len(component) > 1 for component in components):

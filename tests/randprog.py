@@ -7,6 +7,11 @@ patterns across modules unify), heads are drawn from the owning module's
 region (so modules are simple), and positive body atoms only reach regions
 of modules with a lower or equal index (so strongly connected components
 stay inside one module).  Negated literals may point anywhere.
+
+`random_pattern_program` drops those guarantees: it mixes ground and
+variable pattern positions over predicates of arity 0 to 2 and writes rule
+arguments such as `N+1`, `N+N` and `f(X)`, so its programs are mostly
+incoherent.
 """
 
 import random
@@ -17,7 +22,7 @@ from modasp.instantiation import Module, ModularProgram
 from modasp.intensionality import IntensionalityStatement, lambda_holds
 from modasp.modular import is_coherent
 from modasp.program import Comparison, Literal, PredAtom, Program, make_rule
-from modasp.terms import Numeral, Variable
+from modasp.terms import Arith, Func, Numeral, Sort, SymbolicConstant, Variable
 
 PREDS = ("p", "q")
 
@@ -203,3 +208,92 @@ def random_ground_instance(rng: random.Random, max_base: int = 12):
 
 def true_intensional_atoms(I, kappa):
     return [atom for atom in I.sorted_atoms() if lambda_holds(kappa, atom)]
+
+
+# Predicates and values of `random_pattern_program`.
+PATTERN_PREDS = (("e", 0), ("p", 1), ("q", 2), ("r", 2))
+PATTERN_VALUES = (
+    Numeral(0),
+    Numeral(1),
+    Numeral(2),
+    SymbolicConstant("a"),
+    Func("f", (Numeral(0),)),
+)
+
+
+def _random_pattern(rng, arity, ground_share):
+    return tuple(
+        rng.choice(PATTERN_VALUES) if rng.random() < ground_share else Variable(f"X{k + 1}")
+        for k in range(arity)
+    )
+
+
+def _random_rule_term(rng):
+    """A rule argument: a value, a variable, `N+1`, `N+N`, `f(X)`, or ground
+    arithmetic such as `0+1`, which instantiating `k+1` leaves behind."""
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.choice(PATTERN_VALUES)
+    if roll < 0.4:
+        return Arith("+", Numeral(rng.randint(0, 1)), Numeral(1))
+    if roll < 0.55:
+        return Variable(rng.choice("XY"))
+    n = Variable("N", Sort.INTEGER)
+    if roll < 0.7:
+        return Arith("+", n, Numeral(1))
+    if roll < 0.8:
+        return Arith("+", n, n)
+    if roll < 0.9:
+        return Func("f", (Variable("X"),))
+    return n
+
+
+def random_pattern_atom(rng):
+    name, arity = rng.choice(PATTERN_PREDS)
+    return PredAtom(name, tuple(_random_rule_term(rng) for _ in range(arity)))
+
+
+def random_pattern_program(rng: random.Random):
+    """A modular program over `PATTERN_PREDS` with 1 to 5 modules whose
+    patterns mix ground and variable positions.
+
+    Module patterns are drawn at random, so pairs often unify; heads are
+    drawn from every predicate, so modules are often not simple; bodies
+    point anywhere, so components often span modules.  The global statement
+    covers every module pattern, with variables only or with the module
+    patterns themselves plus some more.
+    """
+    statements = []
+    for _ in range(rng.randint(1, 5)):
+        mapping = {}
+        for key in rng.sample(PATTERN_PREDS, rng.randint(0, 3)):
+            share = rng.choice((0.0, 0.5, 1.0))
+            mapping[key] = [
+                _random_pattern(rng, key[1], share) for _ in range(rng.randint(1, 3))
+            ]
+        statements.append(mapping)
+    global_map = {}
+    for mapping in statements:
+        for key, patterns in mapping.items():
+            global_map.setdefault(key, []).extend(patterns)
+    for key in list(global_map):
+        if rng.random() < 0.5:
+            global_map[key] = [tuple(Variable(f"X{k + 1}") for k in range(key[1]))]
+        else:
+            global_map[key] += [_random_pattern(rng, key[1], 0.5)]
+    modules = []
+    for mapping in statements:
+        rules = []
+        for _ in range(rng.randint(0, 4)):
+            head = None if rng.random() < 0.15 else random_pattern_atom(rng)
+            body = [
+                Literal(random_pattern_atom(rng), rng.choice((0, 0, 1, 2)))
+                for _ in range(rng.randint(0, 3))
+            ]
+            if head is None and not body:
+                continue
+            rules.append(make_rule(head, body))
+        modules.append(
+            Module(IntensionalityStatement.of(mapping), Program.of(rules))
+        )
+    return ModularProgram(IntensionalityStatement.of(global_map), tuple(modules))

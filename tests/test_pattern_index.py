@@ -1,0 +1,346 @@
+"""The pattern index behind the modular layer: every lookup it serves gives
+what a scan of all modules gives, and the number of pattern checks grows
+linearly with the number of modules under collective control."""
+
+import contextlib
+import io
+import itertools
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import randprog
+from modasp.cli import main
+from modasp.engine import CompiledParts
+from modasp.errors import EngineError
+from modasp.intensionality import (
+    IntensionalityStatement,
+    PatternIndex,
+    lambda_holds,
+    may_share_instance,
+    pattern_str,
+    patterns_unify,
+)
+from modasp.modular import (
+    CoherenceReport,
+    Violation,
+    _module_order,
+    dependency_graph,
+    is_coherent,
+    is_simple_module,
+    strongly_connected_components,
+)
+from modasp.program import PredAtom, atom_order_key
+from modasp.terms import Arith, Numeral, Sort, Variable
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+CHAIN_LP = """\
+#program base.
+p(0).
+#program step(k).
+p(k+1) :- p(k).
+"""
+CHAIN_CTL = """\
+use base.
+use step(k) for k in 0..n-1.
+domain 0..n.
+"""
+
+
+# --- full-scan references: every module is tried for every lookup ------------------
+
+
+def scan_matching_modules(P, atom):
+    return [
+        i
+        for i, module in enumerate(P.modules)
+        if any(
+            may_share_instance(u, atom.args)
+            for u in module.kappa.patterns_for(atom.pred)
+        )
+    ]
+
+
+def scan_edges(P):
+    edges = set()
+    seen = set()
+    for module in P.modules:
+        for rule in module.pi.rules:
+            if rule in seen or rule.head is None:
+                continue
+            seen.add(rule)
+            heads = scan_matching_modules(P, rule.head)
+            for literal in rule.body:
+                if literal.negations or not isinstance(literal.atom, PredAtom):
+                    continue
+                for j in scan_matching_modules(P, literal.atom):
+                    for i in heads:
+                        edge = ((rule.head.name, i), (literal.atom.name, j))
+                        if edge[0] != edge[1]:
+                            edges.add(edge)
+    return edges
+
+
+def scan_module_order(P, edges):
+    module_edges = {(i, j) for (_, i), (_, j) in edges if i != j}
+    for i, module in enumerate(P.modules):
+        for rule in module.pi.rules:
+            for literal in rule.body:
+                if literal.negations and isinstance(literal.atom, PredAtom):
+                    module_edges.update(
+                        (i, j) for j in scan_matching_modules(P, literal.atom) if j != i
+                    )
+    components = strongly_connected_components(range(len(P.modules)), module_edges)
+    if any(len(c) > 1 for c in components):
+        return None
+    return [i for (i,) in components]
+
+
+def scan_report(P):
+    violations = []
+    for i, module in enumerate(P.modules):
+        simple, witness = is_simple_module(module)
+        if not simple:
+            violations.append(
+                Violation(
+                    "module-not-simple",
+                    f"head atom {witness} of module {i} matches no pattern of "
+                    "its statement",
+                )
+            )
+    for key in sorted(P.signature().predicates):
+        for i in range(len(P.modules)):
+            for j in range(i + 1, len(P.modules)):
+                for u_i in P.modules[i].kappa.patterns_for(key):
+                    for u_j in P.modules[j].kappa.patterns_for(key):
+                        if patterns_unify(u_i, u_j) is not None:
+                            violations.append(
+                                Violation(
+                                    "tuples-unify",
+                                    f"{key[0]}{pattern_str(u_i)} of module {i} "
+                                    f"unifies with {key[0]}{pattern_str(u_j)} "
+                                    f"of module {j}",
+                                )
+                            )
+    preds = sorted(P.signature().predicates)
+    vertices = [(name, i) for name, _ in preds for i in range(len(P.modules))]
+    for component in strongly_connected_components(vertices, scan_edges(P)):
+        indices = {i for _, i in component}
+        if len(indices) > 1:
+            names = ", ".join(f"({p},{i})" for p, i in component)
+            violations.append(
+                Violation(
+                    "scc-spans-modules",
+                    f"strongly connected component {{{names}}} spans modules "
+                    f"{sorted(indices)}",
+                )
+            )
+    return CoherenceReport(not violations, tuple(violations))
+
+
+def scan_region(statement, universe):
+    return sum(1 << b for b, atom in enumerate(universe) if lambda_holds(statement, atom))
+
+
+# --- random programs ---------------------------------------------------------------
+
+
+def universe_of(P, values):
+    """Every atom over the program's predicates and the given values."""
+    return sorted(
+        (
+            PredAtom(name, args)
+            for name, arity in P.signature().predicates
+            for args in itertools.product(values, repeat=arity)
+        ),
+        key=atom_order_key,
+    )
+
+
+def programs():
+    """Mostly incoherent programs with binary, zero-arity and mixed
+    patterns, then coherent unary ones, each with the values to build a
+    universe from."""
+    rng = random.Random(4242)
+    for _ in range(300):
+        yield randprog.random_pattern_program(rng), randprog.PATTERN_VALUES
+    for _ in range(100):
+        P, dom = randprog.random_coherent_program(rng)
+        yield P, dom.terms_sorted()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return list(programs())
+
+
+class TestPatternIndex:
+    def test_candidates_cover_every_match_in_scan_order(self):
+        rng = random.Random(99)
+        queries = 0
+        for _ in range(200):
+            P = randprog.random_pattern_program(rng)
+            statements = [m.kappa for m in P.modules]
+            index = PatternIndex(statements)
+            for _ in range(20):
+                atom = randprog.random_pattern_atom(rng)
+                scan = [
+                    (s, u)
+                    for s, st in enumerate(statements)
+                    for u in st.patterns_for(atom.pred)
+                ]
+                found = index.candidates(atom.pred, atom.args)
+                # A subsequence of the scan holding every pattern that may
+                # share an instance with the atom.
+                assert found == [c for c in scan if c in found]
+                assert {c for c in scan if may_share_instance(c[1], atom.args)} <= set(found)
+                queries += 1
+        assert queries == 4000
+
+    def test_variable_and_arithmetic_arguments_read_the_whole_position(self):
+        index = PatternIndex(
+            [
+                IntensionalityStatement.of({("q", 2): [(Numeral(1), Variable("X2"))]}),
+                IntensionalityStatement.of({("q", 2): [(Numeral(2), Variable("X2"))]}),
+                IntensionalityStatement.of({("q", 2): [(Variable("X1"), Numeral(0))]}),
+            ]
+        )
+        def statements(*args):
+            return [s for s, _ in index.candidates(("q", 2), args)]
+
+        n_plus_1 = Arith("+", Variable("N", Sort.INTEGER), Numeral(1))
+        assert statements(n_plus_1, Numeral(0)) == [0, 1, 2]
+        assert statements(n_plus_1, Numeral(5)) == [0, 1]
+        assert statements(Numeral(2), Variable("Y")) == [1, 2]
+        assert statements(Arith("+", Numeral(1), Numeral(1)), Numeral(5)) == [1]
+        assert index.candidates(("q", 1), (Numeral(1),)) == []
+
+
+class TestAgainstFullScan:
+    def test_corpus_has_both_kinds(self, corpus):
+        coherent = sum(is_coherent(P).coherent for P, _ in corpus)
+        assert 100 < coherent < len(corpus) - 100
+
+    def test_dependency_graph_edges(self, corpus):
+        for P, _ in corpus:
+            assert dependency_graph(P).edges == scan_edges(P)
+
+    def test_module_order_or_refusal(self, corpus):
+        refused = 0
+        for P, _ in corpus:
+            expected = scan_module_order(P, scan_edges(P))
+            try:
+                got = _module_order(P, dependency_graph(P))
+            except EngineError:
+                got = None
+                refused += 1
+            assert got == expected
+        assert 0 < refused < len(corpus)
+
+    def test_coherence_report_text_and_order(self, corpus):
+        for P, _ in corpus:
+            expected = scan_report(P)
+            got = is_coherent(P)
+            assert got == expected
+            assert str(got) == str(expected)
+
+    def test_compiled_region_masks(self, corpus):
+        for P, values in corpus:
+            universe = universe_of(P, values)
+            compiled = CompiledParts(universe, P.kappa, [((), m.kappa) for m in P.modules])
+            full = (1 << len(universe)) - 1
+            regions = [scan_region(m.kappa, universe) for m in P.modules]
+            for checker, region in zip(compiled.checkers, regions):
+                assert checker.ext_mask == full & ~region
+            intensional = scan_region(P.kappa, universe)
+            defined = 0
+            for region in regions:
+                defined |= region
+            assert compiled.ext_mask == full & ~intensional
+            assert compiled.allowed == full & ~(intensional & ~defined)
+
+
+# --- call counts ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the pattern checks made through the modular layer and the
+    compile step."""
+    import modasp.engine as engine_mod
+    import modasp.modular as modular_mod
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for target, name in (
+        (modular_mod, "may_share_instance"),
+        (modular_mod, "patterns_unify"),
+        (modular_mod, "lambda_holds"),
+        (engine_mod, "lambda_holds"),
+    ):
+        monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
+    return counts
+
+
+def run_counted(calls, argv):
+    calls.clear()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue(), dict(calls)
+
+
+class TestLinearity:
+    CHECKS = ("may_share_instance", "patterns_unify", "lambda_holds")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--mode", "modular", "--engine", "topo", "--cap", "1000"],
+            ["check-coherence"],
+        ],
+        ids=["solve-topo", "check-coherence"],
+    )
+    def test_chain_checks_grow_with_the_module_count(self, command, calls, tmp_path):
+        lp, ctl = tmp_path / "chain.lp", tmp_path / "chain.ctl"
+        lp.write_text(CHAIN_LP, encoding="utf-8")
+        ctl.write_text(CHAIN_CTL, encoding="utf-8")
+        counts = {}
+        for n in (100, 400):
+            argv = [command[0], str(lp), "--control", str(ctl), "-c", f"n={n}", *command[1:]]
+            code, out, counts[n] = run_counted(calls, argv)
+            assert code == 0
+        # Four times the modules, at most about four times the checks (a
+        # scan of every module per lookup makes it sixteen).
+        for name in self.CHECKS:
+            assert counts[400].get(name, 0) <= 4.5 * counts[100].get(name, 0), name
+        assert counts[100]["may_share_instance"] > 0
+        if command[0] == "solve":
+            assert counts[100]["lambda_holds"] > 0
+
+    def test_modular_check_model_region_checks(self, calls):
+        # The n=200 property model: 201 atoms q(i,i), 201 modules with one
+        # pattern each and one global pattern.  Every module region used to
+        # test every atom (40,602 calls); each atom now meets the global
+        # pattern and the one module pattern that holds its value.
+        n = 200
+        model = " ".join(f"q({i},{i})" for i in range(n + 1))
+        argv = [
+            "check-model", str(FIXTURES / "property.lp"),
+            "--control", str(FIXTURES / "property.ctl"), "-c", f"n={n}",
+            "--mode", "modular", "--model", model,
+        ]
+        code, out, counts = run_counted(calls, argv)
+        assert (code, out) == (0, "answer set\n")
+        atoms, patterns = n + 1, (n + 1) + 1
+        assert counts["lambda_holds"] <= 2 * (atoms + patterns)
