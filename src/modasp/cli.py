@@ -29,7 +29,12 @@ from .engine import (
 )
 from .errors import CapacityError, ModaspError, RequirementError
 from .grounding import Domain
-from .instantiation import collective_modular, collective_union, global_statement
+from .instantiation import (
+    ModularProgram,
+    collective_modular,
+    collective_union,
+    global_statement,
+)
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
@@ -39,7 +44,6 @@ from .modular import (
     theorem1_check,
 )
 from .parsing import parse_control, parse_ground_atom, parse_program
-from .program import Program
 from .subprograms import ClingoProgram, ControlPlan
 
 
@@ -141,16 +145,21 @@ def _load_plan(args) -> tuple[ClingoProgram, ControlPlan]:
     return prog, parse_control(text, prog, _parse_overrides(args.const))
 
 
-def _load_union(args) -> tuple[ClingoProgram, ControlPlan, Program, Domain]:
-    """The program and plan, the union program and the domain built over it."""
+def _load_bounded(args) -> tuple[ClingoProgram, ControlPlan, tuple[int, int]]:
+    """The program and plan of a command that grounds, and the plan's domain
+    interval; refuses a plan without one."""
     prog, plan = _load_plan(args)
-    union = collective_union(prog, plan.specs)
     if plan.domain is None:
         raise _UsageError(
             "the control file must declare a domain, e.g. `domain 0..10.`"
         )
-    lo, hi = plan.domain
-    return prog, plan, union, Domain.build([union], lo, hi)
+    return prog, plan, plan.domain
+
+
+def _module_domain(modular: ModularProgram, bounds: tuple[int, int]) -> Domain:
+    """The domain over the module rules, which hold every term of the union
+    program."""
+    return Domain.build([m.pi for m in modular.modules], *bounds)
 
 
 def _kappa_json(kappa: IntensionalityStatement) -> dict:
@@ -235,13 +244,16 @@ def _cmd_instantiate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    prog, plan, union, dom = _load_union(args)
+    prog, plan, bounds = _load_bounded(args)
     if args.mode == "union":
+        union = collective_union(prog, plan.specs)
         kappa = global_statement(plan, union.signature().predicates)
+        dom = Domain.build([union], *bounds)
         models = enumerate_kappa_stable(kappa, union, dom, args.engine, args.cap)
     else:
         _require_engine(args.engine, MODULAR_ENGINES)
         modular = collective_modular(prog, plan)
+        dom = _module_domain(modular, bounds)
         models = modular_answer_sets(modular, dom, args.engine, args.cap)
     models = _sorted_interpretations(models)
     _emit(
@@ -277,9 +289,10 @@ def _cmd_check_coherence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    prog, plan, _, dom = _load_union(args)
+    prog, plan, bounds = _load_bounded(args)
     _require_engine(args.engine, MODULAR_ENGINES)
     modular = collective_modular(prog, plan)
+    dom = _module_domain(modular, bounds)
     report = theorem1_check(modular, dom, args.engine, args.cap)
     _emit(
         args,
@@ -297,16 +310,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
-    prog, plan, union, dom = _load_union(args)
+    prog, plan, bounds = _load_bounded(args)
     atoms = [parse_ground_atom(part) for part in args.model.split()]
     candidate = Interpretation.of(atoms)
     _require_engine(args.engine, CHECK_ENGINES)
     if args.mode == "union":
+        union = collective_union(prog, plan.specs)
         kappa = global_statement(plan, union.signature().predicates)
+        dom = Domain.build([union], *bounds)
         parts = [(union, kappa)]
         yes, no = "kappa-stable model", "not a kappa-stable model"
     else:
         modular = collective_modular(prog, plan)
+        dom = _module_domain(modular, bounds)
         kappa, parts = modular.kappa, [(m.pi, m.kappa) for m in modular.modules]
         yes, no = "answer set", "not an answer set"
     verdict = is_stable_in_parts(candidate, kappa, parts, dom, args.engine)

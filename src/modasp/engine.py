@@ -506,26 +506,141 @@ def _search(
     """Splitting-set search over candidate bit masks.
 
     Starting from the empty candidate, each block `(mask, checkers)` extends
-    every candidate so far by every subset of `mask` and keeps the
-    extensions that all of its checkers accept.
+    every candidate so far by subsets of `mask` and keeps the extensions
+    that all of its checkers accept (`check` with `engine`).  The subsets
+    are not walked one by one: `_extensions` propagates and branches, so
+    the candidates it examines are about the accepted ones.
     """
     candidates = [0]
     for mask, checkers in blocks:
+        # Each rule as (head, positive and double-negated body, negated
+        # body); a constraint's head is 0, which is never true.
+        parts = [
+            (
+                c.ext_mask,
+                [(h or 0, pos | negneg, neg) for h, pos, neg, negneg in c.compiled],
+            )
+            for c in checkers
+        ]
+        leaves = [
+            c.minimal_brute if engine == "brute" else c.minimal_reduct
+            for c in checkers
+        ]
         extended = []
         for partial in candidates:
-            s = mask
-            while True:
-                T = partial | s
-                for checker in checkers:
-                    if not checker.check(T, engine):
-                        break
-                else:
-                    extended.append(T)
-                if s == 0:
-                    break
-                s = (s - 1) & mask
+            extended += _extensions(partial, mask, parts, leaves)
         candidates = extended
     return candidates
+
+
+def _extensions(partial: int, mask: int, parts, leaves) -> list[int]:
+    """Every `T = partial | s`, `s` a subset of `mask`, that a block's
+    checkers accept, found depth-first by propagating and branching.
+    `parts` holds each checker's `ext_mask` and rules as `_search` prepares
+    them, and `leaves` its minimality test.
+
+    The atoms of `partial` are true and every other atom outside `mask` is
+    false; the rest of `mask` is open.  Rules whose body is already false
+    are dropped once; a rule left with no open atom either holds, and is
+    dropped, or rejects every extension.  Then, until nothing changes:
+
+    * rule propagation: a rule whose body is true sets its head true; a
+      constraint, or a head already false, is a conflict;
+    * support propagation: an open atom in a checker's own region is set
+      false when every rule of that checker with that head has a false
+      body; if it is already true, that is a conflict.
+
+    The search then branches on the lowest open atom.  At a total
+    assignment rule propagation has made `T` a classical model of every
+    checker, so only the leaves are left to test, `minimal_brute` under
+    `brute` and `minimal_reduct` otherwise; that test is exact, so the
+    answers do not rest on the propagator.  Each pruning drops only
+    assignments `check` rejects.  Rule propagation drops classical
+    counter-models.  Support propagation drops a `T` in which an atom `a`
+    of the checker's region is true while every rule with head `a` has a
+    false body.  The reduct never derives such an `a`, so `minimal_reduct`
+    fails.  And `T` without `a` keeps every true extensional atom and is
+    closed under the rules live at `T`, whose heads all lie in `T` and
+    differ from `a`, so `minimal_brute` fails as well.
+    """
+    true, open_ = partial, mask & ~partial
+    possible = true | open_
+    rules = []
+    supports = []
+    underivable = relevant = 0
+    for ext_mask, compiled in parts:
+        own = open_ & ~ext_mask
+        heads: dict[int, list[tuple[int, int]]] = {}
+        for rule in compiled:
+            head, body, neg = rule
+            if body & possible != body or neg & true:
+                continue  # body false under every extension
+            if not (head | body | neg) & open_:
+                if not head & true:
+                    return []
+                continue
+            rules.append(rule)
+            relevant |= head | body | neg
+            if head & own:
+                heads.setdefault(head, []).append((body, neg))
+        while own:
+            bit = own & -own
+            own ^= bit
+            if bit in heads:
+                supports.append((bit, heads[bit]))
+            else:
+                underivable |= bit
+    open_ &= ~underivable
+    found = []
+    stack = [(true, open_, bool(rules))]
+    while stack:
+        true, open_, changed = stack.pop()
+        if changed:
+            state = _propagate(true, open_, rules, supports)
+            if state is None:
+                continue
+            true, open_ = state
+        if open_:
+            bit = open_ & -open_
+            open_ ^= bit
+            # Deciding an atom that no kept rule mentions propagates nothing.
+            changed = bit & relevant
+            stack.append((true, open_, changed))
+            stack.append((true | bit, open_, changed))
+        else:
+            for leaf in leaves:
+                if not leaf(true):
+                    break
+            else:
+                found.append(true)
+    return found
+
+
+def _propagate(true, open_, rules, supports):
+    """Rule and support propagation to a fixpoint (see `_extensions`);
+    returns the new `(true, open_)`, or None on a conflict."""
+    while True:
+        before = open_
+        possible = true | open_
+        for head, body, neg in rules:
+            if body & true == body and not neg & possible:
+                if not head & possible:
+                    return None
+                if head & open_:
+                    true |= head
+                    open_ ^= head
+        for bit, bodies in supports:
+            if bit & possible:
+                for body, neg in bodies:
+                    if body & possible == body and not neg & true:
+                        break  # a rule that can still derive the atom
+                else:
+                    if bit & true:
+                        return None
+                    open_ &= ~bit
+                    possible &= ~bit
+        if open_ == before:
+            return true, open_
 
 
 def enumerate_kappa_stable(

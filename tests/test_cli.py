@@ -393,6 +393,44 @@ class TestCheckModel:
         assert calls == []
 
 
+class TestModularLoad:
+    """Modular commands take their domain from the module rules and build
+    no union program of their own."""
+
+    COMMANDS = [
+        ["solve", "--mode", "modular"],
+        ["compare"],
+        ["check-model", "--mode", "modular", "--model", "q(0,0)"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_no_union_program(self, capsys, monkeypatch, argv):
+        import modasp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "collective_union", None)
+        command, *options = argv
+        code, out, _ = run(
+            capsys, command, fixture("p1.lp"), "--control", fixture("p1.ctl"),
+            *options,
+        )
+        assert code in (0, 1) and out
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_missing_domain_comes_before_construction(self, capsys, tmp_path, argv):
+        # Without a domain the usage error wins over the construction
+        # error this plan would raise (exit 1).
+        program = tmp_path / "r.lp"
+        program.write_text("q(0,1).\n", encoding="utf-8")
+        control = tmp_path / "r.ctl"
+        control.write_text("use base.\nintensional q(X,2).\n", encoding="utf-8")
+        command, *options = argv
+        code, out, err = run(
+            capsys, command, str(program), "--control", str(control), *options
+        )
+        assert (code, out) == (2, "")
+        assert "must declare a domain" in err
+
+
 class TestCheckModelModesAgree:
     """Both modes validate the candidate and ground every part before any
     part may reject it, so they fail on the same inputs."""

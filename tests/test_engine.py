@@ -7,6 +7,7 @@ import pytest
 from modasp.engine import (
     CompiledParts,
     HTInterpretation,
+    StabilityChecker,
     Interpretation,
     _relevant_base,
     _search,
@@ -26,8 +27,10 @@ from modasp.errors import (
     SafetyError,
 )
 from modasp.grounding import Domain, GroundRule, ground
+from modasp.instantiation import collective_modular, collective_union, global_statement
 from modasp.intensionality import IntensionalityStatement
-from modasp.parsing import parse_program
+from modasp.modular import modular_answer_sets
+from modasp.parsing import parse_control, parse_program
 from modasp.program import Comparison, Literal, PredAtom, Program, make_rule
 from modasp.terms import Numeral, SymbolicConstant, Variable
 
@@ -337,7 +340,73 @@ class TestReferenceAgreement:
         assert compared > 200
 
 
+def _sweep(blocks, engine):
+    """The reference for `_search`: every candidate over the blocks'
+    masks whose part on the first i masks the i-th block's checkers accept
+    (`check`), found by trying all of `range(1 << n)`."""
+    covered = 0
+    for mask, _ in blocks:
+        covered |= mask
+    found = set()
+    for T in range(1 << covered.bit_length()):
+        if T & ~covered:
+            continue
+        prefix = 0
+        for mask, checkers in blocks:
+            prefix |= mask
+            if not all(c.check(T & prefix, engine) for c in checkers):
+                break
+        else:
+            found.add(T)
+    return found
+
+
+def _modular_parts(P, dom, cap=24):
+    """The compiled modules of `P` over its relevant base, as the modular
+    `brute`/`reduct` engines build them."""
+    grounded = [ground(m.pi, dom) for m in P.modules]
+    region = extensional_region(P.kappa, P.signature().predicates, dom)
+    base = _relevant_base(grounded, region, cap)
+    return CompiledParts(
+        base, P.kappa, [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)]
+    )
+
+
+def _pattern_parts(rng, wanted, max_base=12):
+    """Compiled modules of mostly incoherent `random_pattern_program`s whose
+    relevant base has at most `max_base` atoms; unsafe draws are skipped."""
+    import randprog
+
+    out = []
+    while len(out) < wanted:
+        P = randprog.random_pattern_program(rng)
+        dom = Domain.build([m.pi for m in P.modules], 0, 1)
+        try:
+            out.append(_modular_parts(P, dom, max_base))
+        except (CapacityError, SafetyError):
+            continue
+    return out
+
+
+def _hand_checker(rules, universe, intensional):
+    """One checker over `universe` for ground `rules`; the atoms of
+    `intensional` form its region."""
+    kappa = IntensionalityStatement.of(
+        {(a.name, len(a.args)): [a.args] for a in intensional}
+    )
+    (checker,) = CompiledParts(universe, kappa, [(rules, kappa)]).checkers
+    return checker
+
+
+P0, Q0 = PredAtom("p", ()), PredAtom("q", ())
+
+
 class TestSearch:
+    """`_search` propagates and branches; it must accept exactly what the
+    subset walk over `check` accepts."""
+
+    ENGINES = ("brute", "reduct")
+
     def test_blocks_match_plain_sweep(self):
         import randprog
 
@@ -350,7 +419,7 @@ class TestSearch:
             compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
             (checker,) = compiled.checkers
             full = (1 << len(base)) - 1
-            for engine in ("brute", "reduct"):
+            for engine in self.ENGINES:
                 sweep = {
                     T for T in range(1 << len(base)) if checker.check(T, engine)
                 }
@@ -365,6 +434,135 @@ class TestSearch:
                     engine,
                 )
                 assert sorted(split) == sorted(sweep)
+
+    def test_modular_parts_match_sweep(self):
+        import randprog
+
+        rng = random.Random(11)
+        parts = [
+            _modular_parts(*randprog.random_coherent_program(rng))
+            for _ in range(25)
+        ]
+        parts += _pattern_parts(rng, 25)
+        multi = 0
+        for compiled in parts:
+            blocks = [(compiled.allowed, compiled.checkers)]
+            multi += len(compiled.checkers) > 1
+            for engine in self.ENGINES:
+                found = _search(blocks, engine)
+                assert len(found) == len(set(found))
+                assert set(found) == _sweep(blocks, engine)
+        assert multi >= 20
+
+    def test_random_splits_match_sweep(self):
+        import randprog
+
+        rng = random.Random(13)
+        parts = [
+            _modular_parts(*randprog.random_coherent_program(rng))
+            for _ in range(20)
+        ]
+        parts += _pattern_parts(rng, 20)
+        outside = 0
+        for compiled in parts:
+            n, k = len(compiled.index), rng.randint(2, 3)
+            owner = [rng.randrange(k) for _ in range(n)]
+            blocks = []
+            for b in range(k):
+                mask = sum(1 << i for i in range(n) if owner[i] == b)
+                checkers = [c for c in compiled.checkers if rng.random() < 0.7]
+                blocks.append((mask, checkers))
+            blocks.append((0, compiled.checkers))
+            for engine in self.ENGINES:
+                assert set(_search(blocks, engine)) == _sweep(blocks, engine)
+            # The blocks are disjoint, so a non-empty candidate of the first
+            # block holds atoms outside every later block.
+            outside += any(_search(blocks[:1], "reduct"))
+        assert outside >= 10
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_self_loop_is_rejected_only_by_minimality(self, engine):
+        # p :- p.  {p} is a classical model; only minimality rejects it.
+        checker = _hand_checker([GroundRule(P0, (P0,))], [P0], [P0])
+        assert checker.classical(1) and not checker.check(1, engine)
+        assert _search([(1, [checker])], engine) == [0]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_double_negation_keeps_both(self, engine):
+        # p :- not not p.  Both {} and {p} are stable.
+        checker = _hand_checker([GroundRule(P0, negneg=(P0,))], [P0], [P0])
+        assert sorted(_search([(1, [checker])], engine)) == [0, 1]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_head_outside_index_is_a_constraint(self, engine):
+        # q :- p.  over the universe {p}, p extensional: q is not indexed,
+        # so the rule compiles to the constraint `:- p`.
+        checker = _hand_checker([GroundRule(Q0, (P0,))], [P0], [])
+        assert checker.compiled == [(None, 1, 0, 0)]
+        assert _search([(1, [checker])], engine) == [0]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_block_mask_checks_the_partial(self, engine):
+        # p.  over {p}: the empty candidate fails, {p} passes, and an empty
+        # block adds nothing but the check.
+        checker = _hand_checker([GroundRule(P0)], [P0], [P0])
+        assert _search([(0, [checker])], engine) == []
+        assert _search([(1, []), (0, [checker])], engine) == [1]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_block_without_checkers_keeps_every_subset(self, engine):
+        assert sorted(_search([(0b1011, [])], engine)) == [
+            0, 1, 2, 3, 8, 9, 10, 11,
+        ]
+        assert sorted(_search([(0b1, []), (0b10, [])], engine)) == [0, 1, 2, 3]
+
+
+EVEN_LOOP = """
+p(X) :- not r(X), s(X).
+r(X) :- not p(X), s(X).
+"""
+
+
+def _even_loop(hi):
+    """Two even negative loops over `domain 0..hi`: 3 * (hi + 1) atoms and
+    3 ** (hi + 1) answer sets."""
+    prog = parse_program(EVEN_LOOP)
+    plan = parse_control(
+        f"use base. domain 0..{hi}. intensional p(X). intensional r(X).", prog
+    )
+    union = collective_union(prog, plan.specs)
+    kappa = global_statement(plan, union.signature().predicates)
+    dom = Domain.build([union], *plan.domain)
+    return kappa, union, collective_modular(prog, plan), dom
+
+
+class TestCandidateCount:
+    """The search examines about as many candidates as there are answer
+    sets: each minimality test is one candidate that reached a leaf."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = [0]
+        minimal_reduct = StabilityChecker.minimal_reduct
+
+        def counted(self, T):
+            counter[0] += 1
+            return minimal_reduct(self, T)
+
+        monkeypatch.setattr(StabilityChecker, "minimal_reduct", counted)
+        return counter
+
+    def test_even_loop_minimality_calls(self, calls):
+        kappa, union, modular, dom = _even_loop(5)
+        assert len(enumerate_kappa_stable(kappa, union, dom, "reduct")) == 729
+        assert 729 <= calls[0] <= 2 * 729  # of 2 ** 18 = 262,144 subsets
+        calls[0] = 0
+        assert len(modular_answer_sets(modular, dom, "reduct")) == 729
+        assert 729 <= calls[0] <= 2 * 729
+
+    def test_even_loop_at_the_default_cap(self):
+        kappa, union, _, dom = _even_loop(7)
+        assert len(enumerate_kappa_stable(kappa, union, dom, "reduct")) == 6561
 
 
 class TestLeastModel:
