@@ -24,7 +24,7 @@ from .engine import (
     ENGINES,
     Interpretation,
     _require_engine,
-    enumerate_kappa_stable,
+    _stable_models,
     is_stable_in_parts,
 )
 from .errors import CapacityError, ModaspError, RequirementError
@@ -38,9 +38,8 @@ from .instantiation import (
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
-    _sorted_interpretations,
+    _answer_sets,
     is_coherent,
-    modular_answer_sets,
     theorem1_check,
 )
 from .parsing import parse_control, parse_ground_atom, parse_program
@@ -249,13 +248,12 @@ def _cmd_solve(args) -> int:
         union = collective_union(prog, plan.specs)
         kappa = global_statement(plan, union.signature().predicates)
         dom = Domain.build([union], *bounds)
-        models = enumerate_kappa_stable(kappa, union, dom, args.engine, args.cap)
+        models = _stable_models(kappa, union, dom, args.engine, args.cap)
     else:
         _require_engine(args.engine, MODULAR_ENGINES)
         modular = collective_modular(prog, plan)
         dom = _module_domain(modular, bounds)
-        models = modular_answer_sets(modular, dom, args.engine, args.cap)
-    models = _sorted_interpretations(models)
+        models = _answer_sets(modular, dom, args.engine, args.cap)
     _emit(
         args,
         [str(I) for I in models],

@@ -10,7 +10,7 @@ code paths, and the test suite holds them to identical answers.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
@@ -51,9 +51,13 @@ DEFAULT_CAP = 24
 
 @dataclass(frozen=True)
 class Interpretation:
-    """A finite set of precomputed atoms, standing for everything true."""
+    """A finite set of precomputed atoms, standing for everything true;
+    `order`, when its builder knows it, lists them by `atom_order_key`."""
 
     atoms: frozenset[PredAtom] = frozenset()
+    order: Optional[tuple[PredAtom, ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @classmethod
     def of(cls, atoms: Iterable[PredAtom]) -> "Interpretation":
@@ -63,8 +67,8 @@ class Interpretation:
                 raise DomainError(f"interpretation atom {atom} is not precomputed")
         return cls(atoms)
 
-    def sorted_atoms(self) -> list[PredAtom]:
-        return sorted(self.atoms, key=atom_order_key)
+    def sorted_atoms(self) -> Sequence[PredAtom]:
+        return self.order or sorted(self.atoms, key=atom_order_key)
 
     def __contains__(self, atom: PredAtom) -> bool:
         return atom in self.atoms
@@ -335,10 +339,11 @@ class CompiledParts:
     shared atom-to-bit index.  Region masks are computed once per distinct
     statement: each atom is looked up once in a `PatternIndex` of the
     statements, and `lambda_holds` decides only the statements it returns.
-    `ext_mask` holds the atoms extensional under the global statement, and
-    `allowed` every atom but the globally intensional ones that lie in no
-    part's region, which the closure condition makes false.  Union solving
-    is the one-part case under the global statement.
+    `allowed` holds every atom but the globally intensional ones that lie in
+    no part's region, which the closure condition makes false.  Union solving
+    is the one-part case under the global statement.  Bit i stands for atom
+    i of the universe; the solvers sort it by `atom_order_key`, so that
+    `models` comes out in output order.
     """
 
     def __init__(
@@ -347,7 +352,8 @@ class CompiledParts:
         kappa: IntensionalityStatement,
         parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
     ):
-        self.index = {atom: 1 << i for i, atom in enumerate(universe)}
+        self.base = tuple(universe)
+        self.index = {atom: 1 << i for i, atom in enumerate(self.base)}
         self.full = (1 << len(self.index)) - 1
         statements = list(dict.fromkeys((kappa, *(st for _, st in parts))))
         patterns = PatternIndex(statements)
@@ -366,11 +372,19 @@ class CompiledParts:
         defined = 0
         for region in part_regions:
             defined |= region
-        self.ext_mask = self.full & ~intensional
         self.allowed = self.full & ~(intensional & ~defined)
 
-    def atoms_of(self, mask: int) -> frozenset[PredAtom]:
-        return frozenset(atom for atom, bit in self.index.items() if mask & bit)
+    def models(self, masks: Iterable[int]) -> tuple[Interpretation, ...]:
+        """The interpretations of `masks`, ordered by their lists of set-bit
+        positions.  Over a sorted universe that is the order of their lists
+        of sorted atoms, which each model keeps as its `order`."""
+        # Bit i is digit i of the reversed binary numeral.
+        positions = sorted(
+            [i for i, digit in enumerate(f"{mask:b}"[::-1]) if digit == "1"]
+            for mask in masks
+        )
+        ordered = (tuple(map(self.base.__getitem__, bits)) for bits in positions)
+        return tuple(Interpretation(frozenset(atoms), atoms) for atoms in ordered)
 
 
 def _require_engine(engine: str, allowed: tuple[str, ...]):
@@ -464,7 +478,7 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
 
 def _fixpoint_models(
     gp: GroundProgram, region: frozenset[PredAtom]
-) -> frozenset[Interpretation]:
+) -> tuple[Interpretation, ...]:
     """The one stable model of a negation-free program with no choices.
 
     `gp` is `ground_reachable` over the (empty) region: exactly the
@@ -480,8 +494,8 @@ def _fixpoint_models(
             "the domain (make every predicate purely intensional)"
         )
     if any(r.head is None for r in gp.rules):
-        return frozenset()
-    return frozenset({Interpretation(gp.heads())})
+        return ()
+    return (Interpretation(gp.heads()),)
 
 
 def _relevant_base(
@@ -659,6 +673,11 @@ def enumerate_kappa_stable(
     outside it is false in every stable model, because a true atom needs
     either a deriving rule or a choice axiom.
     """
+    return frozenset(_stable_models(kappa, pi, dom, engine, cap))
+
+
+def _stable_models(kappa, pi, dom, engine, cap) -> tuple[Interpretation, ...]:
+    """`enumerate_kappa_stable` in output order (`CompiledParts.models`)."""
     _require_engine(engine, ENGINES)
     preds = set(pi.signature().predicates) | set(kappa.predicates())
     region = extensional_region(kappa, preds, dom)
@@ -667,10 +686,7 @@ def enumerate_kappa_stable(
         return _fixpoint_models(gp, region)
     base = _relevant_base([gp], region, cap)
     compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
-    return frozenset(
-        Interpretation(compiled.atoms_of(T))
-        for T in _search([(compiled.allowed, compiled.checkers)], engine)
-    )
+    return compiled.models(_search([(compiled.allowed, compiled.checkers)], engine))
 
 
 # --- support (derivability) -------------------------------------------------------

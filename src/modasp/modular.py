@@ -14,7 +14,7 @@ from .engine import (
     _relevant_base,
     _require_engine,
     _search,
-    enumerate_kappa_stable,
+    _stable_models,
     extensional_region,
     is_kappa_stable,
 )
@@ -30,7 +30,7 @@ from .intensionality import (
     pattern_str,
     patterns_unify,
 )
-from .program import PredAtom, Program, Rule, atom_order_key
+from .program import PredAtom, Program, Rule
 
 MODULAR_ENGINES = CHECK_ENGINES + ("topo",)
 
@@ -308,27 +308,21 @@ def modular_answer_sets(
     module).
 
     `brute` and `reduct` select the per-module stability engine over the
-    shared relevant atom base; `topo` evaluates modules in dependency order
-    and requires coherence plus an acyclic module ordering.
+    shared relevant atom base.  `topo` first requires coherence and an
+    acyclic module order, then searches as `reduct` does.
     """
-    _require_engine(engine, MODULAR_ENGINES)
-    order = None
-    if engine == "topo":
-        graph = dependency_graph(P)
-        order = _topo_order(P, graph, _coherence(P, graph))
-    return _answer_sets(P, dom, engine, cap, order)
+    return frozenset(_answer_sets(P, dom, engine, cap))
 
 
-def _topo_order(
-    P: ModularProgram, graph: DependencyGraph, report: CoherenceReport
-) -> list[int]:
-    """The module order of the `topo` engine; refuses incoherent programs."""
+def _topo_check(P: ModularProgram, graph: DependencyGraph, report: CoherenceReport):
+    """Refuses, for `topo`, an incoherent program and then a cyclic module
+    order."""
     if not report.coherent:
         raise EngineError(
             "the topological engine requires a coherent modular program:\n"
             + str(report)
         )
-    return _module_order(P, graph)
+    _module_order(P, graph)
 
 
 def _answer_sets(
@@ -336,10 +330,20 @@ def _answer_sets(
     dom: Domain,
     engine: str,
     cap: int,
-    order: Optional[list[int]],
-) -> frozenset[Interpretation]:
-    """`modular_answer_sets` once the engine is checked; `order` is the
-    module order for `topo` and None otherwise."""
+    graph: Optional[DependencyGraph] = None,
+    report: Optional[CoherenceReport] = None,
+) -> tuple[Interpretation, ...]:
+    """`modular_answer_sets` in output order.  `topo` runs its checks, on
+    the caller's `graph` and `report` when given, then the search of
+    `reduct`: one block of every allowed atom (so the closure condition
+    holds), checked by every module.  That search is exact, so it finds
+    what splitting by module (Lifschitz & Turner, ICLP 1994) would.
+    """
+    _require_engine(engine, MODULAR_ENGINES)
+    if engine == "topo":
+        graph = graph or dependency_graph(P)
+        _topo_check(P, graph, report or _coherence(P, graph))
+        engine = "reduct"
     grounded = [ground(module.pi, dom) for module in P.modules]
     region = extensional_region(P.kappa, P.signature().predicates, dom)
     compiled = CompiledParts(
@@ -347,30 +351,7 @@ def _answer_sets(
         P.kappa,
         [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
     )
-    checkers = compiled.checkers
-    # The closure condition needs no check: every block mask below lies
-    # inside `allowed` (the global choices are globally extensional, and
-    # each module block lies in that module's region).
-    if order is None:
-        blocks = [(compiled.allowed, checkers)]
-    else:
-        # Globally extensional atoms are free choices shared by every
-        # module; then each module, dependencies first, adds only its own
-        # ground heads in its region.  A module checked before a later one
-        # fixed more atoms may now reject the candidate, so the last block
-        # checks every module on the full candidate again.
-        blocks = [(compiled.ext_mask, [])]
-        blocks += [
-            (
-                sum(compiled.index[a] for a in grounded[i].heads())
-                & ~checkers[i].ext_mask,
-                [checkers[i]],
-            )
-            for i in order
-        ]
-        blocks.append((0, checkers))
-    found = _search(blocks, "reduct" if engine == "topo" else engine)
-    return frozenset(Interpretation(compiled.atoms_of(T)) for T in found)
+    return compiled.models(_search([(compiled.allowed, compiled.checkers)], engine))
 
 
 def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
@@ -428,12 +409,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _sorted_interpretations(models: Iterable[Interpretation]):
-    return tuple(
-        sorted(models, key=lambda I: [atom_order_key(a) for a in I.sorted_atoms()])
-    )
-
-
 def theorem1_check(
     P: ModularProgram,
     dom: Domain,
@@ -455,15 +430,16 @@ def theorem1_check(
             "does not apply",
             stacklevel=2,
         )
-    _require_engine(engine, MODULAR_ENGINES)
-    order = _topo_order(P, graph, report) if engine == "topo" else None
-    modular = _answer_sets(P, dom, engine, cap, order)
+    modular = _answer_sets(P, dom, engine, cap, graph, report)
     union_engine = "reduct" if engine == "topo" else engine
-    union = enumerate_kappa_stable(P.kappa, union_program(P), dom, union_engine, cap)
+    union = _stable_models(P.kappa, union_program(P), dom, union_engine, cap)
+    # Both sides are in output order; they are matched by atoms, because
+    # their bases can differ.
+    modular_set, union_set = frozenset(modular), frozenset(union)
     return ComparisonReport(
-        _sorted_interpretations(modular),
-        _sorted_interpretations(union),
-        modular == union,
-        _sorted_interpretations(modular - union),
-        _sorted_interpretations(union - modular),
+        modular,
+        union,
+        modular_set == union_set,
+        tuple(I for I in modular if I not in union_set),
+        tuple(I for I in union if I not in modular_set),
     )

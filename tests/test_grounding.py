@@ -275,10 +275,11 @@ class TestUnionEngines:
             region = region_of(kappa, pi, dom)
             base = _relevant_base([gp], region, cap=24)
             compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
-            expected = {
-                Interpretation(compiled.atoms_of(T))
-                for T in _search([((1 << len(base)) - 1, compiled.checkers)], "brute")
-            }
+            expected = set(
+                compiled.models(
+                    _search([((1 << len(base)) - 1, compiled.checkers)], "brute")
+                )
+            )
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected
 
     def test_cap_counts_reachable_base(self):

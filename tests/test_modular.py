@@ -28,7 +28,7 @@ from modasp.modular import (
     union_program,
 )
 from modasp.parsing import parse_control, parse_program
-from modasp.program import PredAtom, Program
+from modasp.program import PredAtom, Program, atom_order_key
 from modasp.terms import Numeral, Variable
 
 Q = ("q", 2)
@@ -275,7 +275,7 @@ class TestCoherence:
         monkeypatch.setattr(engine_mod, "is_kappa_stable", forbidden)
         monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
         monkeypatch.setattr(modular_mod, "is_kappa_stable", forbidden)
-        monkeypatch.setattr(modular_mod, "enumerate_kappa_stable", forbidden)
+        monkeypatch.setattr(modular_mod, "_stable_models", forbidden)
         monkeypatch.setattr(engine_mod.Interpretation, "of", forbidden)
         assert is_coherent(p1()).coherent
 
@@ -359,9 +359,10 @@ class TestModularAnswerSets:
         assert applicable >= 20
 
     def test_early_constraint_on_later_atom(self):
-        # The dependency graph skips headless rules, so `base` may be solved
-        # before `def(1)` fixes p(1); only the final re-check of every
-        # module on the full candidate rejects {p(1)}.
+        # The dependency graph skips headless rules, so nothing orders the
+        # constraint of `base` after the fact of `def(1)`; `topo` still
+        # rejects {p(1)}, because its one block checks every module on
+        # every candidate.
         P, dom = plan_program(
             "#program base.\n:- p(1).\n#program def(k).\np(k).\n",
             "use base. use def(1). domain 0..1.",
@@ -417,6 +418,50 @@ class TestModularAnswerSets:
         assert len(calls) == len(P.modules) == 4
         assert len(graphs) == (engine == "topo")
         assert models == frozenset({interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3))})
+
+
+class TestTopoSearch:
+    """`topo` is its coherence and module-order checks followed by the
+    search of modular `reduct`: one block of every allowed atom, checked by
+    every module."""
+
+    def test_choices_under_a_constraint_take_one_extension_call(self, monkeypatch):
+        # s(0..9) are global choices that the constraint rejects one by one;
+        # a first block of choices without a checker would list all 2^10
+        # subsets before any module prunes them.
+        import modasp.engine as engine_mod
+
+        P, dom = plan_program(":- s(X).\n", "use base. domain 0..9. intensional p(X).")
+        calls = [0]
+        extensions = engine_mod._extensions
+
+        def counted(*args):
+            calls[0] += 1
+            return extensions(*args)
+
+        monkeypatch.setattr(engine_mod, "_extensions", counted)
+        assert modular_answer_sets(P, dom, "topo") == frozenset({Interpretation()})
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_every_modular_path_searches_one_block(self, engine, monkeypatch):
+        import modasp.modular as modular_mod
+
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        blocks = []
+        search = modular_mod._search
+
+        def recording(searched, leaf_engine):
+            blocks.append(len(searched))
+            return search(searched, leaf_engine)
+
+        monkeypatch.setattr(modular_mod, "_search", recording)
+        modular_answer_sets(P, dom, engine)
+        assert theorem1_check(P, dom, engine).equal
+        assert blocks == [1, 1]
 
 
 class TestDefinitionalReference:
@@ -594,3 +639,71 @@ class TestTheorem1:
         direct = enumerate_kappa_stable(P.kappa, union_program(P), dom, "reduct")
         report = theorem1_check(P, dom)
         assert frozenset(report.union_sets) == direct
+
+
+def _key_order(models):
+    """The output order by atom keys alone: each model's atoms sorted by
+    `atom_order_key`, and the models by those lists of keys."""
+
+    def key(I):
+        return [atom_order_key(a) for a in sorted(I.atoms, key=atom_order_key)]
+
+    return tuple(sorted(models, key=key))
+
+
+class TestOutputOrder:
+    """The answer sets leave the engine ordered by bit position over the
+    sorted base; that must be the order of the atom-key oracle, on every
+    tuple of the comparison report and on each model's own atoms."""
+
+    @staticmethod
+    def assert_key_order(report):
+        for models in (
+            report.modular_sets,
+            report.union_sets,
+            report.only_modular,
+            report.only_union,
+        ):
+            assert models == _key_order(models)
+            for I in models:
+                assert list(I.sorted_atoms()) == sorted(I.atoms, key=atom_order_key)
+
+    def test_random_coherent_programs(self):
+        import random
+
+        import randprog
+
+        rng = random.Random(4242)
+        several = 0
+        for _ in range(60):
+            P, dom = randprog.random_coherent_program(rng)
+            report = theorem1_check(P, dom)
+            self.assert_key_order(report)
+            several += len(report.modular_sets) > 2
+        assert several >= 20
+
+    def test_even_loop(self):
+        P, dom = plan_program(
+            "p(X) :- not r(X), s(X).\nr(X) :- not p(X), s(X).\n",
+            "use base. domain 0..5. intensional p(X). intensional r(X).",
+        )
+        report = theorem1_check(P, dom)
+        assert len(report.modular_sets) == len(report.union_sets) == 729
+        self.assert_key_order(report)
+
+    def test_models_on_one_side_only(self):
+        # Modules a and b support p(2) and q(1) through each other, which
+        # the union cannot; r(1) is outside module c's region, so modular
+        # answer sets keep s(0) false, while the union derives r(1) from it.
+        P, dom = plan_program(
+            "#program a.\nq(1) :- p(2).\n#program b.\np(2) :- q(1).\n"
+            "#program c.\nr(1) :- s(0).\n",
+            "use a. use b. use c. domain 0..2. intensional p(X). "
+            "intensional q(X). intensional r(X). "
+            "module a: q(1). module b: p(2). module c: r(0).",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = theorem1_check(P, dom)
+        assert len(report.only_modular) == len(report.only_union) == 4
+        self.assert_key_order(report)

@@ -259,7 +259,6 @@ class TestAgainstFullScan:
             defined = 0
             for region in regions:
                 defined |= region
-            assert compiled.ext_mask == full & ~intensional
             assert compiled.allowed == full & ~(intensional & ~defined)
 
 
