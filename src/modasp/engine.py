@@ -339,11 +339,12 @@ class CompiledParts:
     shared atom-to-bit index.  Region masks are computed once per distinct
     statement: each atom is looked up once in a `PatternIndex` of the
     statements, and `lambda_holds` decides only the statements it returns.
-    `allowed` holds every atom but the globally intensional ones that lie in
-    no part's region, which the closure condition makes false.  Union solving
-    is the one-part case under the global statement.  Bit i stands for atom
-    i of the universe; the solvers sort it by `atom_order_key`, so that
-    `models` comes out in output order.
+    `intensional` holds the atoms intensional under `kappa`, and `allowed`
+    every atom but those of them that lie in no part's region, which the
+    closure condition makes false.  Union solving is the one-part case
+    under the global statement.  Bit i stands for atom i of the universe;
+    the solvers sort it by `atom_order_key`, so that `models` comes out in
+    output order.
     """
 
     def __init__(
@@ -363,7 +364,7 @@ class CompiledParts:
                 if lambda_holds(statements[s], atom):
                     regions[s] |= bit
         region_of = dict(zip(statements, regions))
-        intensional = region_of[kappa]
+        self.intensional = region_of[kappa]
         part_regions = [region_of[st] for _, st in parts]
         self.checkers = [
             StabilityChecker(rules, self.index, self.full & ~region)
@@ -372,19 +373,27 @@ class CompiledParts:
         defined = 0
         for region in part_regions:
             defined |= region
-        self.allowed = self.full & ~(intensional & ~defined)
+        self.allowed = self.full & ~(self.intensional & ~defined)
 
     def models(self, masks: Iterable[int]) -> tuple[Interpretation, ...]:
-        """The interpretations of `masks`, ordered by their lists of set-bit
-        positions.  Over a sorted universe that is the order of their lists
-        of sorted atoms, which each model keeps as its `order`."""
+        """The interpretations of `masks`, in the order of `ordered`."""
+        return tuple(self.ordered(masks).values())
+
+    def ordered(self, masks: Iterable[int]) -> dict[int, Interpretation]:
+        """Each distinct mask of `masks` with its interpretation, ordered by
+        the lists of set-bit positions.  Over a sorted universe that is the
+        order of their lists of sorted atoms, which each model keeps as its
+        `order`."""
         # Bit i is digit i of the reversed binary numeral.
         positions = sorted(
-            [i for i, digit in enumerate(f"{mask:b}"[::-1]) if digit == "1"]
-            for mask in masks
+            ([i for i, digit in enumerate(f"{mask:b}"[::-1]) if digit == "1"], mask)
+            for mask in set(masks)
         )
-        ordered = (tuple(map(self.base.__getitem__, bits)) for bits in positions)
-        return tuple(Interpretation(frozenset(atoms), atoms) for atoms in ordered)
+        out = {}
+        for bits, mask in positions:
+            atoms = tuple(map(self.base.__getitem__, bits))
+            out[mask] = Interpretation(frozenset(atoms), atoms)
+        return out
 
 
 def _require_engine(engine: str, allowed: tuple[str, ...]):
@@ -514,49 +523,37 @@ def _relevant_base(
     return sorted(atoms, key=atom_order_key)
 
 
-def _search(
-    blocks: Iterable[tuple[int, Sequence[StabilityChecker]]], engine: str
-) -> list[int]:
-    """Splitting-set search over candidate bit masks.
-
-    Starting from the empty candidate, each block `(mask, checkers)` extends
-    every candidate so far by subsets of `mask` and keeps the extensions
-    that all of its checkers accept (`check` with `engine`).  The subsets
-    are not walked one by one: `_extensions` propagates and branches, so
-    the candidates it examines are about the accepted ones.
+def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
+    """Every subset of `mask` that all `checkers` accept (`check` with
+    `engine`); atoms outside `mask` stay false.  The subsets are not walked
+    one by one: `_extensions` propagates and branches, so the candidates it
+    examines are about the accepted ones.
     """
-    candidates = [0]
-    for mask, checkers in blocks:
-        # Each rule as (head, positive and double-negated body, negated
-        # body); a constraint's head is 0, which is never true.
-        parts = [
-            (
-                c.ext_mask,
-                [(h or 0, pos | negneg, neg) for h, pos, neg, negneg in c.compiled],
-            )
-            for c in checkers
-        ]
-        leaves = [
-            c.minimal_brute if engine == "brute" else c.minimal_reduct
-            for c in checkers
-        ]
-        extended = []
-        for partial in candidates:
-            extended += _extensions(partial, mask, parts, leaves)
-        candidates = extended
-    return candidates
+    # Each rule as (head, positive and double-negated body, negated body);
+    # a constraint's head is 0, which is never true.
+    parts = [
+        (
+            c.ext_mask,
+            [(h or 0, pos | negneg, neg) for h, pos, neg, negneg in c.compiled],
+        )
+        for c in checkers
+    ]
+    leaves = [
+        c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
+    ]
+    return _extensions(mask, parts, leaves)
 
 
-def _extensions(partial: int, mask: int, parts, leaves) -> list[int]:
-    """Every `T = partial | s`, `s` a subset of `mask`, that a block's
-    checkers accept, found depth-first by propagating and branching.
-    `parts` holds each checker's `ext_mask` and rules as `_search` prepares
-    them, and `leaves` its minimality test.
+def _extensions(mask: int, parts, leaves) -> list[int]:
+    """Every subset `T` of `mask` that the checkers accept, found
+    depth-first by propagating and branching.  `parts` holds each checker's
+    `ext_mask` and rules as `_search` prepares them, and `leaves` its
+    minimality test.
 
-    The atoms of `partial` are true and every other atom outside `mask` is
-    false; the rest of `mask` is open.  Rules whose body is already false
-    are dropped once; a rule left with no open atom either holds, and is
-    dropped, or rejects every extension.  Then, until nothing changes:
+    Every atom outside `mask` is false, and the atoms of `mask` start open.
+    Rules whose body is already false are dropped once; a rule left with no
+    open atom has a true body and a false head, and rejects every subset.
+    Then, until nothing changes:
 
     * rule propagation: a rule whose body is true sets its head true; a
       constraint, or a head already false, is a conflict;
@@ -577,8 +574,7 @@ def _extensions(partial: int, mask: int, parts, leaves) -> list[int]:
     closed under the rules live at `T`, whose heads all lie in `T` and
     differ from `a`, so `minimal_brute` fails as well.
     """
-    true, open_ = partial, mask & ~partial
-    possible = true | open_
+    open_ = mask
     rules = []
     supports = []
     underivable = relevant = 0
@@ -587,12 +583,10 @@ def _extensions(partial: int, mask: int, parts, leaves) -> list[int]:
         heads: dict[int, list[tuple[int, int]]] = {}
         for rule in compiled:
             head, body, neg = rule
-            if body & possible != body or neg & true:
-                continue  # body false under every extension
+            if body & open_ != body:
+                continue  # body false in every subset
             if not (head | body | neg) & open_:
-                if not head & true:
-                    return []
-                continue
+                return []
             rules.append(rule)
             relevant |= head | body | neg
             if head & own:
@@ -604,9 +598,8 @@ def _extensions(partial: int, mask: int, parts, leaves) -> list[int]:
                 supports.append((bit, heads[bit]))
             else:
                 underivable |= bit
-    open_ &= ~underivable
     found = []
-    stack = [(true, open_, bool(rules))]
+    stack = [(0, open_ & ~underivable, bool(rules))]
     while stack:
         true, open_, changed = stack.pop()
         if changed:
@@ -686,7 +679,7 @@ def _stable_models(kappa, pi, dom, engine, cap) -> tuple[Interpretation, ...]:
         return _fixpoint_models(gp, region)
     base = _relevant_base([gp], region, cap)
     compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
-    return compiled.models(_search([(compiled.allowed, compiled.checkers)], engine))
+    return compiled.models(_search(compiled.allowed, compiled.checkers, engine))
 
 
 # --- support (derivability) -------------------------------------------------------

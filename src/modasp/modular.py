@@ -11,15 +11,16 @@ from .engine import (
     DEFAULT_CAP,
     CompiledParts,
     Interpretation,
+    StabilityChecker,
     _relevant_base,
     _require_engine,
     _search,
-    _stable_models,
+    _stable_models,  # not called here; kept so that tests can forbid it
     extensional_region,
     is_kappa_stable,
 )
 from .errors import EngineError
-from .grounding import Domain, ground
+from .grounding import Domain, GroundProgram, ground
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
@@ -326,14 +327,23 @@ def _topo_check(P: ModularProgram, graph: DependencyGraph, report: CoherenceRepo
 
 
 def _answer_sets(
+    P: ModularProgram, dom: Domain, engine: str, cap: int
+) -> tuple[Interpretation, ...]:
+    """`modular_answer_sets` in output order."""
+    compiled, _, masks = _answer_masks(P, dom, engine, cap)
+    return compiled.models(masks)
+
+
+def _answer_masks(
     P: ModularProgram,
     dom: Domain,
     engine: str,
     cap: int,
     graph: Optional[DependencyGraph] = None,
     report: Optional[CoherenceReport] = None,
-) -> tuple[Interpretation, ...]:
-    """`modular_answer_sets` in output order.  `topo` runs its checks, on
+) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
+    """The modules compiled over their relevant base, their groundings, and
+    the answer sets as masks over that base.  `topo` runs its checks, on
     the caller's `graph` and `report` when given, then the search of
     `reduct`: one block of every allowed atom (so the closure condition
     holds), checked by every module.  That search is exact, so it finds
@@ -351,7 +361,7 @@ def _answer_sets(
         P.kappa,
         [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
     )
-    return compiled.models(_search([(compiled.allowed, compiled.checkers)], engine))
+    return compiled, grounded, _search(compiled.allowed, compiled.checkers, engine)
 
 
 def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
@@ -420,7 +430,21 @@ def theorem1_check(
 
     Equality is the content of the union theorem for coherent programs; on
     an incoherent input the harness warns, still computes both sides, and
-    reports whatever it finds.
+    reports whatever it finds.  The incoherence warning comes first, then
+    the refusals of `topo`, then the cap on the modular base.
+
+    Both readings share one grounding of each module and one atom base,
+    the modular relevant base.  The union reading is one more checker over
+    it: the module ground rules under the global statement.  That is exact.
+    The modular base contains the union's reachable base
+    (`_stable_models`): both extensional regions range over the same
+    predicates, because every predicate a module statement names has a
+    global pattern.  The extra atoms are heads of unreachable instances.
+    They are globally intensional, so they are false in every union stable
+    model.  The extra instances have a positive body atom outside every
+    stable model, so they are vacuous.  The answers, their order and every
+    `order` tuple are therefore those of the union solved alone, and the
+    cap, checked on the larger modular base first, refuses as before.
     """
     graph = dependency_graph(P)
     report = _coherence(P, graph)
@@ -430,16 +454,23 @@ def theorem1_check(
             "does not apply",
             stacklevel=2,
         )
-    modular = _answer_sets(P, dom, engine, cap, graph, report)
-    union_engine = "reduct" if engine == "topo" else engine
-    union = _stable_models(P.kappa, union_program(P), dom, union_engine, cap)
-    # Both sides are in output order; they are matched by atoms, because
-    # their bases can differ.
-    modular_set, union_set = frozenset(modular), frozenset(union)
+    compiled, grounded, modular = _answer_masks(P, dom, engine, cap, graph, report)
+    union_checker = StabilityChecker(
+        [rule for gp in grounded for rule in gp.rules],
+        compiled.index,
+        compiled.full & ~compiled.intensional,
+    )
+    union = _search(
+        compiled.full, [union_checker], "reduct" if engine == "topo" else engine
+    )
+    # Both sides are masks over one base: compared as ints, and each
+    # distinct answer becomes one interpretation, in output order.
+    models = compiled.ordered(modular + union)
+    modular_set, union_set = set(modular), set(union)
     return ComparisonReport(
-        modular,
-        union,
+        tuple(I for mask, I in models.items() if mask in modular_set),
+        tuple(I for mask, I in models.items() if mask in union_set),
         modular_set == union_set,
-        tuple(I for I in modular if I not in union_set),
-        tuple(I for I in union if I not in modular_set),
+        tuple(I for mask, I in models.items() if mask not in union_set),
+        tuple(I for mask, I in models.items() if mask not in modular_set),
     )

@@ -340,25 +340,14 @@ class TestReferenceAgreement:
         assert compared > 200
 
 
-def _sweep(blocks, engine):
-    """The reference for `_search`: every candidate over the blocks'
-    masks whose part on the first i masks the i-th block's checkers accept
-    (`check`), found by trying all of `range(1 << n)`."""
-    covered = 0
-    for mask, _ in blocks:
-        covered |= mask
-    found = set()
-    for T in range(1 << covered.bit_length()):
-        if T & ~covered:
-            continue
-        prefix = 0
-        for mask, checkers in blocks:
-            prefix |= mask
-            if not all(c.check(T & prefix, engine) for c in checkers):
-                break
-        else:
-            found.add(T)
-    return found
+def _sweep(mask, checkers, engine):
+    """The reference for `_search`: every subset of `mask` that all
+    `checkers` accept (`check`), found by trying all of `range(1 << n)`."""
+    return {
+        T
+        for T in range(1 << mask.bit_length())
+        if not T & ~mask and all(c.check(T, engine) for c in checkers)
+    }
 
 
 def _modular_parts(P, dom, cap=24):
@@ -423,17 +412,8 @@ class TestSearch:
                 sweep = {
                     T for T in range(1 << len(base)) if checker.check(T, engine)
                 }
-                one_block = _search([(full, [checker])], engine)
+                one_block = _search(full, [checker], engine)
                 assert sorted(one_block) == sorted(sweep)
-                # Extensional choices first, unchecked; then the rest.
-                split = _search(
-                    [
-                        (checker.ext_mask, []),
-                        (full & ~checker.ext_mask, [checker]),
-                    ],
-                    engine,
-                )
-                assert sorted(split) == sorted(sweep)
 
     def test_modular_parts_match_sweep(self):
         import randprog
@@ -446,52 +426,26 @@ class TestSearch:
         parts += _pattern_parts(rng, 25)
         multi = 0
         for compiled in parts:
-            blocks = [(compiled.allowed, compiled.checkers)]
+            block = compiled.allowed, compiled.checkers
             multi += len(compiled.checkers) > 1
             for engine in self.ENGINES:
-                found = _search(blocks, engine)
+                found = _search(*block, engine)
                 assert len(found) == len(set(found))
-                assert set(found) == _sweep(blocks, engine)
+                assert set(found) == _sweep(*block, engine)
         assert multi >= 20
-
-    def test_random_splits_match_sweep(self):
-        import randprog
-
-        rng = random.Random(13)
-        parts = [
-            _modular_parts(*randprog.random_coherent_program(rng))
-            for _ in range(20)
-        ]
-        parts += _pattern_parts(rng, 20)
-        outside = 0
-        for compiled in parts:
-            n, k = len(compiled.index), rng.randint(2, 3)
-            owner = [rng.randrange(k) for _ in range(n)]
-            blocks = []
-            for b in range(k):
-                mask = sum(1 << i for i in range(n) if owner[i] == b)
-                checkers = [c for c in compiled.checkers if rng.random() < 0.7]
-                blocks.append((mask, checkers))
-            blocks.append((0, compiled.checkers))
-            for engine in self.ENGINES:
-                assert set(_search(blocks, engine)) == _sweep(blocks, engine)
-            # The blocks are disjoint, so a non-empty candidate of the first
-            # block holds atoms outside every later block.
-            outside += any(_search(blocks[:1], "reduct"))
-        assert outside >= 10
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_self_loop_is_rejected_only_by_minimality(self, engine):
         # p :- p.  {p} is a classical model; only minimality rejects it.
         checker = _hand_checker([GroundRule(P0, (P0,))], [P0], [P0])
         assert checker.classical(1) and not checker.check(1, engine)
-        assert _search([(1, [checker])], engine) == [0]
+        assert _search(1, [checker], engine) == [0]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_double_negation_keeps_both(self, engine):
         # p :- not not p.  Both {} and {p} are stable.
         checker = _hand_checker([GroundRule(P0, negneg=(P0,))], [P0], [P0])
-        assert sorted(_search([(1, [checker])], engine)) == [0, 1]
+        assert sorted(_search(1, [checker], engine)) == [0, 1]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_head_outside_index_is_a_constraint(self, engine):
@@ -499,22 +453,20 @@ class TestSearch:
         # so the rule compiles to the constraint `:- p`.
         checker = _hand_checker([GroundRule(Q0, (P0,))], [P0], [])
         assert checker.compiled == [(None, 1, 0, 0)]
-        assert _search([(1, [checker])], engine) == [0]
+        assert _search(1, [checker], engine) == [0]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_block_mask_checks_the_partial(self, engine):
-        # p.  over {p}: the empty candidate fails, {p} passes, and an empty
-        # block adds nothing but the check.
+        # p.  over {p}: with an empty mask only the empty candidate is
+        # checked, and it fails.
         checker = _hand_checker([GroundRule(P0)], [P0], [P0])
-        assert _search([(0, [checker])], engine) == []
-        assert _search([(1, []), (0, [checker])], engine) == [1]
+        assert _search(0, [checker], engine) == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_block_without_checkers_keeps_every_subset(self, engine):
-        assert sorted(_search([(0b1011, [])], engine)) == [
+        assert sorted(_search(0b1011, [], engine)) == [
             0, 1, 2, 3, 8, 9, 10, 11,
         ]
-        assert sorted(_search([(0b1, []), (0b10, [])], engine)) == [0, 1, 2, 3]
 
 
 EVEN_LOOP = """

@@ -276,9 +276,7 @@ class TestUnionEngines:
             base = _relevant_base([gp], region, cap=24)
             compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
             expected = set(
-                compiled.models(
-                    _search([((1 << len(base)) - 1, compiled.checkers)], "brute")
-                )
+                compiled.models(_search(compiled.full, compiled.checkers, "brute"))
             )
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected
 

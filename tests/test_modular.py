@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from modasp.engine import Interpretation, enumerate_kappa_stable
-from modasp.errors import CapacityError, EngineError
+from modasp.engine import (
+    DEFAULT_CAP,
+    Interpretation,
+    _stable_models,
+    enumerate_kappa_stable,
+)
+from modasp.errors import CapacityError, EngineError, SafetyError
 from modasp.grounding import Domain, ground
 from modasp.instantiation import (
     Module,
@@ -17,6 +22,8 @@ from modasp.instantiation import (
 )
 from modasp.intensionality import IntensionalityStatement
 from modasp.modular import (
+    ComparisonReport,
+    _module_order,
     closure_holds,
     dependency_graph,
     is_coherent,
@@ -419,6 +426,46 @@ class TestModularAnswerSets:
         assert len(graphs) == (engine == "topo")
         assert models == frozenset({interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3))})
 
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_comparison_grounds_each_module_once(self, engine, monkeypatch):
+        # Both readings share one grounding of each module, one extensional
+        # region and one dependency graph; the union program is never ground.
+        import modasp.engine as engine_mod
+        import modasp.modular as modular_mod
+
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        calls = {"ground": 0, "extensional_region": 0, "dependency_graph": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the union side must reuse the module grounding")
+
+        for target in (engine_mod, modular_mod):
+            for name in ("ground", "extensional_region"):
+                monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
+            monkeypatch.setattr(target, "_stable_models", forbidden)
+        monkeypatch.setattr(engine_mod, "ground_reachable", forbidden)
+        monkeypatch.setattr(
+            modular_mod, "dependency_graph", counting("dependency_graph", dependency_graph)
+        )
+        report = theorem1_check(P, dom, engine)
+        assert calls == {
+            "ground": len(P.modules),
+            "extensional_region": 1,
+            "dependency_graph": 1,
+        }
+        assert report.equal
+        assert report.union_sets == (interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3)),)
+
 
 class TestTopoSearch:
     """`topo` is its coherence and module-order checks followed by the
@@ -454,14 +501,16 @@ class TestTopoSearch:
         blocks = []
         search = modular_mod._search
 
-        def recording(searched, leaf_engine):
-            blocks.append(len(searched))
-            return search(searched, leaf_engine)
+        def recording(mask, checkers, leaf_engine):
+            blocks.append((type(mask), len(checkers)))
+            return search(mask, checkers, leaf_engine)
 
         monkeypatch.setattr(modular_mod, "_search", recording)
         modular_answer_sets(P, dom, engine)
         assert theorem1_check(P, dom, engine).equal
-        assert blocks == [1, 1]
+        # One block a call: the four modules, in `solve` and `compare`, then
+        # the union checker of `compare`.
+        assert blocks == [(int, 4), (int, 4), (int, 1)]
 
 
 class TestDefinitionalReference:
@@ -633,12 +682,162 @@ class TestTheorem1:
             "does not apply"
         ]
 
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_capacity_names_the_modular_base(self, engine):
+        # The modular base of p1 over 0..4 has 13 atoms; the union's
+        # reachable base has only the 5 of its model.
+        with pytest.raises(CapacityError, match=r"13 atoms \(cap 12\)"):
+            theorem1_check(p1(), Domain(0, 4), engine, cap=12)
+        assert theorem1_check(p1(), Domain(0, 4), engine, cap=13).equal
+
+    def test_topo_incoherent_warning_precedes_the_report(self):
+        kappa = IntensionalityStatement.of({Q: [(var("X"), num(1))]})
+        P = ModularProgram(
+            IntensionalityStatement.of({Q: [(var("X"), var("Y"))]}),
+            (
+                Module(kappa, rules("q(0,1).")),
+                Module(kappa, rules("q(1,1).")),
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="incoherent modular program"):
+                theorem1_check(P, Domain(0, 2), "topo")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(EngineError) as refused:
+                theorem1_check(P, Domain(0, 2), "topo")
+        assert str(refused.value) == (
+            "the topological engine requires a coherent modular program:\n"
+            + str(is_coherent(P))
+        )
+
     def test_union_side_matches_direct_enumeration(self):
         P = p1()
         dom = Domain(0, 4)
         direct = enumerate_kappa_stable(P.kappa, union_program(P), dom, "reduct")
         report = theorem1_check(P, dom)
         assert frozenset(report.union_sets) == direct
+
+
+def _two_pipelines(P, dom, engine, cap=DEFAULT_CAP):
+    """The comparison as two separate solves: the modular answer sets, and
+    the stable models of the union program on its own reachable base."""
+    modular = _key_order(modular_answer_sets(P, dom, engine, cap))
+    union_engine = "reduct" if engine == "topo" else engine
+    union = _stable_models(P.kappa, union_program(P), dom, union_engine, cap)
+    assert union == _key_order(
+        enumerate_kappa_stable(P.kappa, union_program(P), dom, union_engine, cap)
+    )
+    modular_set, union_set = set(modular), set(union)
+    return ComparisonReport(
+        modular,
+        union,
+        modular_set == union_set,
+        tuple(I for I in modular if I not in union_set),
+        tuple(I for I in union if I not in modular_set),
+    )
+
+
+def _orders(report):
+    return [
+        [I.order for I in models]
+        for models in (
+            report.modular_sets,
+            report.union_sets,
+            report.only_modular,
+            report.only_union,
+        )
+    ]
+
+
+class TestOneCompile:
+    """`theorem1_check` solves both readings over one grounding and one
+    base; every report must equal the one two separate solves give, on the
+    `order` of each model too, and the `brute` oracle must agree."""
+
+    WARNING = (
+        "comparing an incoherent modular program; the union theorem does not "
+        "apply"
+    )
+
+    def assert_matches_two_pipelines(self, P, dom, engines, cap=DEFAULT_CAP):
+        coherent = is_coherent(P).coherent
+        oracle = None
+        for engine in engines:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    report = theorem1_check(P, dom, engine, cap)
+                except EngineError as refused:
+                    # `topo` refuses a cyclic module order, as `solve` does.
+                    with pytest.raises(EngineError, match=str(refused)):
+                        modular_answer_sets(P, dom, engine, cap)
+                    continue
+            assert [str(w.message) for w in caught] == (
+                [] if coherent else [self.WARNING]
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = _two_pipelines(P, dom, engine, cap)
+            assert report == expected
+            assert _orders(report) == _orders(expected)
+            oracle = oracle or report
+            assert report == oracle
+        return report
+
+    def test_random_coherent_programs(self):
+        import random
+
+        import randprog
+
+        rng = random.Random(5151)
+        several = topo = 0
+        for _ in range(60):
+            P, dom = randprog.random_coherent_program(rng)
+            report = self.assert_matches_two_pipelines(
+                P, dom, ("brute", "reduct", "topo")
+            )
+            several += len(report.union_sets) > 1
+            try:
+                _module_order(P, dependency_graph(P))
+                topo += 1
+            except EngineError:
+                pass
+        assert several >= 20
+        assert topo >= 30
+
+    def test_random_pattern_programs(self):
+        import random
+
+        import randprog
+
+        rng = random.Random(6262)
+        checked = incoherent = unequal = 0
+        while checked < 25:
+            P = randprog.random_pattern_program(rng)
+            dom = Domain.build([m.pi for m in P.modules], 0, 1)
+            try:
+                modular_answer_sets(P, dom, "reduct", cap=12)
+            except (CapacityError, SafetyError):
+                continue
+            report = self.assert_matches_two_pipelines(
+                P, dom, ("brute", "reduct"), cap=12
+            )
+            checked += 1
+            incoherent += not is_coherent(P).coherent
+            unequal += not report.equal
+        assert incoherent >= 12
+        assert unequal >= 3
+
+    def test_tangle(self):
+        P, dom = plan_program(
+            (FIXTURES / "tangle.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "tangle.ctl").read_text(encoding="utf-8"),
+        )
+        assert not is_coherent(P).coherent
+        report = self.assert_matches_two_pipelines(P, dom, ("brute", "reduct"))
+        assert not report.equal
 
 
 def _key_order(models):
