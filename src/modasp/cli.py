@@ -29,12 +29,7 @@ from .engine import (
 )
 from .errors import CapacityError, ModaspError, RequirementError
 from .grounding import Domain
-from .instantiation import (
-    ModularProgram,
-    collective_modular,
-    collective_union,
-    global_statement,
-)
+from .instantiation import collective_modular, collective_union, global_statement
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
@@ -101,7 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("instantiate", "print the instantiated program", "--mode")
     add("solve", "compute and print answer sets", "--mode", "--engine", "--cap")
     add("check-coherence", "check the modular program for coherence")
-    add("compare", "compare modular and union answer sets", "--engine", "--cap")
+    compare = add(
+        "compare", "compare modular and union answer sets", "--engine", "--cap"
+    )
+    compare.set_defaults(mode="modular")
     check_model = add("check-model", "check a candidate model", "--mode", "--engine")
     check_model.add_argument(
         "--model", required=True, metavar="ATOMS",
@@ -123,42 +121,45 @@ def _parse_overrides(pairs) -> dict[str, int]:
     return out
 
 
-def _load_program(path: str) -> ClingoProgram:
+def _read(path: str) -> str:
+    """The text of `path`; an unreadable or non-UTF-8 file is a usage
+    error."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_program(handle.read())
-    except OSError as err:
-        raise _UsageError(f"cannot read {path}: {err.strerror}")
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else err
+        raise _UsageError(f"cannot read {path}: {reason}")
 
 
 def _load_plan(args) -> tuple[ClingoProgram, ControlPlan]:
     """The program and the control plan named on the command line."""
-    prog = _load_program(args.program)
+    prog = parse_program(_read(args.program))
     if not args.control:
         raise _UsageError(f"command {args.command!r} needs --control")
-    try:
-        with open(args.control, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise _UsageError(f"cannot read {args.control}: {err.strerror}")
-    return prog, parse_control(text, prog, _parse_overrides(args.const))
+    return prog, parse_control(_read(args.control), prog, _parse_overrides(args.const))
 
 
-def _load_bounded(args) -> tuple[ClingoProgram, ControlPlan, tuple[int, int]]:
-    """The program and plan of a command that grounds, and the plan's domain
-    interval; refuses a plan without one."""
+def _load_reading(args, engines: tuple[str, ...]):
+    """The reading of the plan that a grounding command works on, with its
+    global statement and its domain.  Refuses a plan without a domain, then
+    an engine outside `engines`, before anything is built.  `--mode union`
+    reads the rule union, with the domain over it; `modular` the modular
+    program, with the domain over the module rules, which hold every term
+    of the union."""
     prog, plan = _load_plan(args)
     if plan.domain is None:
         raise _UsageError(
             "the control file must declare a domain, e.g. `domain 0..10.`"
         )
-    return prog, plan, plan.domain
-
-
-def _module_domain(modular: ModularProgram, bounds: tuple[int, int]) -> Domain:
-    """The domain over the module rules, which hold every term of the union
-    program."""
-    return Domain.build([m.pi for m in modular.modules], *bounds)
+    _require_engine(args.engine, engines)
+    if args.mode == "union":
+        union = collective_union(prog, plan.specs)
+        kappa = global_statement(plan, union.signature().predicates)
+        return union, kappa, Domain.build([union], *plan.domain)
+    modular = collective_modular(prog, plan)
+    dom = Domain.build([m.pi for m in modular.modules], *plan.domain)
+    return modular, modular.kappa, dom
 
 
 def _kappa_json(kappa: IntensionalityStatement) -> dict:
@@ -181,7 +182,7 @@ def _emit(args, text_lines, machine_doc) -> None:
 
 
 def _cmd_parse(args) -> int:
-    prog = _load_program(args.program)
+    prog = parse_program(_read(args.program))
     decls = prog.declarations()
     names = ["base"] + [n for n in decls if n != "base"]
     lines = []
@@ -243,16 +244,11 @@ def _cmd_instantiate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    prog, plan, bounds = _load_bounded(args)
     if args.mode == "union":
-        union = collective_union(prog, plan.specs)
-        kappa = global_statement(plan, union.signature().predicates)
-        dom = Domain.build([union], *bounds)
+        union, kappa, dom = _load_reading(args, ENGINES)
         models = _stable_models(kappa, union, dom, args.engine, args.cap)
     else:
-        _require_engine(args.engine, MODULAR_ENGINES)
-        modular = collective_modular(prog, plan)
-        dom = _module_domain(modular, bounds)
+        modular, _, dom = _load_reading(args, MODULAR_ENGINES)
         models = _answer_sets(modular, dom, args.engine, args.cap)
     _emit(
         args,
@@ -287,10 +283,7 @@ def _cmd_check_coherence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    prog, plan, bounds = _load_bounded(args)
-    _require_engine(args.engine, MODULAR_ENGINES)
-    modular = collective_modular(prog, plan)
-    dom = _module_domain(modular, bounds)
+    modular, _, dom = _load_reading(args, MODULAR_ENGINES)
     report = theorem1_check(modular, dom, args.engine, args.cap)
     _emit(
         args,
@@ -308,20 +301,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
-    prog, plan, bounds = _load_bounded(args)
+    # Parsed first, so that a typo in the model wins over a modular
+    # construction error (exit 1).
     atoms = [parse_ground_atom(part) for part in args.model.split()]
     candidate = Interpretation.of(atoms)
-    _require_engine(args.engine, CHECK_ENGINES)
+    reading, kappa, dom = _load_reading(args, CHECK_ENGINES)
     if args.mode == "union":
-        union = collective_union(prog, plan.specs)
-        kappa = global_statement(plan, union.signature().predicates)
-        dom = Domain.build([union], *bounds)
-        parts = [(union, kappa)]
+        parts = [(reading, kappa)]
         yes, no = "kappa-stable model", "not a kappa-stable model"
     else:
-        modular = collective_modular(prog, plan)
-        dom = _module_domain(modular, bounds)
-        kappa, parts = modular.kappa, [(m.pi, m.kappa) for m in modular.modules]
+        parts = [(m.pi, m.kappa) for m in reading.modules]
         yes, no = "answer set", "not an answer set"
     verdict = is_stable_in_parts(candidate, kappa, parts, dom, args.engine)
     text = yes if verdict else no

@@ -5,8 +5,9 @@ it is false).  Stability of a model is checked either by brute force over
 the proper here-world subsets, or through the program reduct: delete every
 rule with a refuted negated literal, strip the remaining negated literals,
 add one fact per true extensional atom, and compare the least model with
-the candidate.  Both engines share the ground program but follow separate
-code paths, and the test suite holds them to identical answers.
+the candidate.  Both engines share the ground program and one search
+(`_search`) and differ only in the minimality test at its leaves; the test
+suite holds them to identical answers.
 """
 
 import itertools
@@ -527,7 +528,9 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     """Every subset of `mask` that all `checkers` accept (`check` with
     `engine`); atoms outside `mask` stay false.  The subsets are not walked
     one by one: `_extensions` propagates and branches, so the candidates it
-    examines are about the accepted ones.
+    examines are about the accepted ones.  The leaf minimality test is
+    `minimal_brute` for `brute` and `minimal_reduct` for every other
+    engine, so callers pass their engine as it is.
     """
     # Each rule as (head, positive and double-negated body, negated body);
     # a constraint's head is 0, which is never true.

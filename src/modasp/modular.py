@@ -15,7 +15,6 @@ from .engine import (
     _relevant_base,
     _require_engine,
     _search,
-    _stable_models,  # not called here; kept so that tests can forbid it
     extensional_region,
     is_kappa_stable,
 )
@@ -315,17 +314,6 @@ def modular_answer_sets(
     return frozenset(_answer_sets(P, dom, engine, cap))
 
 
-def _topo_check(P: ModularProgram, graph: DependencyGraph, report: CoherenceReport):
-    """Refuses, for `topo`, an incoherent program and then a cyclic module
-    order."""
-    if not report.coherent:
-        raise EngineError(
-            "the topological engine requires a coherent modular program:\n"
-            + str(report)
-        )
-    _module_order(P, graph)
-
-
 def _answer_sets(
     P: ModularProgram, dom: Domain, engine: str, cap: int
 ) -> tuple[Interpretation, ...]:
@@ -343,17 +331,23 @@ def _answer_masks(
     report: Optional[CoherenceReport] = None,
 ) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
     """The modules compiled over their relevant base, their groundings, and
-    the answer sets as masks over that base.  `topo` runs its checks, on
-    the caller's `graph` and `report` when given, then the search of
-    `reduct`: one block of every allowed atom (so the closure condition
-    holds), checked by every module.  That search is exact, so it finds
-    what splitting by module (Lifschitz & Turner, ICLP 1994) would.
+    the answer sets as masks over that base.  `topo` first refuses, on
+    the caller's `graph` and `report` when given, an incoherent program
+    and then a cyclic module order; its search is the one of `reduct`:
+    one block of every allowed atom (so the closure condition holds),
+    checked by every module.  That search is exact, so it finds what
+    splitting by module (Lifschitz & Turner, ICLP 1994) would.
     """
     _require_engine(engine, MODULAR_ENGINES)
     if engine == "topo":
         graph = graph or dependency_graph(P)
-        _topo_check(P, graph, report or _coherence(P, graph))
-        engine = "reduct"
+        report = report or _coherence(P, graph)
+        if not report.coherent:
+            raise EngineError(
+                "the topological engine requires a coherent modular program:\n"
+                + str(report)
+            )
+        _module_order(P, graph)
     grounded = [ground(module.pi, dom) for module in P.modules]
     region = extensional_region(P.kappa, P.signature().predicates, dom)
     compiled = CompiledParts(
@@ -460,9 +454,7 @@ def theorem1_check(
         compiled.index,
         compiled.full & ~compiled.intensional,
     )
-    union = _search(
-        compiled.full, [union_checker], "reduct" if engine == "topo" else engine
-    )
+    union = _search(compiled.full, [union_checker], engine)
     # Both sides are masks over one base: compared as ints, and each
     # distinct answer becomes one interpretation, in output order.
     models = compiled.ordered(modular + union)

@@ -431,6 +431,55 @@ class TestModularLoad:
         assert "must declare a domain" in err
 
 
+class TestLoadOrder:
+    """`solve`, `compare` and `check-model` share one load path.  It
+    refuses a plan without a domain, then an engine the reading does not
+    take, and only then builds the reading; `check-model` parses its
+    candidate before all of these."""
+
+    def test_model_typo_wins_over_construction_error(self, capsys, tmp_path):
+        # The modular construction of this plan fails (exit 1).
+        program = tmp_path / "r.lp"
+        program.write_text("q(0,1).\n", encoding="utf-8")
+        control = tmp_path / "r.ctl"
+        control.write_text(
+            "use base.\ndomain 0..1.\nintensional q(X,2).\n", encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "check-model", str(program), "--control", str(control),
+            "--mode", "modular", "--model", "q(0,",
+        )
+        assert (code, out) == (2, "")
+        assert "construction" not in err
+
+    def test_topo_in_union_mode_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "solve", fixture("p1.lp"), "--control", fixture("p1.ctl"),
+            "--mode", "union", "--engine", "topo",
+        )
+        assert (code, out) == (2, "")
+        assert "brute, reduct, fixpoint" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--engine", "fixpoint"],
+            ["solve", "--mode", "modular", "--engine", "fixpoint"],
+            ["compare", "--engine", "fixpoint"],
+        ],
+    )
+    def test_missing_domain_comes_before_engine(self, capsys, tmp_path, argv):
+        control = tmp_path / "nodomain.ctl"
+        control.write_text("use base.\n", encoding="utf-8")
+        command, *options = argv
+        code, out, err = run(
+            capsys, command, fixture("gamma1.lp"), "--control", str(control),
+            *options,
+        )
+        assert (code, out) == (2, "")
+        assert "must declare a domain" in err
+
+
 class TestCheckModelModesAgree:
     """Both modes validate the candidate and ground every part before any
     part may reject it, so they fail on the same inputs."""
@@ -513,6 +562,31 @@ class TestErrors:
         code, _, err = run(capsys, "parse", "no-such-file.lp")
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("parse", "lp"),
+            ("solve", "lp"),
+            ("solve", "ctl"),
+            ("check-coherence", "lp"),
+            ("check-coherence", "ctl"),
+        ],
+    )
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, command, bad):
+        paths = {}
+        for ext, text in (("lp", "q(0,0).\n"), ("ctl", "use base.\ndomain 0..1.\n")):
+            paths[ext] = tmp_path / f"f.{ext}"
+            if ext == bad:
+                paths[ext].write_bytes(b"\xff\xfe")
+            else:
+                paths[ext].write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, command, str(paths["lp"]), "--control", str(paths["ctl"])
+        )
+        assert (code, out) == (2, "")
+        assert f"cannot read {paths[bad]}: " in err
+        assert "Traceback" not in err
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.lp"

@@ -282,7 +282,7 @@ class TestCoherence:
         monkeypatch.setattr(engine_mod, "is_kappa_stable", forbidden)
         monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
         monkeypatch.setattr(modular_mod, "is_kappa_stable", forbidden)
-        monkeypatch.setattr(modular_mod, "_stable_models", forbidden)
+        monkeypatch.setattr(engine_mod, "_stable_models", forbidden)
         monkeypatch.setattr(engine_mod.Interpretation, "of", forbidden)
         assert is_coherent(p1()).coherent
 
@@ -452,7 +452,7 @@ class TestModularAnswerSets:
         for target in (engine_mod, modular_mod):
             for name in ("ground", "extensional_region"):
                 monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
-            monkeypatch.setattr(target, "_stable_models", forbidden)
+        monkeypatch.setattr(engine_mod, "_stable_models", forbidden)
         monkeypatch.setattr(engine_mod, "ground_reachable", forbidden)
         monkeypatch.setattr(
             modular_mod, "dependency_graph", counting("dependency_graph", dependency_graph)
