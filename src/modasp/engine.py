@@ -7,7 +7,11 @@ rule with a refuted negated literal, strip the remaining negated literals,
 add one fact per true extensional atom, and compare the least model with
 the candidate.  Both engines share the ground program and one search
 (`_search`) and differ only in the minimality test at its leaves; the test
-suite holds them to identical answers.
+suite holds them to identical answers.  One linear routine, `_closure`,
+computes every least model over masks: the reduct's, and both propagation
+steps of the search.  `fixpoint` is the search's deterministic case: on a
+negation-free program with no choices, propagation at the root decides
+every atom, so the search never branches.
 """
 
 import itertools
@@ -225,10 +229,14 @@ class StabilityChecker:
     """Mask-compiled stability test of one program over a shared atom index.
 
     Candidates are bit masks over the index; atoms outside it are false in
-    every candidate, which resolves their literals at compile time.  A rule
-    whose head falls outside the index compiles to a constraint: no
-    candidate making its body true can be a classical model.  `ext_mask`
-    holds the atoms extensional under the program's own statement.
+    every candidate, which resolves their literals at compile time.  Each
+    rule compiles to `(head, pos, neg, negneg)`; a constraint, or a rule
+    whose head falls outside the index, gets head 0, which is never true:
+    no candidate making its body true can be a classical model.  `watch`
+    files the position of each rule under its positive body atoms, so that
+    `_closure` looks at a rule again only when one of them is derived.
+    `ext_mask` holds the atoms extensional under the program's own
+    statement.
     """
 
     def __init__(
@@ -236,10 +244,13 @@ class StabilityChecker:
     ):
         self.index = index
         self.ext_mask = ext_mask
-        self.compiled: list[tuple[Optional[int], int, int, int]] = []
+        self.compiled: list[tuple[int, int, int, int]] = []
+        self.watch: dict[int, list[int]] = {}
         for rule in rules:
             entry = self._compile_rule(rule)
             if entry is not None:
+                for atom in set(rule.pos):
+                    self.watch.setdefault(index[atom], []).append(len(self.compiled))
                 self.compiled.append(entry)
 
     def _compile_rule(self, rule: GroundRule):
@@ -260,13 +271,12 @@ class StabilityChecker:
             bit = self.index.get(atom)
             if bit is not None:
                 neg |= bit  # out-of-universe atoms make `not` literals true
-        head = None if rule.head is None else self.index.get(rule.head)
-        return (head, pos, neg, negneg)
+        return (self.index.get(rule.head, 0), pos, neg, negneg)
 
     def classical(self, T: int) -> bool:
         for head, pos, neg, negneg in self.compiled:
             if pos & T == pos and neg & T == 0 and negneg & T == negneg:
-                if head is None or not head & T:
+                if not head & T:
                     return False
         return True
 
@@ -277,7 +287,6 @@ class StabilityChecker:
             (pos, head)
             for head, pos, neg, negneg in self.compiled
             if neg & T == 0 and negneg & T == negneg and pos & T == pos
-            and head is not None
         ]
 
     def minimal_brute(self, T: int) -> bool:
@@ -305,25 +314,7 @@ class StabilityChecker:
 
     def minimal_reduct(self, T: int) -> bool:
         """Least model of the reduct plus extensional facts equals T."""
-        derived = T & self.ext_mask
-        rules = [
-            (pos, head)
-            for head, pos, neg, negneg in self.compiled
-            if neg & T == 0 and negneg & T == negneg and head is not None
-        ]
-        changed = True
-        while changed:
-            changed = False
-            remaining = []
-            for pos, head in rules:
-                if pos & derived == pos:
-                    if not head & derived:
-                        derived |= head
-                        changed = True
-                else:
-                    remaining.append((pos, head))
-            rules = remaining
-        return derived == T
+        return _closure(T & self.ext_mask, self.compiled, self.watch, T, T) == T
 
     def check(self, T: int, engine: str) -> bool:
         if not self.classical(T):
@@ -331,6 +322,30 @@ class StabilityChecker:
         if engine == "brute":
             return self.minimal_brute(T)
         return self.minimal_reduct(T)
+
+
+def _closure(
+    derived: int, rules, watch: dict[int, list[int]], blocked: int, need: int
+) -> int:
+    """The least superset of `derived` closed under the `rules` whose
+    negated atoms avoid `blocked` and whose double-negated atoms lie in
+    `need`.  Linear: a rule is looked at once, and again only when one of
+    its positive atoms, under which `watch` files it, is derived."""
+    queue = [
+        head
+        for head, pos, neg, negneg in rules
+        if pos & derived == pos and not neg & blocked and negneg & need == negneg
+    ]
+    while queue:
+        head = queue.pop()
+        if head & derived:
+            continue
+        derived |= head
+        for i in watch.get(head, ()):
+            head, pos, neg, negneg = rules[i]
+            if pos & derived == pos and not neg & blocked and negneg & need == negneg:
+                queue.append(head)
+    return derived
 
 
 class CompiledParts:
@@ -449,15 +464,19 @@ def is_stable_in_parts(
     )
     T = compiled.full
     if engine == "brute":
-        walked = max(
-            ((T & ~c.ext_mask).bit_count() for c in compiled.checkers), default=0
-        )
-        if walked > DEFAULT_CAP:
-            raise CapacityError(
-                f"brute would walk the subsets of {walked} intensional atoms "
-                f"of one part (cap {DEFAULT_CAP}); use the reduct engine"
-            )
+        _refuse_brute_walk(T, compiled.checkers)
     return compiled.allowed == T and all(c.check(T, engine) for c in compiled.checkers)
+
+
+def _refuse_brute_walk(T: int, checkers: Sequence[StabilityChecker]):
+    """`minimal_brute` walks the subsets of a part's intensional atoms in
+    `T`: refuse more than `DEFAULT_CAP` of them before walking any."""
+    walked = max(((T & ~c.ext_mask).bit_count() for c in checkers), default=0)
+    if walked > DEFAULT_CAP:
+        raise CapacityError(
+            f"brute would walk the subsets of {walked} intensional atoms "
+            f"of one part (cap {DEFAULT_CAP}); use the reduct engine"
+        )
 
 
 def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
@@ -486,28 +505,6 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
     return frozenset(derived)
 
 
-def _fixpoint_models(
-    gp: GroundProgram, region: frozenset[PredAtom]
-) -> tuple[Interpretation, ...]:
-    """The one stable model of a negation-free program with no choices.
-
-    `gp` is `ground_reachable` over the (empty) region: exactly the
-    instances whose positive body lies in the least model, so their heads
-    are the least model, and a constraint among them rejects it."""
-    if any(r.neg or r.negneg for r in gp.rules):
-        raise EngineError(
-            "the fixpoint engine requires a negation-free ground program"
-        )
-    if region:
-        raise EngineError(
-            "the fixpoint engine requires an empty extensional region over "
-            "the domain (make every predicate purely intensional)"
-        )
-    if any(r.head is None for r in gp.rules):
-        return ()
-    return (Interpretation(gp.heads()),)
-
-
 def _relevant_base(
     grounded: Iterable[GroundProgram], region: frozenset[PredAtom], cap: int
 ) -> list[PredAtom]:
@@ -526,98 +523,58 @@ def _relevant_base(
 
 def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
     """Every subset of `mask` that all `checkers` accept (`check` with
-    `engine`); atoms outside `mask` stay false.  The subsets are not walked
-    one by one: `_extensions` propagates and branches, so the candidates it
-    examines are about the accepted ones.  The leaf minimality test is
-    `minimal_brute` for `brute` and `minimal_reduct` for every other
-    engine, so callers pass their engine as it is.
+    `engine`), found depth-first; atoms outside `mask` stay false.
+
+    The atoms of `mask` start open.  Each node runs `_propagate`, then
+    branches on an open choice (an atom outside every checker's own
+    region) if there is one, else on the lowest open atom.  At a total
+    assignment propagation has made `T` a classical model of every
+    checker, so only the leaf minimality test is left: `minimal_brute`
+    under `brute`, which first refuses a walk past `DEFAULT_CAP` atoms,
+    and `minimal_reduct` under every other engine, so callers pass their
+    engine as it is.  That test is exact, so the answers do not rest on
+    the propagator.
     """
-    # Each rule as (head, positive and double-negated body, negated body);
-    # a constraint's head is 0, which is never true.
-    parts = [
-        (
-            c.ext_mask,
-            [(h or 0, pos | negneg, neg) for h, pos, neg, negneg in c.compiled],
-        )
-        for c in checkers
-    ]
+    # The forward step runs over every checker's rules at once, with one
+    # `watch` of their positions.  A constraint's head is a bit above every
+    # atom there, so deriving it is a conflict like any head already false.
+    bottom = 1 << max((len(c.index) for c in checkers), default=0)
+    rules, watch = [], {}
+    choices = mask
+    relevant = negneg_atoms = 0
+    for c in checkers:
+        for bit, positions in c.watch.items():
+            watch.setdefault(bit, []).extend(i + len(rules) for i in positions)
+        for head, pos, neg, negneg in c.compiled:
+            rules.append((head or bottom, pos, neg, negneg))
+            relevant |= head | pos | neg | negneg
+            negneg_atoms |= negneg
+        choices &= c.ext_mask
+    forward = rules, watch, negneg_atoms
+    parts = [(c.ext_mask, c.compiled, c.watch) for c in checkers]
     leaves = [
         c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
     ]
-    return _extensions(mask, parts, leaves)
-
-
-def _extensions(mask: int, parts, leaves) -> list[int]:
-    """Every subset `T` of `mask` that the checkers accept, found
-    depth-first by propagating and branching.  `parts` holds each checker's
-    `ext_mask` and rules as `_search` prepares them, and `leaves` its
-    minimality test.
-
-    Every atom outside `mask` is false, and the atoms of `mask` start open.
-    Rules whose body is already false are dropped once; a rule left with no
-    open atom has a true body and a false head, and rejects every subset.
-    Then, until nothing changes:
-
-    * rule propagation: a rule whose body is true sets its head true; a
-      constraint, or a head already false, is a conflict;
-    * support propagation: an open atom in a checker's own region is set
-      false when every rule of that checker with that head has a false
-      body; if it is already true, that is a conflict.
-
-    The search then branches on the lowest open atom.  At a total
-    assignment rule propagation has made `T` a classical model of every
-    checker, so only the leaves are left to test, `minimal_brute` under
-    `brute` and `minimal_reduct` otherwise; that test is exact, so the
-    answers do not rest on the propagator.  Each pruning drops only
-    assignments `check` rejects.  Rule propagation drops classical
-    counter-models.  Support propagation drops a `T` in which an atom `a`
-    of the checker's region is true while every rule with head `a` has a
-    false body.  The reduct never derives such an `a`, so `minimal_reduct`
-    fails.  And `T` without `a` keeps every true extensional atom and is
-    closed under the rules live at `T`, whose heads all lie in `T` and
-    differ from `a`, so `minimal_brute` fails as well.
-    """
-    open_ = mask
-    rules = []
-    supports = []
-    underivable = relevant = 0
-    for ext_mask, compiled in parts:
-        own = open_ & ~ext_mask
-        heads: dict[int, list[tuple[int, int]]] = {}
-        for rule in compiled:
-            head, body, neg = rule
-            if body & open_ != body:
-                continue  # body false in every subset
-            if not (head | body | neg) & open_:
-                return []
-            rules.append(rule)
-            relevant |= head | body | neg
-            if head & own:
-                heads.setdefault(head, []).append((body, neg))
-        while own:
-            bit = own & -own
-            own ^= bit
-            if bit in heads:
-                supports.append((bit, heads[bit]))
-            else:
-                underivable |= bit
     found = []
-    stack = [(0, open_ & ~underivable, bool(rules))]
+    stack = [(0, mask, bool(parts))]
     while stack:
         true, open_, changed = stack.pop()
         if changed:
-            state = _propagate(true, open_, rules, supports)
+            state = _propagate(true, open_, forward, parts)
             if state is None:
                 continue
             true, open_ = state
         if open_:
-            bit = open_ & -open_
+            pick = open_ & choices or open_
+            bit = pick & -pick
             open_ ^= bit
-            # Deciding an atom that no kept rule mentions propagates nothing.
+            # Deciding an atom that no rule mentions propagates nothing.
             changed = bit & relevant
             stack.append((true, open_, changed))
             stack.append((true | bit, open_, changed))
         else:
+            if engine == "brute":
+                _refuse_brute_walk(true, checkers)
             for leaf in leaves:
                 if not leaf(true):
                     break
@@ -626,30 +583,57 @@ def _extensions(mask: int, parts, leaves) -> list[int]:
     return found
 
 
-def _propagate(true, open_, rules, supports):
-    """Rule and support propagation to a fixpoint (see `_extensions`);
-    returns the new `(true, open_)`, or None on a conflict."""
+def _propagate(true: int, open_: int, forward, parts) -> Optional[tuple[int, int]]:
+    """One forward and one unfounded step per round, until nothing changes;
+    returns the new `(true, open_)`, or None on a conflict.  `forward`
+    holds every checker's rules (a constraint's head a bit above every
+    atom), their `watch` and the atoms they double-negate; `parts` holds
+    each checker's `ext_mask`, compiled rules and `watch`.  Each step drops
+    only assignments that `check` rejects under both minimality tests.
+
+    * Forward: the closure of `true` under the rules whose negated atoms
+      are all false sets their heads true.  A derived head outside the
+      possible atoms `true | open_`, a constraint's among them, is a
+      conflict.  Every total extension making those bodies true and such
+      a head false is no classical model.
+    * Unfounded (the `atmost` step of smodels, bounding the greatest
+      unfounded set): the closure of a checker's possible atoms outside
+      its own region, under the rules live in some extension (no negated
+      atom true, every double-negated atom possible), bounds what it can
+      derive.  An own open atom outside that bound becomes false, and an
+      own true atom outside it is a conflict.  Take a total extension `T`
+      with an own atom `a` outside the bound.  The reduct at `T` keeps
+      only rules that the closure may use, and its extensional facts are
+      possible, so its least model lies in the bound and misses `a`:
+      `minimal_reduct` fails.  And if `T` is a classical model, the
+      here-world `T & bound` keeps every true extensional atom, misses `a`
+      and is closed under the rules live at `T`, whose heads lie in `T`
+      and, by the closure, in the bound: `minimal_brute` fails as well.
+      The step subsumes the support rule: an own atom each of whose rules
+      has a body false in every extension never enters the bound.
+    """
+    all_rules, all_watch, negneg_atoms = forward
     while True:
-        before = open_
         possible = true | open_
-        for head, body, neg in rules:
-            if body & true == body and not neg & possible:
-                if not head & possible:
-                    return None
-                if head & open_:
-                    true |= head
-                    open_ ^= head
-        for bit, bodies in supports:
-            if bit & possible:
-                for body, neg in bodies:
-                    if body & possible == body and not neg & true:
-                        break  # a rule that can still derive the atom
-                else:
-                    if bit & true:
-                        return None
-                    open_ &= ~bit
-                    possible &= ~bit
-        if open_ == before:
+        derived = _closure(true, all_rules, all_watch, possible, true)
+        if derived & ~possible:
+            return None
+        open_ &= ~derived
+        new, true = derived & ~true, derived
+        before = open_
+        for ext_mask, rules, watch in parts:
+            possible = true | open_
+            if not possible & ~ext_mask:
+                continue  # no own atom to bound
+            derivable = _closure(possible & ext_mask, rules, watch, true, possible)
+            bound = ext_mask | derivable
+            if true & ~bound:
+                return None
+            open_ &= bound
+        # The forward closure took double-negated atoms from the old `true`;
+        # unless it derived one of them, it is closed, and stays so while
+        # the unfounded step changes nothing.
+        if open_ == before and not new & negneg_atoms:
             return true, open_
 
 
@@ -679,7 +663,18 @@ def _stable_models(kappa, pi, dom, engine, cap) -> tuple[Interpretation, ...]:
     region = extensional_region(kappa, preds, dom)
     gp = ground_reachable(pi, dom, region)
     if engine == "fixpoint":
-        return _fixpoint_models(gp, region)
+        # Root propagation then decides every atom: the forward step derives
+        # the least model and the unfounded step makes the rest false.
+        if any(r.neg or r.negneg for r in gp.rules):
+            raise EngineError(
+                "the fixpoint engine requires a negation-free ground program"
+            )
+        if region:
+            raise EngineError(
+                "the fixpoint engine requires an empty extensional region over "
+                "the domain (make every predicate purely intensional)"
+            )
+        cap = len(gp.rules)  # the base holds at most one head per rule
     base = _relevant_base([gp], region, cap)
     compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
     return compiled.models(_search(compiled.allowed, compiled.checkers, engine))

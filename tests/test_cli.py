@@ -556,6 +556,20 @@ class TestBruteCap:
         monkeypatch.setattr(engine_mod, "DEFAULT_CAP", 2)
         assert self.check(capsys, 2, "union", "brute")[0] == 3
 
+    def test_solve_refuses_at_the_leaf(self, capsys, monkeypatch):
+        # The one model of the n=2 chain holds three intensional atoms; the
+        # base cap (10) allows it, the walk cap (2) does not.
+        import modasp.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "DEFAULT_CAP", 2)
+        code, out, err = run(
+            capsys, "solve", fixture("property.lp"), "--control",
+            fixture("property.ctl"), "-c", "n=2", "--mode", "union",
+            "--engine", "brute", "--cap", "10",
+        )
+        assert (code, out) == (3, "")
+        assert "3 intensional atoms of one part (cap 2)" in err
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

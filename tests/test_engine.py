@@ -28,7 +28,7 @@ from modasp.errors import (
 )
 from modasp.grounding import Domain, GroundRule, ground
 from modasp.instantiation import collective_modular, collective_union, global_statement
-from modasp.intensionality import IntensionalityStatement
+from modasp.intensionality import IntensionalityStatement, lambda_holds
 from modasp.modular import modular_answer_sets
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Comparison, Literal, PredAtom, Program, make_rule
@@ -387,6 +387,42 @@ def _hand_checker(rules, universe, intensional):
     return checker
 
 
+def _loop_parts(rng):
+    """One or two compiled parts of a random ground program over `a(0..n-1)`
+    in which each part's region holds a positive loop, entered from outside
+    it by a rule that may be blocked; the other rules are random, with
+    negation, double negation and constraints."""
+    atoms = [PredAtom("a", (num(i),)) for i in range(rng.randint(5, 8))]
+
+    def statement(region):
+        return IntensionalityStatement.of({("a", 1): [a.args for a in region]})
+
+    def some(k):
+        return tuple(rng.sample(atoms, rng.randint(0, k)))
+
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        region = rng.sample(atoms, rng.randint(2, len(atoms) - 2))
+        loop = region[: rng.randint(2, min(3, len(region)))]
+        rules = [
+            GroundRule(head, (body,) + (some(1) if rng.random() < 0.3 else ()))
+            for head, body in zip(loop, loop[1:] + loop[:1])
+        ]
+        entry = rng.choice([a for a in atoms if a not in loop])
+        rules.append(GroundRule(rng.choice(loop), (entry,), some(1)))
+        for _ in range(rng.randint(2, 4)):
+            head = None if rng.random() < 0.1 else rng.choice(atoms)
+            negneg = some(1) if rng.random() < 0.3 else ()
+            rules.append(GroundRule(head, some(2), some(1), negneg))
+        parts.append((rules, statement(region)))
+    intensional = {a for _, st in parts for a in atoms if lambda_holds(st, a)}
+    undefined = [a for a in atoms if a not in intensional]
+    if undefined and rng.random() < 0.5:
+        # A globally intensional atom that no part defines is never true.
+        intensional.add(undefined[0])
+    return CompiledParts(atoms, statement(intensional), parts)
+
+
 P0, Q0 = PredAtom("p", ()), PredAtom("q", ())
 
 
@@ -434,6 +470,17 @@ class TestSearch:
                 assert set(found) == _sweep(*block, engine)
         assert multi >= 20
 
+    def test_positive_loops_match_sweep(self):
+        rng = random.Random(29)
+        multi = 0
+        for _ in range(40):
+            compiled = _loop_parts(rng)
+            block = compiled.allowed, compiled.checkers
+            multi += len(compiled.checkers) > 1
+            for engine in self.ENGINES:
+                assert sorted(_search(*block, engine)) == sorted(_sweep(*block, engine))
+        assert multi >= 10
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_self_loop_is_rejected_only_by_minimality(self, engine):
         # p :- p.  {p} is a classical model; only minimality rejects it.
@@ -448,11 +495,24 @@ class TestSearch:
         assert sorted(_search(1, [checker], engine)) == [0, 1]
 
     @pytest.mark.parametrize("engine", ENGINES)
+    def test_derived_atom_fires_its_double_negation(self, engine):
+        # a :- b.  h :- not not a.  b :- not not b.  Over bits h, b, a the
+        # search decides h false, then b true; the forward step derives a,
+        # and only another round finds `h :- not not a` violated.  Without
+        # it, `minimal_brute` would accept the non-model {a, b}.
+        h, b, a = (PredAtom(name, ()) for name in "hba")
+        rules = [
+            GroundRule(a, (b,)), GroundRule(h, negneg=(a,)), GroundRule(b, negneg=(b,))
+        ]
+        checker = _hand_checker(rules, [h, b, a], [h, b, a])
+        assert sorted(_search(0b111, [checker], engine)) == [0, 0b111]
+
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_head_outside_index_is_a_constraint(self, engine):
         # q :- p.  over the universe {p}, p extensional: q is not indexed,
         # so the rule compiles to the constraint `:- p`.
         checker = _hand_checker([GroundRule(Q0, (P0,))], [P0], [])
-        assert checker.compiled == [(None, 1, 0, 0)]
+        assert checker.compiled == [(0, 1, 0, 0)]
         assert _search(1, [checker], engine) == [0]
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -475,17 +535,28 @@ r(X) :- not p(X), s(X).
 """
 
 
-def _even_loop(hi):
-    """Two even negative loops over `domain 0..hi`: 3 * (hi + 1) atoms and
-    3 ** (hi + 1) answer sets."""
-    prog = parse_program(EVEN_LOOP)
-    plan = parse_control(
-        f"use base. domain 0..{hi}. intensional p(X). intensional r(X).", prog
-    )
+POSITIVE_LOOPS = """
+p(X) :- e(X).
+p(X) :- q(X).
+q(X) :- p(X).
+"""
+
+
+def _plan(text, control):
+    """The union reading of `use base.` plus `control`, its global
+    statement, the modular reading and the domain."""
+    prog = parse_program(text)
+    plan = parse_control("use base. " + control, prog)
     union = collective_union(prog, plan.specs)
     kappa = global_statement(plan, union.signature().predicates)
     dom = Domain.build([union], *plan.domain)
     return kappa, union, collective_modular(prog, plan), dom
+
+
+def _even_loop(hi):
+    """Two even negative loops over `domain 0..hi`: 3 * (hi + 1) atoms and
+    3 ** (hi + 1) answer sets."""
+    return _plan(EVEN_LOOP, f"domain 0..{hi}. intensional p(X). intensional r(X).")
 
 
 class TestCandidateCount:
@@ -515,6 +586,42 @@ class TestCandidateCount:
     def test_even_loop_at_the_default_cap(self):
         kappa, union, _, dom = _even_loop(7)
         assert len(enumerate_kappa_stable(kappa, union, dom, "reduct")) == 6561
+
+    def test_positive_loops_leaf_calls(self, calls):
+        # Each false e(X) leaves the loop p(X), q(X) unfounded, so it is made
+        # false before any leaf: one leaf per answer set.
+        kappa, union, modular, dom = _plan(
+            POSITIVE_LOOPS, "domain 0..9. intensional p(X). intensional q(X)."
+        )
+        assert len(enumerate_kappa_stable(kappa, union, dom, "reduct", 30)) == 1024
+        assert calls[0] == 1024
+        calls[0] = 0
+        assert len(modular_answer_sets(modular, dom, "reduct", 30)) == 1024
+        assert calls[0] == 1024
+
+    def test_fixpoint_decides_the_chain_at_the_root(self, calls):
+        text = "q(0,0)." + "".join(f"q(N,{k}+1) :- q(N-1,{k})." for k in range(100))
+        pi = parse_program(text).subprogram("base")
+        (model,) = enumerate_kappa_stable(kappa_int(), pi, Domain(0, 100), "fixpoint")
+        assert len(model) == 101
+        assert calls[0] == 1
+
+    def test_fixpoint_reaching_a_constraint_tests_no_leaf(self, calls):
+        pi = parse_program("q(0,0). q(1,1) :- q(0,0). :- q(1,1).").subprogram("base")
+        assert enumerate_kappa_stable(kappa_int(), pi, Domain(0, 1), "fixpoint") == (
+            frozenset()
+        )
+        assert calls[0] == 0
+
+    def test_fixpoint_matches_reduct_on_the_descending_chain(self):
+        # Derived against rule order: q(2000), then q(1999) and so on.
+        kappa, union, _, dom = _plan(
+            "#program top(m). q(m). #program step(k). q(k) :- q(k+1).",
+            "const n = 2000. use top(n). use step(k) for k in 0..n-1. domain 0..n.",
+        )
+        (model,) = enumerate_kappa_stable(kappa, union, dom, "fixpoint")
+        assert len(model) == 2001
+        assert enumerate_kappa_stable(kappa, union, dom, "reduct", 2001) == {model}
 
 
 class TestLeastModel:

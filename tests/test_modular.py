@@ -473,22 +473,23 @@ class TestTopoSearch:
     every module."""
 
     def test_choices_under_a_constraint_take_one_extension_call(self, monkeypatch):
-        # s(0..9) are global choices that the constraint rejects one by one;
-        # a first block of choices without a checker would list all 2^10
-        # subsets before any module prunes them.
+        # s(0..9) are global choices that the constraint rejects one by one:
+        # the root, then two propagations per choice.  A first block of
+        # choices without a checker would list all 2^10 subsets before any
+        # module prunes them.
         import modasp.engine as engine_mod
 
         P, dom = plan_program(":- s(X).\n", "use base. domain 0..9. intensional p(X).")
         calls = [0]
-        extensions = engine_mod._extensions
+        propagate = engine_mod._propagate
 
         def counted(*args):
             calls[0] += 1
-            return extensions(*args)
+            return propagate(*args)
 
-        monkeypatch.setattr(engine_mod, "_extensions", counted)
+        monkeypatch.setattr(engine_mod, "_propagate", counted)
         assert modular_answer_sets(P, dom, "topo") == frozenset({Interpretation()})
-        assert calls[0] == 1
+        assert calls[0] == 21
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_every_modular_path_searches_one_block(self, engine, monkeypatch):
