@@ -23,7 +23,9 @@ from .grounding import (
     Domain,
     GroundProgram,
     GroundRule,
+    _assignments,
     _eval_atom,
+    _variable_sorts,
     ground,
     ground_reachable,
 )
@@ -36,6 +38,7 @@ from .program import (
     Rule,
     atom_is_precomputed,
     atom_order_key,
+    substitute_rule,
 )
 from .terms import (
     Numeral,
@@ -43,7 +46,6 @@ from .terms import (
     Term,
     Variable,
     eval_ground,
-    substitute_variables,
     subterms,
 )
 
@@ -447,8 +449,8 @@ def is_stable_in_parts(
     under `kappa` this is `is_kappa_stable`; with the modules of a modular
     program, membership among its answer sets.
 
-    Each part is ground only where `I` reaches: an instance left out has a
-    positive body atom outside `I`, so compiling would drop it anyway.
+    One `ground_reachable` call seeded with `I` grounds every part: an
+    instance left out has a positive body atom outside `I`.
     `brute` refuses, before it walks any subsets, a part with more than
     `DEFAULT_CAP` intensional atoms in `I`.
     """
@@ -457,10 +459,9 @@ def is_stable_in_parts(
     for atom in universe:
         if not dom.contains_atom(atom):
             raise DomainError(f"atom {atom} lies outside the declared domain")
+    grounded = ground_reachable([pi for pi, _ in parts], dom, I.atoms)
     compiled = CompiledParts(
-        universe,
-        kappa,
-        [(ground_reachable(pi, dom, I.atoms).rules, st) for pi, st in parts],
+        universe, kappa, [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)]
     )
     T = compiled.full
     if engine == "brute":
@@ -503,22 +504,6 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
             if counts[idx] == 0:
                 queue.append(definite[idx][0])
     return frozenset(derived)
-
-
-def _relevant_base(
-    grounded: Iterable[GroundProgram], region: frozenset[PredAtom], cap: int
-) -> list[PredAtom]:
-    """Every ground head plus the extensional region, sorted; refuses a
-    base larger than the cap."""
-    atoms = set(region)
-    for gp in grounded:
-        atoms |= gp.heads()
-    if len(atoms) > cap:
-        raise CapacityError(
-            f"relevant atom base has {len(atoms)} atoms (cap {cap}); shrink "
-            "the domain or raise the cap"
-        )
-    return sorted(atoms, key=atom_order_key)
 
 
 def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
@@ -644,28 +629,60 @@ def enumerate_kappa_stable(
     engine: str = "reduct",
     cap: int = DEFAULT_CAP,
 ) -> frozenset[Interpretation]:
-    """All stable models over the relevant atom base.
-
-    Only the rule instances whose positive body can be derived from the
-    extensional region are ground (`ground_reachable`): every stable model
-    lies inside their least model, so the others are vacuous.  The base
-    holds their heads plus every extensional atom over the domain; any atom
-    outside it is false in every stable model, because a true atom needs
-    either a deriving rule or a choice axiom.
-    """
+    """All stable models over the relevant atom base (`_solve` with one
+    part and no seeds but the extensional region)."""
     return frozenset(_stable_models(kappa, pi, dom, engine, cap))
 
 
 def _stable_models(kappa, pi, dom, engine, cap) -> tuple[Interpretation, ...]:
     """`enumerate_kappa_stable` in output order (`CompiledParts.models`)."""
     _require_engine(engine, ENGINES)
-    preds = set(pi.signature().predicates) | set(kappa.predicates())
+    compiled, _, masks = _solve(kappa, [(pi, kappa)], dom, engine, cap, frozenset())
+    return compiled.models(masks)
+
+
+def _solve(
+    kappa: IntensionalityStatement,
+    parts: Sequence[tuple[Program, IntensionalityStatement]],
+    dom: Domain,
+    engine: str,
+    cap: int,
+    seeds: frozenset[PredAtom],
+) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
+    """The parts `(program, statement)` compiled over their relevant base,
+    their groundings, and as masks the subsets of the base that every part
+    accepts with `engine` and whose true `kappa`-intensional atoms lie in
+    some part's region.  Union solving is the one-part case under `kappa`.
+
+    One `ground_reachable` call, seeded with the extensional region of
+    `kappa` plus `seeds`, grounds every part, so all share one derived set
+    `R`.  The base holds the region and every ground head (a true atom
+    needs a deriving rule or a choice axiom) and is refused past `cap`.
+
+    Exactness: every atom of an answer `I` lies in `R`, so the instances
+    left out are vacuous.  With one part, a true intensional atom is
+    derived in the reduct from region atoms and atoms derived before it.
+    With modules, `seeds` must hold every domain atom of the predicates of
+    each strongly connected component of the dependency graph that spans
+    modules; induct over the DAG of components, dependencies first.  Let
+    `a` be true in `I` and in the region of module i, at vertex `(p, i)`
+    of component C.  If C spans modules, `a` is seeded.  Otherwise C lies
+    inside module i; induct over module i's reduct derivation of `I`.  A
+    rule of module i derives `a` from true positive body atoms `b`, and
+    each `b` is derived earlier in module i (in C, or in a lower component
+    through an edge), or globally extensional (seeded), or, by the closure
+    condition, in the region of a module j other than i, at a vertex an
+    edge reaches from `(p, i)` and outside C, so in a lower component.
+    """
+    preds = set(kappa.predicates()).union(
+        *(pi.signature().predicates for pi, _ in parts)
+    )
     region = extensional_region(kappa, preds, dom)
-    gp = ground_reachable(pi, dom, region)
+    grounded = ground_reachable([pi for pi, _ in parts], dom, region | seeds)
     if engine == "fixpoint":
         # Root propagation then decides every atom: the forward step derives
         # the least model and the unfounded step makes the rest false.
-        if any(r.neg or r.negneg for r in gp.rules):
+        if any(r.neg or r.negneg for gp in grounded for r in gp.rules):
             raise EngineError(
                 "the fixpoint engine requires a negation-free ground program"
             )
@@ -674,10 +691,19 @@ def _stable_models(kappa, pi, dom, engine, cap) -> tuple[Interpretation, ...]:
                 "the fixpoint engine requires an empty extensional region over "
                 "the domain (make every predicate purely intensional)"
             )
-        cap = len(gp.rules)  # the base holds at most one head per rule
-    base = _relevant_base([gp], region, cap)
-    compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
-    return compiled.models(_search(compiled.allowed, compiled.checkers, engine))
+        cap = sum(map(len, grounded))  # the base holds at most one head per rule
+    base = set(region).union(*(gp.heads() for gp in grounded))
+    if len(base) > cap:
+        raise CapacityError(
+            f"relevant atom base has {len(base)} atoms (cap {cap}); shrink "
+            "the domain or raise the cap"
+        )
+    compiled = CompiledParts(
+        sorted(base, key=atom_order_key),
+        kappa,
+        [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
+    )
+    return compiled, grounded, _search(compiled.allowed, compiled.checkers, engine)
 
 
 # --- support (derivability) -------------------------------------------------------
@@ -711,30 +737,9 @@ def check_support(
         theta0 = _bind_head(rule.head, atom)
         if theta0 is None:
             continue
-        sorts = {
-            s.name: s.sort
-            for t in rule.terms()
-            for s in subterms(t)
-            if isinstance(s, Variable)
-        }
-        free = sorted(set(sorts) - set(theta0))
-        pools = [
-            dom.integers() if sorts[name] is Sort.INTEGER else dom.terms_sorted()
-            for name in free
-        ]
-        for combo in itertools.product(*pools):
-            theta = dict(theta0)
-            theta.update(zip(free, combo))
-            head_args = tuple(
-                eval_ground(substitute_variables(a, theta)) for a in rule.head.args
-            )
-            if head_args != atom.args:
-                continue
-            body = [
-                Literal(_subst_atom(lit.atom, theta), lit.negations)
-                for lit in rule.body
-            ]
-            if _body_holds(I, body):
+        for theta in _assignments(_variable_sorts(rule), theta0, dom):
+            instance = substitute_rule(rule, theta)
+            if _eval_atom(instance.head) == atom and _body_holds(I, instance.body):
                 return True
     return False
 
@@ -758,13 +763,3 @@ def _bind_head(head: PredAtom, atom: PredAtom) -> Optional[dict[str, Term]]:
         # arguments mixing variables into arithmetic are settled by the
         # evaluation guard after enumeration
     return theta
-
-
-def _subst_atom(atom, theta):
-    if isinstance(atom, Comparison):
-        return Comparison(
-            atom.rel,
-            substitute_variables(atom.lhs, theta),
-            substitute_variables(atom.rhs, theta),
-        )
-    return PredAtom(atom.name, tuple(substitute_variables(a, theta) for a in atom.args))

@@ -10,16 +10,17 @@ outside the domain in its head or positively in its body (such atoms are
 false in every representable interpretation; a negated out-of-domain atom
 is simply true).
 
-`ground` is the full instantiation, used by modular enumeration.  Union
-solving and every model check use `ground_reachable`, which keeps only the
+`ground` is the full instantiation, kept as the reference.  Every solving
+path and every model check use `ground_reachable`, which keeps only the
 instances whose positive body can be derived, and finds them by joining
-body atoms against derived atoms instead of enumerating the cross product.
+body atoms against derived atoms instead of enumerating the cross product;
+it falls back on `ground` only for rules it cannot match.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import RangeError, SafetyError
 from .program import Comparison, Literal, PredAtom, Program, Rule, substitute_rule
@@ -219,6 +220,17 @@ def _finish_instance(rule: Rule, dom: Domain) -> Optional[GroundRule]:
     )
 
 
+def _assignments(
+    sorts: dict[str, Sort], theta: dict[str, Term], dom: Domain
+) -> Iterator[dict[str, Term]]:
+    """Every extension of `theta` to the variables of `sorts`: integer
+    variables over the interval's numerals, general ones over all terms."""
+    free = sorted(set(sorts) - set(theta))
+    pools = {Sort.INTEGER: dom.integers(), Sort.GENERAL: dom.terms_sorted()}
+    for combo in itertools.product(*(pools[sorts[v]] for v in free)):
+        yield {**theta, **dict(zip(free, combo))}
+
+
 def ground(pi: Program, dom: Domain) -> GroundProgram:
     """Instantiate every rule over the domain.
 
@@ -227,19 +239,11 @@ def ground(pi: Program, dom: Domain) -> GroundProgram:
     positive body atom (range restriction), or the rule is rejected.
     """
     out: dict[GroundRule, None] = {}
-    integers = dom.integers()
-    generals = dom.terms_sorted()
     for rule in pi.rules:
         sorts = _variable_sorts(rule)
         _check_safety(rule, sorts)
-        names = sorted(sorts)
-        pools = [
-            integers if sorts[name] is Sort.INTEGER else generals for name in names
-        ]
-        for combo in itertools.product(*pools):
-            theta = dict(zip(names, combo))
-            instance = substitute_rule(rule, theta)
-            finished = _finish_instance(instance, dom)
+        for theta in _assignments(sorts, {}, dom):
+            finished = _finish_instance(substitute_rule(rule, theta), dom)
             if finished is not None:
                 out[finished] = None
     return GroundProgram(tuple(sorted(out, key=str)))
@@ -339,11 +343,12 @@ def _invert(t: Term, target: int, bindings: dict[str, Term]) -> bool:
 
 
 def ground_reachable(
-    pi: Program, dom: Domain, seeds: Iterable[PredAtom]
-) -> GroundProgram:
-    """The instances of `ground(pi, dom)` whose positive body lies in the
-    least model `R` of all its rules (negated literals read as true) plus
-    the seeds as facts, in the same order.
+    programs: Sequence[Program], dom: Domain, seeds: Iterable[PredAtom]
+) -> list[GroundProgram]:
+    """For each of the `programs`, the instances of its `ground(pi, dom)`
+    whose positive body lies in `R`, in the same order.  `R` is one least
+    model for all of them: that of every instance of every program
+    (negated literals read as true) plus the seeds as facts.
 
     Every stable model whose extensional atoms are among the seeds lies
     inside `R`, so the instances left out are vacuous in all of them.
@@ -356,38 +361,30 @@ def ground_reachable(
     unbound run over their domain pool, as in `ground`; an instance is kept
     only if all of its positive atoms are derived.
     """
-    pools = {Sort.INTEGER: dom.integers(), Sort.GENERAL: dom.terms_sorted()}
-    out: dict[GroundRule, None] = {}
+    out: list[dict[GroundRule, None]] = [{} for _ in programs]
     derived: set[PredAtom] = set()
     queue: list[PredAtom] = []
     # Atoms taken from the queue, under (pred,) and (pred, position, value).
     taken: dict[tuple, list[PredAtom]] = {}
     # Positive body literals, under (pred,) or their first ground position.
-    watch: dict[tuple, list[tuple[Rule, dict[str, Sort], list[PredAtom], int]]] = {}
+    watch: dict[tuple, list[tuple]] = {}
 
     def derive(atom: PredAtom):
         if atom not in derived:
             derived.add(atom)
             queue.append(atom)
 
-    def emit(rule: Rule, sorts: dict[str, Sort], theta: dict[str, Term]):
-        free = sorted(set(sorts) - set(theta))
-        for combo in itertools.product(*(pools[sorts[name]] for name in free)):
-            full = dict(theta)
-            full.update(zip(free, combo))
+    def emit(rule: Rule, sorts: dict[str, Sort], owner: int, theta: dict[str, Term]):
+        for full in _assignments(sorts, theta, dom):
             finished = _finish_instance(substitute_rule(rule, full), dom)
-            if (
-                finished is not None
-                and finished not in out
-                and all(a in derived for a in finished.pos)
-            ):
-                out[finished] = None
+            if finished is not None and all(a in derived for a in finished.pos):
+                out[owner][finished] = None
                 if finished.head is not None:
                     derive(finished.head)
 
-    def join(rule, sorts, rest: list[PredAtom], theta: dict[str, Term]):
+    def join(rule, sorts, owner, rest: list[PredAtom], theta: dict[str, Term]):
         if not rest:
-            emit(rule, sorts, theta)
+            emit(rule, sorts, owner, theta)
             return
         literal = rest[0]
         args = [simplify(substitute_variables(a, theta)) for a in literal.args]
@@ -400,27 +397,28 @@ def ground_reachable(
         for atom in bucket:
             extended = dict(theta)
             if all(_match(a, v, extended, dom) for a, v in zip(args, atom.args)):
-                join(rule, sorts, rest[1:], extended)
+                join(rule, sorts, owner, rest[1:], extended)
 
-    instantiable: list[tuple[Rule, dict[str, Sort]]] = []
-    for rule in pi.rules:
-        sorts = _variable_sorts(rule)
-        _check_safety(rule, sorts)
-        if _matchable(rule, sorts):
-            instantiable.append((rule, sorts))
-        else:
-            # Instantiate in full, failing exactly where `ground` fails, and
-            # watch the variable-free instances instead.
-            gp = ground(Program((rule,)), dom)
-            instantiable += [(r.as_rule(), {}) for r in gp.rules]
-    for rule, sorts in instantiable:
+    instantiable: list[tuple[Rule, dict[str, Sort], int]] = []
+    for owner, pi in enumerate(programs):
+        for rule in pi.rules:
+            sorts = _variable_sorts(rule)
+            _check_safety(rule, sorts)
+            if _matchable(rule, sorts):
+                instantiable.append((rule, sorts, owner))
+            else:
+                # Instantiate in full, failing exactly where `ground` fails,
+                # and watch the variable-free instances instead.
+                gp = ground(Program((rule,)), dom)
+                instantiable += [(r.as_rule(), {}, owner) for r in gp.rules]
+    for rule, sorts, owner in instantiable:
         pos = [
             lit.atom
             for lit in rule.body
             if lit.negations == 0 and isinstance(lit.atom, PredAtom)
         ]
         if not pos:
-            emit(rule, sorts, {})
+            emit(rule, sorts, owner, {})
         for i, atom in enumerate(pos):
             key: tuple = (atom.pred,)
             for k, arg in enumerate(atom.args):
@@ -428,7 +426,7 @@ def ground_reachable(
                 if is_precomputed(arg):
                     key = (atom.pred, k, arg)
                     break
-            watch.setdefault(key, []).append((rule, sorts, pos, i))
+            watch.setdefault(key, []).append((rule, sorts, owner, pos, i))
     for atom in seeds:
         derive(atom)
     while queue:
@@ -439,8 +437,8 @@ def ground_reachable(
         for key in keys:
             taken.setdefault(key, []).append(atom)
         for key in keys:
-            for rule, sorts, pos, i in watch.get(key, ()):
+            for rule, sorts, owner, pos, i in watch.get(key, ()):
                 theta: dict[str, Term] = {}
                 if all(_match(a, v, theta, dom) for a, v in zip(pos[i].args, atom.args)):
-                    join(rule, sorts, pos[:i] + pos[i + 1 :], theta)
-    return GroundProgram(tuple(sorted(out, key=str)))
+                    join(rule, sorts, owner, pos[:i] + pos[i + 1 :], theta)
+    return [GroundProgram(tuple(sorted(instances, key=str))) for instances in out]

@@ -4,6 +4,7 @@ answer sets of the plain rule union."""
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
 
 from .engine import (
@@ -12,14 +13,14 @@ from .engine import (
     CompiledParts,
     Interpretation,
     StabilityChecker,
-    _relevant_base,
     _require_engine,
     _search,
+    _solve,
     extensional_region,
     is_kappa_stable,
 )
 from .errors import EngineError
-from .grounding import Domain, GroundProgram, ground
+from .grounding import Domain, GroundProgram
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
@@ -94,6 +95,12 @@ class DependencyGraph:
     vertices: tuple[Vertex, ...]
     edges: frozenset[tuple[Vertex, Vertex]]
     patterns: PatternIndex = field(compare=False, repr=False)
+
+    @cached_property
+    def spanning(self) -> list[list[Vertex]]:
+        """The strongly connected components that span modules."""
+        components = strongly_connected_components(self.vertices, self.edges)
+        return [c for c in components if len({i for _, i in c}) > 1]
 
 
 def _matching_modules(patterns: PatternIndex, atom: PredAtom) -> list[int]:
@@ -275,17 +282,15 @@ def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
                             f"of module {j}",
                         )
                     )
-    for component in strongly_connected_components(graph.vertices, graph.edges):
-        indices = {i for _, i in component}
-        if len(indices) > 1:
-            names = ", ".join(f"({p},{i})" for p, i in component)
-            violations.append(
-                Violation(
-                    "scc-spans-modules",
-                    f"strongly connected component {{{names}}} spans modules "
-                    f"{sorted(indices)}",
-                )
+    for component in graph.spanning:
+        names = ", ".join(f"({p},{i})" for p, i in component)
+        violations.append(
+            Violation(
+                "scc-spans-modules",
+                f"strongly connected component {{{names}}} spans modules "
+                f"{sorted({i for _, i in component})}",
             )
+        )
     return CoherenceReport(not violations, tuple(violations))
 
 
@@ -330,17 +335,16 @@ def _answer_masks(
     graph: Optional[DependencyGraph] = None,
     report: Optional[CoherenceReport] = None,
 ) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
-    """The modules compiled over their relevant base, their groundings, and
-    the answer sets as masks over that base.  `topo` first refuses, on
-    the caller's `graph` and `report` when given, an incoherent program
-    and then a cyclic module order; its search is the one of `reduct`:
-    one block of every allowed atom (so the closure condition holds),
-    checked by every module.  That search is exact, so it finds what
-    splitting by module (Lifschitz & Turner, ICLP 1994) would.
+    """`_solve` with one part per module, seeded with every domain atom of
+    the predicates of the components of `graph` that span modules.  `topo`
+    first refuses, on the caller's `report` when given, an incoherent
+    program and then a cyclic module order; its search is the one of
+    `reduct`, which is exact, so it finds what splitting by module
+    (Lifschitz & Turner, ICLP 1994) would.
     """
     _require_engine(engine, MODULAR_ENGINES)
+    graph = graph or dependency_graph(P)
     if engine == "topo":
-        graph = graph or dependency_graph(P)
         report = report or _coherence(P, graph)
         if not report.coherent:
             raise EngineError(
@@ -348,14 +352,11 @@ def _answer_masks(
                 + str(report)
             )
         _module_order(P, graph)
-    grounded = [ground(module.pi, dom) for module in P.modules]
-    region = extensional_region(P.kappa, P.signature().predicates, dom)
-    compiled = CompiledParts(
-        _relevant_base(grounded, region, cap),
-        P.kappa,
-        [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
-    )
-    return compiled, grounded, _search(compiled.allowed, compiled.checkers, engine)
+    names = {p for component in graph.spanning for p, _ in component}
+    preds = [key for key in P.signature().predicates if key[0] in names]
+    seeds = extensional_region(IntensionalityStatement(), preds, dom)
+    parts = [(m.pi, m.kappa) for m in P.modules]
+    return _solve(P.kappa, parts, dom, engine, cap, seeds)
 
 
 def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
@@ -430,15 +431,16 @@ def theorem1_check(
     Both readings share one grounding of each module and one atom base,
     the modular relevant base.  The union reading is one more checker over
     it: the module ground rules under the global statement.  That is exact.
-    The modular base contains the union's reachable base
-    (`_stable_models`): both extensional regions range over the same
-    predicates, because every predicate a module statement names has a
-    global pattern.  The extra atoms are heads of unreachable instances.
-    They are globally intensional, so they are false in every union stable
-    model.  The extra instances have a positive body atom outside every
-    stable model, so they are vacuous.  The answers, their order and every
-    `order` tuple are therefore those of the union solved alone, and the
-    cap, checked on the larger modular base first, refuses as before.
+    The modular seeds contain the union's (`_stable_models`): both
+    extensional regions range over the same predicates, because every
+    predicate a module statement names has a global pattern.  Over the
+    same rules, the modular derived set, instances and base contain the
+    union's.  Each extra instance has a positive body atom the union does
+    not derive, so it is vacuous, and each extra atom is a globally
+    intensional head the union does not reach, false in every union stable
+    model.  The answers, their order and every `order` tuple
+    are those of the union solved alone, and the cap, checked on the
+    larger modular base first, refuses as before.
     """
     graph = dependency_graph(P)
     report = _coherence(P, graph)

@@ -106,6 +106,17 @@ class TestSolveCommand:
         expected = " ".join(f"q({i},{i})" for i in range(101))
         assert out == expected + "\n"
 
+    def test_property_n200_modular_topo_at_the_model_size(self, capsys):
+        # The modules reach only the 201 atoms of the one model; grounding
+        # them in full gave a base of 40,001 heads, over the cap.
+        code, out, _ = run(
+            capsys, "solve", fixture("property.lp"), "--control",
+            fixture("property.ctl"), "-c", "n=200", "--mode", "modular",
+            "--engine", "topo", "--cap", "201",
+        )
+        assert code == 0
+        assert out == " ".join(f"q({i},{i})" for i in range(201)) + "\n"
+
     def test_modes_agree_on_small_property(self, capsys):
         results = {}
         for mode, engine in (("union", "reduct"), ("modular", "reduct")):
@@ -379,7 +390,8 @@ class TestCheckModel:
             calls.append(pi)
             return ground(pi, dom)
 
-        for module in (engine_mod, modular_mod, grounding_mod):
+        assert not hasattr(modular_mod, "ground")
+        for module in (engine_mod, grounding_mod):
             monkeypatch.setattr(module, "ground", counting_ground)
         codes = []
         for model in ("q(0,0) q(1,1) q(2,2) q(3,3)", "q(0,0) q(1,1)"):

@@ -9,7 +9,6 @@ from modasp.engine import (
     HTInterpretation,
     StabilityChecker,
     Interpretation,
-    _relevant_base,
     _search,
     check_support,
     classical_satisfies,
@@ -27,11 +26,24 @@ from modasp.errors import (
     SafetyError,
 )
 from modasp.grounding import Domain, GroundRule, ground
-from modasp.instantiation import collective_modular, collective_union, global_statement
+from modasp.instantiation import (
+    Module,
+    ModularProgram,
+    collective_modular,
+    collective_union,
+    global_statement,
+)
 from modasp.intensionality import IntensionalityStatement, lambda_holds
-from modasp.modular import modular_answer_sets
+from modasp.modular import dependency_graph, modular_answer_sets
 from modasp.parsing import parse_control, parse_program
-from modasp.program import Comparison, Literal, PredAtom, Program, make_rule
+from modasp.program import (
+    Comparison,
+    Literal,
+    PredAtom,
+    Program,
+    atom_order_key,
+    make_rule,
+)
 from modasp.terms import Numeral, SymbolicConstant, Variable
 
 Q = ("q", 2)
@@ -350,14 +362,24 @@ def _sweep(mask, checkers, engine):
     }
 
 
+def _full_base(grounded, region, cap=24):
+    """Every head of the full groundings `grounded` plus the extensional
+    region, sorted; refuses more than `cap` atoms, as the solvers do."""
+    atoms = set(region).union(*(gp.heads() for gp in grounded))
+    if len(atoms) > cap:
+        raise CapacityError(f"{len(atoms)} atoms (cap {cap})")
+    return sorted(atoms, key=atom_order_key)
+
+
 def _modular_parts(P, dom, cap=24):
-    """The compiled modules of `P` over its relevant base, as the modular
-    `brute`/`reduct` engines build them."""
+    """The compiled modules of `P`, each ground in full, over the heads of
+    those groundings plus the extensional region."""
     grounded = [ground(m.pi, dom) for m in P.modules]
     region = extensional_region(P.kappa, P.signature().predicates, dom)
-    base = _relevant_base(grounded, region, cap)
     return CompiledParts(
-        base, P.kappa, [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)]
+        _full_base(grounded, region, cap),
+        P.kappa,
+        [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
     )
 
 
@@ -423,6 +445,31 @@ def _loop_parts(rng):
     return CompiledParts(atoms, statement(intensional), parts)
 
 
+def _cross_module_program(rng):
+    """Two or three modules that split the atoms `a(0..2)` between them and
+    derive their own atoms from anyone's, so that positive loops often run
+    through several modules; the rules are ground, with negation, double
+    negation and constraints."""
+    atoms = [PredAtom("a", (num(i),)) for i in range(3)]
+    owners = [rng.randrange(rng.randint(2, 3)) for _ in atoms]
+    modules = []
+    for i in range(max(owners) + 1):
+        own = [a for a, owner in zip(atoms, owners) if owner == i]
+        rules = []
+        for _ in range(rng.randint(1, 4)):
+            body = [
+                Literal(rng.choice(atoms), rng.choice((0, 0, 0, 1, 2)))
+                for _ in range(rng.randint(0, 2))
+            ]
+            head = rng.choice(own) if own and rng.random() < 0.9 else None
+            if head is not None or body:
+                rules.append(make_rule(head, body))
+        kappa = IntensionalityStatement.of({("a", 1): [a.args for a in own]})
+        modules.append(Module(kappa, Program.of(rules)))
+    global_kappa = IntensionalityStatement.purely_intensional([("a", 1)])
+    return ModularProgram(global_kappa, tuple(modules))
+
+
 P0, Q0 = PredAtom("p", ()), PredAtom("q", ())
 
 
@@ -440,7 +487,7 @@ class TestSearch:
             kappa, pi, dom = randprog.random_ground_instance(rng)
             gp = ground(pi, dom)
             region = extensional_region(kappa, pi.signature().predicates, dom)
-            base = _relevant_base([gp], region, cap=24)
+            base = _full_base([gp], region)
             compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
             (checker,) = compiled.checkers
             full = (1 << len(base)) - 1
@@ -469,6 +516,35 @@ class TestSearch:
                 assert len(found) == len(set(found))
                 assert set(found) == _sweep(*block, engine)
         assert multi >= 20
+
+    def test_reachable_modular_grounding_matches_full_sweep(self):
+        # Modular solving grounds every module in one `ground_reachable`
+        # call, seeded with the atoms of the module-spanning components; its
+        # answer sets must be those of the sweep over the full groundings.
+        import randprog
+
+        rng = random.Random(19)
+        cases = [randprog.random_coherent_program(rng, 10) for _ in range(40)]
+        pattern = 0
+        while pattern < 40:
+            P = randprog.random_pattern_program(rng)
+            dom = Domain.build([m.pi for m in P.modules], 0, 1)
+            try:
+                _modular_parts(P, dom, 10)
+            except (CapacityError, SafetyError):
+                continue
+            cases.append((P, dom))
+            pattern += 1
+        cases += [(_cross_module_program(rng), Domain(0, 2)) for _ in range(40)]
+        spanning = 0
+        for P, dom in cases:
+            spanning += bool(dependency_graph(P).spanning)
+            compiled = _modular_parts(P, dom, 10)
+            for engine in self.ENGINES:
+                swept = _sweep(compiled.allowed, compiled.checkers, engine)
+                expected = frozenset(compiled.models(swept))
+                assert modular_answer_sets(P, dom, engine, 10) == expected
+        assert spanning >= 10
 
     def test_positive_loops_match_sweep(self):
         rng = random.Random(29)

@@ -1,6 +1,7 @@
-"""Reachable grounding: `ground_reachable` keeps exactly the instances of
-`ground` whose positive body lies in the least model of all instances plus
-the seeds, and the union engines built on it keep their answers."""
+"""Reachable grounding: `ground_reachable` keeps, for each program, exactly
+the instances of its `ground` whose positive body lies in the least model of
+the instances of all the programs plus the seeds, and the union engines
+built on it keep their answers."""
 
 import random
 from pathlib import Path
@@ -10,7 +11,6 @@ import pytest
 from modasp.engine import (
     CompiledParts,
     Interpretation,
-    _relevant_base,
     _search,
     enumerate_kappa_stable,
     extensional_region,
@@ -22,7 +22,7 @@ from modasp.instantiation import collective_union, global_statement
 from modasp.intensionality import IntensionalityStatement
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
-from modasp.program import Literal, PredAtom, Program, Rule, make_rule
+from modasp.program import Literal, PredAtom, Program, Rule, atom_order_key, make_rule
 from modasp.terms import Arith, Func, Numeral, SymbolicConstant, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,17 +40,19 @@ def rules(text):
     return parse_program(text).subprogram("base")
 
 
-def oracle(pi, dom, seeds):
-    """The contract: instances of the full grounding whose positive body
-    lies in the least model of all of them plus the seeds as facts."""
-    full = ground(pi, dom)
-    reach = least_model(list(full.rules) + [GroundRule(a) for a in seeds])
-    return tuple(r for r in full.rules if set(r.pos) <= reach)
+def oracle(programs, dom, seeds):
+    """The contract: for each program, the instances of its full grounding
+    whose positive body lies in the least model of the instances of all
+    the programs plus the seeds as facts."""
+    full = [ground(pi, dom) for pi in programs]
+    facts = [GroundRule(a) for a in seeds]
+    reach = least_model([r for gp in full for r in gp.rules] + facts)
+    return [tuple(r for r in gp.rules if set(r.pos) <= reach) for gp in full]
 
 
 def assert_contract(pi, dom, seeds):
-    got = ground_reachable(pi, dom, seeds)
-    assert got.rules == oracle(pi, dom, seeds)
+    (got,) = ground_reachable([pi], dom, seeds)
+    assert [got.rules] == oracle([pi], dom, seeds)
     return got
 
 
@@ -145,6 +147,25 @@ class TestContract:
             nonempty += bool(got.rules)
         assert nonempty > 50
 
+    def test_random_module_lists(self):
+        # One call for all modules: each keeps its own instances, over the
+        # one derived set of them all.
+        import randprog
+
+        rng = random.Random(16)
+        shared = 0
+        for _ in range(80):
+            P, dom = randprog.random_coherent_program(rng)
+            programs = [m.pi for m in P.modules]
+            region = sorted(region_of(P.kappa, union_program(P), dom), key=str)
+            seeds = rng.sample(region, len(region) // 2)
+            expected = oracle(programs, dom, seeds)
+            got = ground_reachable(programs, dom, seeds)
+            assert [gp.rules for gp in got] == expected
+            alone = [ground_reachable([pi], dom, seeds)[0].rules for pi in programs]
+            shared += alone != expected
+        assert shared > 5
+
     def test_fixture_unions(self):
         loaded = 0
         for lp in sorted(FIXTURES.glob("*.lp")):
@@ -168,7 +189,7 @@ class TestContract:
             (FIXTURES / "property.ctl").read_text(encoding="utf-8"), prog, {"n": 400}
         )
         union = collective_union(prog, plan.specs)
-        gp = ground_reachable(union, Domain.build([union], *plan.domain), ())
+        (gp,) = ground_reachable([union], Domain.build([union], *plan.domain), ())
         assert len(gp.rules) == 401
 
 
@@ -247,7 +268,7 @@ class TestHandCases:
         with pytest.raises(SortError):
             ground(pi, Domain(0, 1))
         with pytest.raises(SortError):
-            ground_reachable(pi, Domain(0, 1), ())
+            ground_reachable([pi], Domain(0, 1), ())
 
     def test_unevaluable_arithmetic_instantiated_as_in_ground(self):
         # A general variable in arithmetic (built without `make_rule`)
@@ -261,7 +282,7 @@ class TestHandCases:
     def test_unsafe_general_variable_rejected(self):
         pi = rules("p(X) :- not r(X).")
         with pytest.raises(SafetyError, match="X"):
-            ground_reachable(pi, Domain(0, 1), ())
+            ground_reachable([pi], Domain(0, 1), ())
 
 
 class TestUnionEngines:
@@ -273,7 +294,7 @@ class TestUnionEngines:
             kappa, pi, dom = randprog.random_ground_instance(rng)
             gp = ground(pi, dom)
             region = region_of(kappa, pi, dom)
-            base = _relevant_base([gp], region, cap=24)
+            base = sorted(gp.heads() | region, key=atom_order_key)
             compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
             expected = set(
                 compiled.models(_search(compiled.full, compiled.checkers, "brute"))

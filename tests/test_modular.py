@@ -6,14 +6,18 @@ from pathlib import Path
 
 import pytest
 
+import modasp.engine as engine_mod
+import modasp.grounding as grounding_mod
+import modasp.modular as modular_mod
 from modasp.engine import (
     DEFAULT_CAP,
     Interpretation,
     _stable_models,
     enumerate_kappa_stable,
+    is_stable_in_parts,
 )
 from modasp.errors import CapacityError, EngineError, SafetyError
-from modasp.grounding import Domain, ground
+from modasp.grounding import Domain, ground, ground_reachable
 from modasp.instantiation import (
     Module,
     ModularProgram,
@@ -304,6 +308,28 @@ class TestUnionProgram:
         assert union_program(P) == rules("q(0,0).")
 
 
+def _counted(calls, name, function):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
+def _count_grounding(monkeypatch):
+    """Calls of `ground` and `ground_reachable`, counted wherever the
+    solving code reaches them (`ground_reachable` falls back on `ground`)."""
+    calls = {"ground": 0, "ground_reachable": 0}
+    for target in (engine_mod, grounding_mod):
+        monkeypatch.setattr(target, "ground", _counted(calls, "ground", ground))
+    monkeypatch.setattr(
+        engine_mod,
+        "ground_reachable",
+        _counted(calls, "ground_reachable", ground_reachable),
+    )
+    return calls
+
+
 def plan_program(program_text, control_text):
     prog = parse_program(program_text)
     plan = parse_control(control_text, prog)
@@ -394,73 +420,77 @@ class TestModularAnswerSets:
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_capacity_error(self, engine):
-        # The relevant base of p1 over 0..4 has 13 atoms.
-        with pytest.raises(CapacityError, match=r"13 atoms \(cap 12\)"):
-            modular_answer_sets(p1(), Domain(0, 4), engine, cap=12)
-        assert modular_answer_sets(p1(), Domain(0, 4), engine, cap=13)
+        # The relevant base of p1 over 0..4 has the 5 atoms its modules
+        # reach from q(0,0); the 8 heads q(1..4,1) and q(1..4,2) are not
+        # reached.
+        with pytest.raises(CapacityError, match=r"5 atoms \(cap 4\)"):
+            modular_answer_sets(p1(), Domain(0, 4), engine, cap=4)
+        assert modular_answer_sets(p1(), Domain(0, 4), engine, cap=5)
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_grounds_each_module_once(self, engine, monkeypatch):
-        import modasp.engine as engine_mod
-        import modasp.modular as modular_mod
-
+        # `solve` and `check-model` make one `ground_reachable` call, which
+        # grounds every module, or the union in the union reading; nothing
+        # is ground in full.
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
         )
-        calls, graphs = [], []
-
-        def counting_ground(pi, dom):
-            calls.append(pi)
-            return ground(pi, dom)
-
-        def counting_graph(P):
-            graphs.append(P)
-            return dependency_graph(P)
-
-        monkeypatch.setattr(modular_mod, "ground", counting_ground)
-        monkeypatch.setattr(engine_mod, "ground", counting_ground)
-        monkeypatch.setattr(modular_mod, "dependency_graph", counting_graph)
-        models = modular_answer_sets(P, dom, engine)
-        assert len(calls) == len(P.modules) == 4
-        assert len(graphs) == (engine == "topo")
-        assert models == frozenset({interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3))})
+        calls = _count_grounding(monkeypatch)
+        calls["dependency_graph"] = 0
+        monkeypatch.setattr(
+            modular_mod,
+            "dependency_graph",
+            _counted(calls, "dependency_graph", dependency_graph),
+        )
+        model = interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3))
+        modules = [(m.pi, m.kappa) for m in P.modules]
+        union = union_program(P)
+        check = "reduct" if engine == "topo" else engine
+        runs = [
+            lambda: modular_answer_sets(P, dom, engine) == {model},
+            lambda: enumerate_kappa_stable(P.kappa, union, dom, check) == {model},
+            lambda: is_stable_in_parts(model, P.kappa, modules, dom, check),
+            lambda: is_stable_in_parts(model, P.kappa, [(union, P.kappa)], dom, check),
+        ]
+        for run in runs:
+            calls.update(ground=0, ground_reachable=0)
+            assert run()
+            assert (calls["ground"], calls["ground_reachable"]) == (0, 1)
+        assert calls["dependency_graph"] == 1
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_comparison_grounds_each_module_once(self, engine, monkeypatch):
-        # Both readings share one grounding of each module, one extensional
-        # region and one dependency graph; the union program is never ground.
-        import modasp.engine as engine_mod
-        import modasp.modular as modular_mod
-
+        # Both readings share one grounding of the modules, one dependency
+        # graph and one extensional region, plus the seeds of the
+        # module-spanning components; the union program is never ground.
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
         )
-        calls = {"ground": 0, "extensional_region": 0, "dependency_graph": 0}
-
-        def counting(name, function):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return function(*args, **kwargs)
-
-            return counted
+        calls = _count_grounding(monkeypatch)
+        calls.update(extensional_region=0, dependency_graph=0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the union side must reuse the module grounding")
 
         for target in (engine_mod, modular_mod):
-            for name in ("ground", "extensional_region"):
-                monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
+            monkeypatch.setattr(
+                target,
+                "extensional_region",
+                _counted(calls, "extensional_region", target.extensional_region),
+            )
         monkeypatch.setattr(engine_mod, "_stable_models", forbidden)
-        monkeypatch.setattr(engine_mod, "ground_reachable", forbidden)
         monkeypatch.setattr(
-            modular_mod, "dependency_graph", counting("dependency_graph", dependency_graph)
+            modular_mod,
+            "dependency_graph",
+            _counted(calls, "dependency_graph", dependency_graph),
         )
         report = theorem1_check(P, dom, engine)
         assert calls == {
-            "ground": len(P.modules),
-            "extensional_region": 1,
+            "ground": 0,
+            "ground_reachable": 1,
+            "extensional_region": 2,
             "dependency_graph": 1,
         }
         assert report.equal
@@ -493,19 +523,19 @@ class TestTopoSearch:
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_every_modular_path_searches_one_block(self, engine, monkeypatch):
-        import modasp.modular as modular_mod
-
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
         )
         blocks = []
-        search = modular_mod._search
+        search = engine_mod._search
 
         def recording(mask, checkers, leaf_engine):
             blocks.append((type(mask), len(checkers)))
             return search(mask, checkers, leaf_engine)
 
+        # `_solve` searches the modules, `theorem1_check` the union checker.
+        monkeypatch.setattr(engine_mod, "_search", recording)
         monkeypatch.setattr(modular_mod, "_search", recording)
         modular_answer_sets(P, dom, engine)
         assert theorem1_check(P, dom, engine).equal
@@ -685,11 +715,11 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_capacity_names_the_modular_base(self, engine):
-        # The modular base of p1 over 0..4 has 13 atoms; the union's
-        # reachable base has only the 5 of its model.
-        with pytest.raises(CapacityError, match=r"13 atoms \(cap 12\)"):
-            theorem1_check(p1(), Domain(0, 4), engine, cap=12)
-        assert theorem1_check(p1(), Domain(0, 4), engine, cap=13).equal
+        # The modular base of p1 over 0..4 is ground reachably: its 5 atoms
+        # are those of the union's base, the atoms of its model.
+        with pytest.raises(CapacityError, match=r"5 atoms \(cap 4\)"):
+            theorem1_check(p1(), Domain(0, 4), engine, cap=4)
+        assert theorem1_check(p1(), Domain(0, 4), engine, cap=5).equal
 
     def test_topo_incoherent_warning_precedes_the_report(self):
         kappa = IntensionalityStatement.of({Q: [(var("X"), num(1))]})
