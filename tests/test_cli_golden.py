@@ -4,6 +4,9 @@ control pairing of the fixtures.  Every `solve` and `compare` entry also
 runs with `--cap 4`, which exposes which inputs the relevant-base cap
 refuses (exit 3).  `instantiate` runs in both modes and output formats,
 `check-model` in both modes with both checking engines on three candidates.
+Machine output is pinned for `solve` in both modes and `compare` with every
+engine at the default cap, for `check-coherence`, and for `check-model` with
+`reduct` in both modes on every candidate.
 
 The expected outputs live in `fixtures/cli_golden.json`.  Regenerate them
 with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
@@ -21,6 +24,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 SOLVE_ENGINES = ("brute", "reduct", "fixpoint", "topo")
 CANDIDATES = ("", "q(0,0)", "q(0,0) q(1,1) q(2,2) q(3,3)")
+MACHINE = ["--output", "machine"]
 
 
 def matrix() -> list[list[str]]:
@@ -31,25 +35,28 @@ def matrix() -> list[list[str]]:
             files = [lp.name, "--control", ctl.name]
             if ctl.name.startswith("property"):
                 files += ["-c", "n=3"]
-            for cap in ([], ["--cap", "4"]):
+            for extra in ([], ["--cap", "4"], MACHINE):
                 for mode in ("union", "modular"):
                     for engine in SOLVE_ENGINES:
                         out.append(
-                            ["solve", *files, "--mode", mode, "--engine", engine, *cap]
+                            ["solve", *files, "--mode", mode, "--engine", engine, *extra]
                         )
                 for engine in SOLVE_ENGINES:
-                    out.append(["compare", *files, "--engine", engine, *cap])
-            out.append(["check-coherence", *files])
+                    out.append(["compare", *files, "--engine", engine, *extra])
+            for extra in ([], MACHINE):
+                out.append(["check-coherence", *files, *extra])
             for mode in ("union", "modular"):
                 for output in ("text", "machine"):
                     out.append(
                         ["instantiate", *files, "--mode", mode, "--output", output]
                     )
-                for engine in ("brute", "reduct"):
+                for engine, extra in (
+                    ("brute", []), ("reduct", []), ("reduct", MACHINE)
+                ):
                     for model in CANDIDATES:
                         out.append(
                             ["check-model", *files, "--mode", mode,
-                             "--engine", engine, "--model", model]
+                             "--engine", engine, "--model", model, *extra]
                         )
     return out
 
