@@ -14,7 +14,6 @@ output, byte-identical across runs on identical inputs.
 """
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -24,7 +23,7 @@ from .engine import (
     ENGINES,
     Interpretation,
     _require_engine,
-    _stable_models,
+    _solve,
     is_stable_in_parts,
 )
 from .errors import CapacityError, ModaspError, RequirementError
@@ -33,9 +32,10 @@ from .instantiation import collective_modular, collective_union, global_statemen
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     MODULAR_ENGINES,
-    _answer_sets,
+    ComparisonReport,
+    _answer_masks,
+    _theorem1_masks,
     is_coherent,
-    theorem1_check,
 )
 from .parsing import parse_control, parse_ground_atom, parse_program
 from .subprograms import ClingoProgram, ControlPlan
@@ -169,75 +169,82 @@ def _kappa_json(kappa: IntensionalityStatement) -> dict:
     return out
 
 
-def _models_json(models) -> list[list[str]]:
-    return [[str(a) for a in I.sorted_atoms()] for I in models]
-
-
-def _emit(args, text_lines, machine_doc) -> None:
+def _emit(args, text, machine) -> None:
+    """Print the document that `--output` asks for: the lines of `text()`,
+    or `machine()` as one JSON line.  Only that document is built, and
+    `json` is imported only for machine output."""
     if args.output == "machine":
-        print(json.dumps(machine_doc, sort_keys=True))
+        import json
+
+        print(json.dumps(machine(), sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
 def _cmd_parse(args) -> int:
     prog = parse_program(_read(args.program))
     decls = prog.declarations()
-    names = ["base"] + [n for n in decls if n != "base"]
-    lines = []
-    doc = {"command": "parse", "subprograms": []}
-    for name in names:
-        params = decls[name]
-        heading = f"#program {name}." if not params else (
-            f"#program {name}({','.join(params)})."
-        )
-        rules = prog.subprogram(name).rules
-        lines.append(heading)
-        lines += [str(r) for r in rules]
-        doc["subprograms"].append(
-            {"name": name, "params": list(params), "rules": [str(r) for r in rules]}
-        )
-    _emit(args, lines, doc)
+    subprograms = [
+        (name, decls[name], [str(r) for r in prog.subprogram(name).rules])
+        for name in ["base"] + [n for n in decls if n != "base"]
+    ]
+
+    def text():
+        for name, params, rules in subprograms:
+            yield f"#program {name}." if not params else (
+                f"#program {name}({','.join(params)})."
+            )
+            yield from rules
+
+    _emit(
+        args,
+        text,
+        lambda: {
+            "command": "parse",
+            "subprograms": [
+                {"name": name, "params": list(params), "rules": rules}
+                for name, params, rules in subprograms
+            ],
+        },
+    )
     return 0
 
 
 def _cmd_instantiate(args) -> int:
     prog, plan = _load_plan(args)
     if args.mode == "union":
-        union = collective_union(prog, plan.specs)
+        rules = [str(r) for r in collective_union(prog, plan.specs).rules]
         _emit(
             args,
-            [str(r) for r in union.rules],
-            {
-                "command": "instantiate",
-                "mode": "union",
-                "rules": [str(r) for r in union.rules],
-            },
+            lambda: rules,
+            lambda: {"command": "instantiate", "mode": "union", "rules": rules},
         )
         return 0
     modular = collective_modular(prog, plan)
-    lines = [f"kappa: {modular.kappa}"]
-    doc_modules = []
-    for index, module in enumerate(modular.modules):
-        lines.append(f"module {index}:")
-        lines.append(f"  kappa: {module.kappa}")
-        lines += [f"  {r}" for r in module.pi.rules]
-        doc_modules.append(
-            {
-                "index": index,
-                "kappa": _kappa_json(module.kappa),
-                "rules": [str(r) for r in module.pi.rules],
-            }
-        )
+
+    def text():
+        yield f"kappa: {modular.kappa}"
+        for index, module in enumerate(modular.modules):
+            yield f"module {index}:"
+            yield f"  kappa: {module.kappa}"
+            yield from (f"  {r}" for r in module.pi.rules)
+
     _emit(
         args,
-        lines,
-        {
+        text,
+        lambda: {
             "command": "instantiate",
             "mode": "modular",
             "kappa": _kappa_json(modular.kappa),
-            "modules": doc_modules,
+            "modules": [
+                {
+                    "index": index,
+                    "kappa": _kappa_json(module.kappa),
+                    "rules": [str(r) for r in module.pi.rules],
+                }
+                for index, module in enumerate(modular.modules)
+            ],
         },
     )
     return 0
@@ -246,22 +253,24 @@ def _cmd_instantiate(args) -> int:
 def _cmd_solve(args) -> int:
     if args.mode == "union":
         union, kappa, dom = _load_reading(args, ENGINES)
-        models = _stable_models(kappa, union, dom, args.engine, args.cap)
+        parts = [(union, kappa)]
+        compiled, _, masks = _solve(kappa, parts, dom, args.engine, args.cap, frozenset())
     else:
         modular, _, dom = _load_reading(args, MODULAR_ENGINES)
-        models = _answer_sets(modular, dom, args.engine, args.cap)
+        compiled, _, masks = _answer_masks(modular, dom, args.engine, args.cap)
+    rows = list(compiled.rendered(masks).values())
     _emit(
         args,
-        [str(I) for I in models],
-        {
+        lambda: map(" ".join, rows),
+        lambda: {
             "command": "solve",
             "mode": args.mode,
             "engine": args.engine,
-            "answer_sets": _models_json(models),
-            "count": len(models),
+            "answer_sets": rows,
+            "count": len(rows),
         },
     )
-    return 0 if models else 1
+    return 0 if rows else 1
 
 
 def _cmd_check_coherence(args) -> int:
@@ -270,8 +279,8 @@ def _cmd_check_coherence(args) -> int:
     report = is_coherent(modular)
     _emit(
         args,
-        [str(report)],
-        {
+        lambda: [str(report)],
+        lambda: {
             "command": "check-coherence",
             "coherent": report.coherent,
             "violations": [
@@ -284,17 +293,25 @@ def _cmd_check_coherence(args) -> int:
 
 def _cmd_compare(args) -> int:
     modular, _, dom = _load_reading(args, MODULAR_ENGINES)
-    report = theorem1_check(modular, dom, args.engine, args.cap)
+    compiled, on_modular, on_union = _theorem1_masks(
+        modular, dom, args.engine, args.cap
+    )
+    # Each answer set as its list of atoms for machine output, as one line
+    # for text; `ComparisonReport.__str__` lays the text out.
+    rows = compiled.rendered(on_modular + on_union)
+    if args.output == "text":
+        rows = {mask: " ".join(atoms) for mask, atoms in rows.items()}
+    report = ComparisonReport.of(rows, on_modular, on_union)
     _emit(
         args,
-        [str(report)],
-        {
+        lambda: [str(report)],
+        lambda: {
             "command": "compare",
             "equal": report.equal,
-            "modular": _models_json(report.modular_sets),
-            "union": _models_json(report.union_sets),
-            "only_modular": _models_json(report.only_modular),
-            "only_union": _models_json(report.only_union),
+            "modular": report.modular_sets,
+            "union": report.union_sets,
+            "only_modular": report.only_modular,
+            "only_union": report.only_union,
         },
     )
     return 0 if report.equal else 1
@@ -313,11 +330,10 @@ def _cmd_check_model(args) -> int:
         parts = [(m.pi, m.kappa) for m in reading.modules]
         yes, no = "answer set", "not an answer set"
     verdict = is_stable_in_parts(candidate, kappa, parts, dom, args.engine)
-    text = yes if verdict else no
     _emit(
         args,
-        [text],
-        {
+        lambda: [yes if verdict else no],
+        lambda: {
             "command": "check-model",
             "mode": args.mode,
             "is_model": verdict,

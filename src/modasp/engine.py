@@ -15,7 +15,7 @@ every atom, so the search never branches.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
@@ -58,13 +58,9 @@ DEFAULT_CAP = 24
 
 @dataclass(frozen=True)
 class Interpretation:
-    """A finite set of precomputed atoms, standing for everything true;
-    `order`, when its builder knows it, lists them by `atom_order_key`."""
+    """A finite set of precomputed atoms, standing for everything true."""
 
     atoms: frozenset[PredAtom] = frozenset()
-    order: Optional[tuple[PredAtom, ...]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @classmethod
     def of(cls, atoms: Iterable[PredAtom]) -> "Interpretation":
@@ -75,7 +71,7 @@ class Interpretation:
         return cls(atoms)
 
     def sorted_atoms(self) -> Sequence[PredAtom]:
-        return self.order or sorted(self.atoms, key=atom_order_key)
+        return sorted(self.atoms, key=atom_order_key)
 
     def __contains__(self, atom: PredAtom) -> bool:
         return atom in self.atoms
@@ -398,20 +394,38 @@ class CompiledParts:
         return tuple(self.ordered(masks).values())
 
     def ordered(self, masks: Iterable[int]) -> dict[int, Interpretation]:
-        """Each distinct mask of `masks` with its interpretation, ordered by
-        the lists of set-bit positions.  Over a sorted universe that is the
-        order of their lists of sorted atoms, which each model keeps as its
-        `order`."""
-        # Bit i is digit i of the reversed binary numeral.
-        positions = sorted(
-            ([i for i, digit in enumerate(f"{mask:b}"[::-1]) if digit == "1"], mask)
-            for mask in set(masks)
-        )
-        out = {}
-        for bits, mask in positions:
-            atoms = tuple(map(self.base.__getitem__, bits))
-            out[mask] = Interpretation(frozenset(atoms), atoms)
-        return out
+        """Each distinct mask of `masks` with its interpretation, in output
+        order (`_output_order`)."""
+        base = self.base
+        return {
+            mask: Interpretation(frozenset(map(base.__getitem__, bits)))
+            for bits, mask in _output_order(masks)
+        }
+
+    def rendered(self, masks: Iterable[int]) -> dict[int, list[str]]:
+        """Each distinct mask of `masks` with the text of its atoms, in
+        output order (`_output_order`); each base atom is rendered once."""
+        names = [str(atom) for atom in self.base]
+        return {
+            mask: list(map(names.__getitem__, bits))
+            for bits, mask in _output_order(masks)
+        }
+
+
+def _output_order(masks: Iterable[int]) -> list[tuple[list[int], int]]:
+    """Each distinct mask of `masks` with its set-bit positions, ascending,
+    sorted by those lists.  Over a universe sorted by `atom_order_key` that
+    is the order of the models' lists of sorted atoms: output order."""
+    keyed = []
+    for mask in set(masks):
+        bits, rest = [], mask
+        while rest:
+            low = rest & -rest
+            bits.append(low.bit_length() - 1)
+            rest ^= low
+        keyed.append((bits, mask))
+    keyed.sort()
+    return keyed
 
 
 def _require_engine(engine: str, allowed: tuple[str, ...]):

@@ -359,7 +359,9 @@ def ground_reachable(
     literals are joined against the atoms taken so far, indexed by
     predicate and by the value at each argument position.  Variables left
     unbound run over their domain pool, as in `ground`; an instance is kept
-    only if all of its positive atoms are derived.
+    only if all of its positive atoms are derived.  A variable-free rule,
+    and each instance of a rule that `_match` cannot bind, is evaluated once
+    instead, and kept when the last of its positive atoms is taken.
     """
     out: list[dict[GroundRule, None]] = [{} for _ in programs]
     derived: set[PredAtom] = set()
@@ -368,19 +370,25 @@ def ground_reachable(
     taken: dict[tuple, list[PredAtom]] = {}
     # Positive body literals, under (pred,) or their first ground position.
     watch: dict[tuple, list[tuple]] = {}
+    # Variable-free instances as [positive atoms not yet taken, owner,
+    # instance], under each of their positive atoms.
+    waiting: dict[PredAtom, list[list]] = {}
 
     def derive(atom: PredAtom):
         if atom not in derived:
             derived.add(atom)
             queue.append(atom)
 
+    def keep(owner: int, finished: GroundRule):
+        out[owner][finished] = None
+        if finished.head is not None:
+            derive(finished.head)
+
     def emit(rule: Rule, sorts: dict[str, Sort], owner: int, theta: dict[str, Term]):
         for full in _assignments(sorts, theta, dom):
             finished = _finish_instance(substitute_rule(rule, full), dom)
             if finished is not None and all(a in derived for a in finished.pos):
-                out[owner][finished] = None
-                if finished.head is not None:
-                    derive(finished.head)
+                keep(owner, finished)
 
     def join(rule, sorts, owner, rest: list[PredAtom], theta: dict[str, Term]):
         if not rest:
@@ -404,13 +412,21 @@ def ground_reachable(
         for rule in pi.rules:
             sorts = _variable_sorts(rule)
             _check_safety(rule, sorts)
-            if _matchable(rule, sorts):
+            if not sorts:
+                finished = _finish_instance(rule, dom)
+                instances = () if finished is None else (finished,)
+            elif _matchable(rule, sorts):
                 instantiable.append((rule, sorts, owner))
+                continue
             else:
-                # Instantiate in full, failing exactly where `ground` fails,
-                # and watch the variable-free instances instead.
-                gp = ground(Program((rule,)), dom)
-                instantiable += [(r.as_rule(), {}, owner) for r in gp.rules]
+                # Instantiate in full, failing exactly where `ground` fails.
+                instances = ground(Program((rule,)), dom).rules
+            for finished in instances:
+                if not finished.pos:
+                    keep(owner, finished)
+                entry = [len(finished.pos), owner, finished]
+                for atom in finished.pos:
+                    waiting.setdefault(atom, []).append(entry)
     for rule, sorts, owner in instantiable:
         pos = [
             lit.atom
@@ -431,6 +447,10 @@ def ground_reachable(
         derive(atom)
     while queue:
         atom = queue.pop()
+        for entry in waiting.pop(atom, ()):
+            entry[0] -= 1
+            if not entry[0]:
+                keep(entry[1], entry[2])
         keys = [(atom.pred,)] + [(atom.pred, k, v) for k, v in enumerate(atom.args)]
         if not any(key in watch for key in keys):
             continue  # no positive body literal can match it

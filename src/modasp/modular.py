@@ -5,7 +5,7 @@ answer sets of the plain rule union."""
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Generic, Iterable, Optional, Sequence, TypeVar
 
 from .engine import (
     CHECK_ENGINES,
@@ -391,13 +391,35 @@ def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
 # --- the union/modular comparison harness -------------------------------------------
 
 
+A = TypeVar("A")  # one answer set: an Interpretation, or its rendered text
+
+
 @dataclass(frozen=True)
-class ComparisonReport:
-    modular_sets: tuple[Interpretation, ...]
-    union_sets: tuple[Interpretation, ...]
+class ComparisonReport(Generic[A]):
+    """Both sides of the union theorem's check, each in output order, with
+    the answer sets found on one side only.  `theorem1_check` reports
+    `Interpretation`s; the CLI reports the text of each answer set."""
+
+    modular_sets: tuple[A, ...]
+    union_sets: tuple[A, ...]
     equal: bool
-    only_modular: tuple[Interpretation, ...] = ()
-    only_union: tuple[Interpretation, ...] = ()
+    only_modular: tuple[A, ...] = ()
+    only_union: tuple[A, ...] = ()
+
+    @classmethod
+    def of(
+        cls, answers: dict[int, A], modular: Iterable[int], union: Iterable[int]
+    ) -> "ComparisonReport[A]":
+        """The report on the answer masks `modular` and `union`, with the
+        answer of each distinct mask taken from `answers`, in its order."""
+        modular_set, union_set = set(modular), set(union)
+        return cls(
+            tuple(a for mask, a in answers.items() if mask in modular_set),
+            tuple(a for mask, a in answers.items() if mask in union_set),
+            modular_set == union_set,
+            tuple(a for mask, a in answers.items() if mask not in union_set),
+            tuple(a for mask, a in answers.items() if mask not in modular_set),
+        )
 
     def __str__(self):
         lines = [f"modular answer sets ({len(self.modular_sets)}):"]
@@ -419,7 +441,7 @@ def theorem1_check(
     dom: Domain,
     engine: str = "reduct",
     cap: int = DEFAULT_CAP,
-) -> ComparisonReport:
+) -> ComparisonReport[Interpretation]:
     """Compare the modular answer sets with the stable models of the rule
     union under the global statement.
 
@@ -427,6 +449,17 @@ def theorem1_check(
     an incoherent input the harness warns, still computes both sides, and
     reports whatever it finds.  The incoherence warning comes first, then
     the refusals of `topo`, then the cap on the modular base.
+    """
+    compiled, modular, union = _theorem1_masks(P, dom, engine, cap)
+    return ComparisonReport.of(compiled.ordered(modular + union), modular, union)
+
+
+def _theorem1_masks(
+    P: ModularProgram, dom: Domain, engine: str, cap: int
+) -> tuple[CompiledParts, list[int], list[int]]:
+    """The compiled modules of `P`, and as masks over their base the modular
+    answer sets and the stable models of the rule union under the global
+    statement, with the warning and refusals of `theorem1_check`.
 
     Both readings share one grounding of each module and one atom base,
     the modular relevant base.  The union reading is one more checker over
@@ -438,9 +471,9 @@ def theorem1_check(
     union's.  Each extra instance has a positive body atom the union does
     not derive, so it is vacuous, and each extra atom is a globally
     intensional head the union does not reach, false in every union stable
-    model.  The answers, their order and every `order` tuple
-    are those of the union solved alone, and the cap, checked on the
-    larger modular base first, refuses as before.
+    model.  The answers and their order are those of the union solved
+    alone, and the cap, checked on the larger modular base first, refuses
+    as before.
     """
     graph = dependency_graph(P)
     report = _coherence(P, graph)
@@ -448,7 +481,7 @@ def theorem1_check(
         warnings.warn(
             "comparing an incoherent modular program; the union theorem "
             "does not apply",
-            stacklevel=2,
+            stacklevel=3,
         )
     compiled, grounded, modular = _answer_masks(P, dom, engine, cap, graph, report)
     union_checker = StabilityChecker(
@@ -456,15 +489,4 @@ def theorem1_check(
         compiled.index,
         compiled.full & ~compiled.intensional,
     )
-    union = _search(compiled.full, [union_checker], engine)
-    # Both sides are masks over one base: compared as ints, and each
-    # distinct answer becomes one interpretation, in output order.
-    models = compiled.ordered(modular + union)
-    modular_set, union_set = set(modular), set(union)
-    return ComparisonReport(
-        tuple(I for mask, I in models.items() if mask in modular_set),
-        tuple(I for mask, I in models.items() if mask in union_set),
-        modular_set == union_set,
-        tuple(I for mask, I in models.items() if mask not in union_set),
-        tuple(I for mask, I in models.items() if mask not in modular_set),
-    )
+    return compiled, modular, _search(compiled.full, [union_checker], engine)

@@ -1,15 +1,23 @@
 """Command-line behaviour: output surfaces, exit codes, determinism."""
 
+import collections
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import modasp.engine as engine_mod
+import modasp.modular as modular_mod
 from modasp.cli import main
 from modasp.grounding import ground
+from modasp.program import PredAtom
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fixture(name):
@@ -745,3 +753,87 @@ class TestErrorPaths:
         ctl = tmp_path / "e.ctl"
         ctl.write_text("const n = -3.\nuse s(n).\ndomain n..0.\n", encoding="utf-8")
         assert run(capsys, "solve", str(lp), "--control", str(ctl))[:2] == (0, "q(-3)\n")
+
+
+_EVEN_LP = "p(X) :- not r(X), s(X).\nr(X) :- not p(X), s(X).\n"
+_EVEN_CTL = "use base.\ndomain 0..5.\nintensional p(X).\nintensional r(X).\n"
+
+
+def _even_files(directory):
+    """Two even negative loops over 0..5: an 18-atom base, 729 answer sets."""
+    lp, ctl = directory / "even.lp", directory / "even.ctl"
+    lp.write_text(_EVEN_LP, encoding="utf-8")
+    ctl.write_text(_EVEN_CTL, encoding="utf-8")
+    return [str(lp), "--control", str(ctl)]
+
+
+class TestOutputPass:
+    """Answers leave the search as masks, and output renders each base atom
+    once; text output builds no machine document and never imports json."""
+
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            (["solve"], None),
+            (["solve", "--mode", "modular"], None),
+            (["compare"], "modular answer sets (729):"),
+        ],
+    )
+    def test_each_base_atom_rendered_once(
+        self, capsys, tmp_path, monkeypatch, command, header
+    ):
+        rendered = collections.Counter()
+        render, search = PredAtom.__str__, engine_mod._search
+
+        def counting(atom):
+            rendered[atom] += 1
+            return render(atom)
+
+        def searching(*args):
+            found = search(*args)
+            rendered.clear()  # grounding renders too; output starts here
+            return found
+
+        monkeypatch.setattr(PredAtom, "__str__", counting)
+        monkeypatch.setattr(engine_mod, "_search", searching)
+        monkeypatch.setattr(modular_mod, "_search", searching)
+        code, out, _ = run(capsys, command[0], *_even_files(tmp_path), *command[1:])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == header if header else len(lines) == 729
+        assert len(rendered) == 18 and set(rendered.values()) == {1}
+
+    def test_lone_empty_answer_set_prints_one_empty_line(self, capsys, tmp_path):
+        lp, ctl = tmp_path / "c.lp", tmp_path / "c.ctl"
+        lp.write_text(":- s(X).\n", encoding="utf-8")
+        ctl.write_text("use base.\ndomain 0..2.\nintensional p(X).\n", encoding="utf-8")
+        for mode in ("union", "modular"):
+            argv = ["solve", str(lp), "--control", str(ctl), "--mode", mode]
+            assert run(capsys, *argv)[:2] == (0, "\n")
+
+    def test_text_output_leaves_json_unimported(self, tmp_path):
+        files = _even_files(tmp_path)
+        model = ["--model", "s(0) p(0)"]
+        commands = [
+            ["parse", files[0]],
+            ["instantiate", *files, "--mode", "modular"],
+            ["solve", *files],
+            ["check-coherence", *files],
+            ["compare", *files],
+            ["check-model", *files, *model],
+        ]
+        script = (
+            "import sys\n"
+            "from modasp.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "print(codes, 'json' in sys.modules, file=sys.stderr)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert child.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+        assert child.stdout.count("\n") > 2 * 729

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modasp.engine import (
     CompiledParts,
     HTInterpretation,
     StabilityChecker,
     Interpretation,
+    _output_order,
     _search,
     check_support,
     classical_satisfies,
@@ -603,6 +605,33 @@ class TestSearch:
         assert sorted(_search(0b1011, [], engine)) == [
             0, 1, 2, 3, 8, 9, 10, 11,
         ]
+
+
+def _set_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# A width, and masks of that width with repeats, the empty and the full mask.
+_widths_and_masks = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40)
+    )
+)
+
+
+class TestOutputOrder:
+    """`_output_order` is the one ordering of answer masks: its key, built by
+    walking the set bits, must sort as the lists of set-bit positions do."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_widths_and_masks, st.randoms(use_true_random=False))
+    def test_agrees_with_sorting_by_set_bits(self, width_and_masks, rng):
+        width, masks = width_and_masks
+        masks = masks + masks[: len(masks) // 2] + [0, (1 << width) - 1, 0]
+        rng.shuffle(masks)
+        ordered = _output_order(masks)
+        assert [mask for _, mask in ordered] == sorted(set(masks), key=_set_bits)
+        assert all(bits == _set_bits(mask) for bits, mask in ordered)
 
 
 EVEN_LOOP = """

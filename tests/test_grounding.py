@@ -114,6 +114,40 @@ def random_rule_program(rng):
     return Program.of(out)
 
 
+def _ground_atom(rng):
+    """A variable-free atom over p/1, q/2 and t/0; its arguments may fall
+    outside 0..3, be a sum of numerals or the constant a."""
+    name, arity = rng.choice((("p", 1), ("q", 2), ("t", 0)))
+    args = []
+    for _ in range(arity):
+        r = rng.random()
+        if r < 0.7:
+            args.append(str(rng.randint(-1, 4)))
+        elif r < 0.85:
+            args.append(f"{rng.randint(0, 2)}+{rng.randint(0, 2)}")
+        else:
+            args.append("a")
+    return f"{name}({','.join(args)})" if args else name
+
+
+def random_variable_free_program(rng):
+    """Up to eight variable-free rules with negation, double negation and
+    comparisons that may be false."""
+    out = []
+    for _ in range(rng.randint(1, 8)):
+        body = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.2:
+                rel = rng.choice(("=", "!=", "<", ">="))
+                comparison = f"{rng.randint(0, 3)} {rel} {rng.randint(0, 3)}"
+                body.append(rng.choice(("", "not ")) + comparison)
+            else:
+                body.append(rng.choice(("", "", "", "not ", "not not ")) + _ground_atom(rng))
+        head = _ground_atom(rng) if not body or rng.random() > 0.15 else ""
+        out.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return rules("\n".join(out))
+
+
 class TestContract:
     def test_random_ground_instances(self):
         import randprog
@@ -165,6 +199,26 @@ class TestContract:
             alone = [ground_reachable([pi], dom, seeds)[0].rules for pi in programs]
             shared += alone != expected
         assert shared > 5
+
+    def test_random_variable_free_programs(self):
+        # Variable-free rules are evaluated once and wait for their positive
+        # atoms; out-of-domain atoms and false comparisons drop the rule.
+        rng = random.Random(17)
+        dropped = nonempty = 0
+        for _ in range(200):
+            pi = random_variable_free_program(rng)
+            extra = {SymbolicConstant("a")} if rng.random() < 0.5 else set()
+            dom = Domain(0, 3, frozenset(extra))
+            seeds = {atom("p", rng.randint(0, 3)) for _ in range(rng.randint(0, 2))}
+            got = assert_contract(pi, dom, seeds)
+            nonempty += bool(got.rules)
+            dropped += len(ground(pi, dom).rules) < len(pi.rules)
+            half = len(pi.rules) // 2
+            programs = [Program(pi.rules[:half]), Program(pi.rules[half:])]
+            expected = oracle(programs, dom, seeds)
+            assert [gp.rules for gp in ground_reachable(programs, dom, seeds)] == expected
+        assert nonempty > 100
+        assert dropped > 50
 
     def test_fixture_unions(self):
         loaded = 0
@@ -278,6 +332,24 @@ class TestHandCases:
         dom = Domain(0, 1, frozenset({num(5), num(6)}))
         gp = assert_contract(Program.of([rule]), dom, {atom("p", 6), atom("p", 1)})
         assert [str(r) for r in gp.rules] == ["r(0) :- p(1).", "r(5) :- p(6)."]
+
+    def test_variable_free_rules(self):
+        # p(5) lies outside 0..3, and 1 > 2 is false; the repeated q(1) is
+        # one atom to wait for.
+        pi = rules(
+            "q(1). p(5) :- q(1). r :- q(1), 1 > 2. s :- q(1), not 1 > 2. "
+            "u :- q(1), q(1), not not q(2). v :- s, u. w :- q(3)."
+        )
+        gp = assert_contract(pi, Domain(0, 3), {atom("q", 2)})
+        assert [str(r) for r in gp.rules] == [
+            "q(1).", "s :- q(1).", "u :- q(1), not not q(2).", "v :- s, u."
+        ]
+
+    def test_long_variable_free_chain(self):
+        n = 1500
+        pi = rules("p(0). " + " ".join(f"p({i + 1}) :- p({i})." for i in range(n)))
+        (gp,) = ground_reachable([pi], Domain(0, n), ())
+        assert len(gp.rules) == n + 1
 
     def test_unsafe_general_variable_rejected(self):
         pi = rules("p(X) :- not r(X).")
