@@ -15,7 +15,6 @@ every atom, so the search never branches.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
@@ -44,6 +43,7 @@ from .terms import (
     Numeral,
     Sort,
     Term,
+    Value,
     Variable,
     eval_ground,
     subterms,
@@ -56,11 +56,21 @@ CHECK_ENGINES = ("brute", "reduct")
 DEFAULT_CAP = 24
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Value):
     """A finite set of precomputed atoms, standing for everything true."""
 
-    atoms: frozenset[PredAtom] = frozenset()
+    atoms: frozenset[PredAtom]
+
+    def __init__(self, atoms: frozenset[PredAtom] = frozenset()):
+        object.__setattr__(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.atoms,))
 
     @classmethod
     def of(cls, atoms: Iterable[PredAtom]) -> "Interpretation":
@@ -86,8 +96,7 @@ class Interpretation:
         return " ".join(str(a) for a in self.sorted_atoms())
 
 
-@dataclass(frozen=True)
-class HTInterpretation:
+class HTInterpretation(Value):
     """Two-world interpretation: `here` is a subset of the atoms true `there`."""
 
     here: frozenset[PredAtom]

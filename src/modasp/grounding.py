@@ -18,7 +18,6 @@ it falls back on `ground` only for rules it cannot match.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,6 +30,7 @@ from .terms import (
     Sort,
     SymbolicConstant,
     Term,
+    Value,
     Variable,
     eval_ground,
     is_precomputed,
@@ -42,8 +42,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Value):
     """Finite universe: an integer interval plus a set of general terms."""
 
     int_lo: int
@@ -101,8 +100,7 @@ class Domain:
         return all(arg in self.general_terms for arg in atom.args)
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(Value):
     """A fully instantiated rule: precomputed atoms, comparisons resolved.
 
     Body literals are split by negation count: `pos` holds the plain atoms,
@@ -110,9 +108,25 @@ class GroundRule:
     """
 
     head: Optional[PredAtom]
-    pos: tuple[PredAtom, ...] = ()
-    neg: tuple[PredAtom, ...] = ()
-    negneg: tuple[PredAtom, ...] = ()
+    pos: tuple[PredAtom, ...]
+    neg: tuple[PredAtom, ...]
+    negneg: tuple[PredAtom, ...]
+
+    def __init__(self, head: Optional[PredAtom], pos=(), neg=(), negneg=()):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "negneg", negneg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.head, self.pos, self.neg, self.negneg) == (
+                other.head, other.pos, other.neg, other.negneg
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.head, self.pos, self.neg, self.negneg))
 
     def __str__(self):
         parts = [str(a) for a in self.pos]
@@ -132,8 +146,7 @@ class GroundRule:
         return Rule(self.head, tuple(body))
 
 
-@dataclass(frozen=True)
-class GroundProgram:
+class GroundProgram(Value):
     """Ground image of a program over a domain."""
 
     rules: tuple[GroundRule, ...] = ()

@@ -2,7 +2,6 @@
 modules and their parametric templates, and the two collective readings of
 a control plan (plain union vs. a modular program)."""
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -22,6 +21,7 @@ from .terms import (
     Numeral,
     Term,
     Valuation,
+    Value,
     Variable,
     constants_of,
     simplify,
@@ -63,8 +63,7 @@ def apply_valuation(
     return subst(x)
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Value):
     """A program together with the intensionality statement scoping it."""
 
     kappa: IntensionalityStatement
@@ -74,8 +73,7 @@ class Module:
         return self.pi.signature() | Signature(frozenset(self.kappa.predicates()))
 
 
-@dataclass(frozen=True)
-class ParametricModule:
+class ParametricModule(Value):
     """A module template over a set of placeholder constants."""
 
     placeholders: frozenset[str]
@@ -153,8 +151,7 @@ def default_chi(
     return ParametricIntensionality.of(placeholders, mapping)
 
 
-@dataclass(frozen=True)
-class ModularProgram:
+class ModularProgram(Value):
     """A global intensionality statement with a list of modules.
 
     Construction checks that every module pattern is subsumed by a global

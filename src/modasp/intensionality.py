@@ -8,7 +8,6 @@ constraints at the non-variable positions; the extensional axioms turn
 every tuple outside that formula into an unconditional choice.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -21,6 +20,7 @@ from .terms import (
     SymbolicConstant,
     Term,
     Valuation,
+    Value,
     Variable,
     constants_of,
     is_precomputed,
@@ -118,14 +118,25 @@ class _PatternTable:
         return self._table.get(key, ())
 
 
-@dataclass(frozen=True)
-class IntensionalityStatement(_PatternTable):
+class IntensionalityStatement(_PatternTable, Value):
     """Map from predicates to sets of simple patterns.
 
     Predicates without an entry are purely extensional (empty pattern set).
     """
 
-    entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...] = ()
+    entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...]
+
+    def __init__(self, entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...] = ()):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @classmethod
     def of(cls, mapping: Mapping[PredKey, Iterable[Pattern]]) -> "IntensionalityStatement":
@@ -158,8 +169,7 @@ class IntensionalityStatement(_PatternTable):
         return "; ".join(parts) if parts else "(purely extensional)"
 
 
-@dataclass(frozen=True)
-class ParametricIntensionality(_PatternTable):
+class ParametricIntensionality(_PatternTable, Value):
     """Intensionality patterns whose ground elements may mention placeholders."""
 
     placeholders: frozenset[str] = frozenset()
@@ -210,8 +220,7 @@ def instantiate_chi(
 # --- membership formulas -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaFormula:
+class LambdaFormula(Value):
     """Disjunction over patterns of equality constraints at ground positions.
 
     An empty disjunction is falsity; a disjunct with no constraints is truth.
@@ -275,8 +284,7 @@ def lambda_holds(kappa: IntensionalityStatement, atom: PredAtom) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ExtensionalAxiom:
+class ExtensionalAxiom(Value):
     """For tuples outside the membership formula, the atom is a free choice."""
 
     pred: PredKey
@@ -371,8 +379,7 @@ def pattern_subsumes(general: Pattern, special: Pattern) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RequirementViolation:
+class RequirementViolation(Value):
     pred: PredKey
     module_index: int
     pattern: Pattern

@@ -3,7 +3,6 @@ answer sets of modular programs, and the harness comparing them with the
 answer sets of the plain rule union."""
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Generic, Iterable, Optional, Sequence, TypeVar
 
@@ -32,6 +31,7 @@ from .intensionality import (
     patterns_unify,
 )
 from .program import PredAtom, Program, Rule
+from .terms import Value
 
 MODULAR_ENGINES = CHECK_ENGINES + ("topo",)
 
@@ -84,8 +84,7 @@ Vertex = tuple[str, int]
 V = TypeVar("V")  # any sortable vertex: a Vertex, or a module index
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(Value, hidden=("patterns",)):
     """Vertices pair each predicate with each module index; an edge from
     (p,i) to (q,j) records that a rule can derive a region-i atom of p from
     a region-j atom of q in its positive body.  `patterns` indexes the
@@ -94,7 +93,7 @@ class DependencyGraph:
 
     vertices: tuple[Vertex, ...]
     edges: frozenset[tuple[Vertex, Vertex]]
-    patterns: PatternIndex = field(compare=False, repr=False)
+    patterns: PatternIndex
 
     @cached_property
     def spanning(self) -> list[list[Vertex]]:
@@ -212,8 +211,7 @@ def strongly_connected_components(
     return components
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     kind: str  # scc-spans-modules | tuples-unify | module-not-simple
     detail: str
 
@@ -221,8 +219,7 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(Value):
     coherent: bool
     violations: tuple[Violation, ...] = ()
 
@@ -351,7 +348,7 @@ def _answer_masks(
                 "the topological engine requires a coherent modular program:\n"
                 + str(report)
             )
-        _module_order(P, graph)
+        _require_module_order(P, graph)
     names = {p for component in graph.spanning for p, _ in component}
     preds = [key for key in P.signature().predicates if key[0] in names]
     seeds = extensional_region(IntensionalityStatement(), preds, dom)
@@ -359,14 +356,14 @@ def _answer_masks(
     return _solve(P.kappa, parts, dom, engine, cap, seeds)
 
 
-def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
-    """Topological order of modules, dependencies first.
+def _require_module_order(P: ModularProgram, graph: DependencyGraph) -> None:
+    """Raise unless the modules have a topological order.
 
     Edges come from the dependency graph plus negated body atoms (the graph
-    tracks only positive dependencies, but evaluation order must respect
-    negative ones too).  Tarjan's algorithm emits components dependencies
-    first, so on an acyclic relation its components are the order; raises
-    when the module-level relation is cyclic.
+    tracks only positive dependencies, but an evaluation order would have
+    to respect negative ones too).  The order exists when every strongly
+    connected component of the module-level relation is a single module;
+    `topo` searches as `reduct` does and only needs to know that it exists.
     """
     edges = {(i, j) for (_, i), (_, j) in graph.edges if i != j}
     for i, module in enumerate(P.modules):
@@ -385,7 +382,6 @@ def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
             "module dependencies are cyclic; the topological engine is not "
             "applicable"
         )
-    return [i for (i,) in components]
 
 
 # --- the union/modular comparison harness -------------------------------------------
@@ -394,8 +390,7 @@ def _module_order(P: ModularProgram, graph: DependencyGraph) -> list[int]:
 A = TypeVar("A")  # one answer set: an Interpretation, or its rendered text
 
 
-@dataclass(frozen=True)
-class ComparisonReport(Generic[A]):
+class ComparisonReport(Value, Generic[A]):
     """Both sides of the union theorem's check, each in output order, with
     the answer sets found on one side only.  `theorem1_check` reports
     `Interpretation`s; the CLI reports the text of each answer set."""

@@ -8,7 +8,6 @@ variables, all others are symbolic constants or predicate/function names.
 """
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -37,6 +36,7 @@ from .terms import (
     SymbolicConstant,
     Term,
     Valuation,
+    Value,
     Variable,
     is_precomputed,
     simplify,
@@ -70,8 +70,7 @@ _CTL_TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Value):
     kind: str
     text: str
     line: int

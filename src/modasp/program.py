@@ -1,6 +1,5 @@
 """Atoms, literals, rules and programs over the many-sorted term language."""
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import SortError
@@ -9,6 +8,7 @@ from .terms import (
     Func,
     Sort,
     Term,
+    Value,
     Variable,
     compare,
     is_precomputed,
@@ -30,10 +30,21 @@ _REL_TESTS = {
 }
 
 
-@dataclass(frozen=True)
-class PredAtom:
+class PredAtom(Value):
     name: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __init__(self, name: str, args: tuple[Term, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
     @property
     def pred(self) -> tuple[str, int]:
@@ -45,15 +56,25 @@ class PredAtom:
         return f"{self.name}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Value):
     rel: str
     lhs: Term
     rhs: Term
 
-    def __post_init__(self):
-        if self.rel not in COMPARISON_RELS:
-            raise SortError(f"unknown comparison relation {self.rel!r}")
+    def __init__(self, rel: str, lhs: Term, rhs: Term):
+        if rel not in COMPARISON_RELS:
+            raise SortError(f"unknown comparison relation {rel!r}")
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rel, self.lhs, self.rhs) == (other.rel, other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rel, self.lhs, self.rhs))
 
     def holds(self) -> bool:
         """Truth of a comparison between precomputed terms under the fixed order."""
@@ -66,25 +87,45 @@ class Comparison:
 Atom = Union[PredAtom, Comparison]
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     atom: Atom
-    negations: int = 0
+    negations: int
 
-    def __post_init__(self):
-        if self.negations not in (0, 1, 2):
+    def __init__(self, atom: Atom, negations: int = 0):
+        if negations not in (0, 1, 2):
             raise SortError("a literal carries at most two occurrences of `not`")
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "negations", negations)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.negations) == (other.atom, other.negations)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.atom, self.negations))
 
     def __str__(self):
         return "not " * self.negations + str(self.atom)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A rule ``head :- body``; a ``None`` head stands for falsity (a constraint)."""
 
     head: Optional[PredAtom]
-    body: tuple[Literal, ...] = ()
+    body: tuple[Literal, ...]
+
+    def __init__(self, head: Optional[PredAtom], body: tuple[Literal, ...] = ()):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.head, self.body) == (other.head, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.head, self.body))
 
     def atoms(self):
         if self.head is not None:
@@ -172,18 +213,19 @@ def make_rule(head: Optional[PredAtom], body: Iterable[Literal] = ()) -> Rule:
     return map_rule_terms(rule, fix)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """The predicate symbols occurring in a program, as (name, arity)."""
 
-    predicates: frozenset[tuple[str, int]] = frozenset()
+    predicates: frozenset[tuple[str, int]]
+
+    def __init__(self, predicates: frozenset[tuple[str, int]] = frozenset()):
+        object.__setattr__(self, "predicates", predicates)
 
     def __or__(self, other: "Signature") -> "Signature":
         return Signature(self.predicates | other.predicates)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """A set of rules, stored deduplicated in a canonical order."""
 
     rules: tuple[Rule, ...] = ()

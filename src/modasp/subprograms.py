@@ -1,19 +1,17 @@
 """Clingo-style programs with `#program` declarations, and the control plans
 that select which subprogram instantiations make up a run."""
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import DeclarationConflictError, UnknownSubprogramError
 from .intensionality import Pattern, PredKey
 from .program import Program, Rule
-from .terms import Valuation
+from .terms import Valuation, Value
 
 BASE = "base"
 
 
-@dataclass(frozen=True)
-class ProgramDeclaration:
+class ProgramDeclaration(Value):
     name: str
     params: tuple[str, ...] = ()
 
@@ -23,8 +21,7 @@ class ProgramDeclaration:
         return f"#program {self.name}({','.join(self.params)})."
 
 
-@dataclass(frozen=True)
-class ClingoProgram:
+class ClingoProgram(Value):
     """An ordered list of declarations and rules.
 
     Rules preceding any declaration belong to `base`.  Every occurrence of a
@@ -99,8 +96,7 @@ def declared_params(
     return decls[name]
 
 
-@dataclass(frozen=True)
-class SubprogramSpec:
+class SubprogramSpec(Value):
     """A request to instantiate one subprogram with one valuation."""
 
     name: str
@@ -111,8 +107,7 @@ class SubprogramSpec:
         return f"[{self.name},{{{','.join(self.placeholders)}}},{self.valuation}]"
 
 
-@dataclass(frozen=True)
-class ControlPlan:
+class ControlPlan(Value):
     """The parsed content of a control file, ranges already expanded.
 
     `global_kappa` is None when the file has no `intensional` lines, in which

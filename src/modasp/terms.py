@@ -11,12 +11,91 @@ constants lexicographically, then function terms by name, arity and
 arguments).
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterator, Mapping, Union
 
 from .errors import NotGroundError, NotPrecomputedError, SortError
+
+
+class Value:
+    """Base of the immutable records.
+
+    A subclass lists its fields as annotations, in order; a class attribute
+    of the same name is that field's default.  `Value` gives construction by
+    position or keyword followed by `__post_init__`, equality between
+    objects of one class with equal fields, hashing and a
+    ``Name(field=value, ...)`` repr over the fields, and `AttributeError` on
+    assignment and deletion.  Fields named in the class keyword `hidden` are
+    left out of equality, hashing and repr.  A class with a
+    `cached_property` pickles its fields only, so a cached value is
+    rebuilt on first use after loading.  The classes that grounding and
+    search build or hash by the thousand per program (terms, atoms,
+    literals, rules, ground rules, interpretations, statements) write out
+    their own `__init__`, `__eq__` and `__hash__`, which the generic ones
+    here would slow down.
+    """
+
+    _fields = _shown = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        if any(
+            isinstance(value, cached_property)
+            for klass in cls.__mro__
+            for value in vars(klass).values()
+        ):
+            cls.__getstate__ = Value._field_state
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        for name, value in zip(cls._fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call that names or omits some of them."""
+        given = dict(zip(cls._fields, args))
+        if len(args) > len(cls._fields) or given.keys() & kwargs.keys():
+            raise TypeError(f"{cls.__name__}() got too many or repeated arguments")
+        defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        values = {**defaults, **given, **kwargs}
+        if values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the arguments {cls._fields}")
+        return tuple(values[name] for name in cls._fields)
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def _field_state(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Sort(Enum):
@@ -24,60 +103,112 @@ class Sort(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class Numeral:
+class Numeral(Value):
     value: int
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class SymbolicConstant:
+class SymbolicConstant(Value):
     name: str
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Value):
     name: str
-    sort: Sort = Sort.GENERAL
+    sort: Sort
+
+    def __init__(self, name: str, sort: Sort = Sort.GENERAL):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sort", sort)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.sort) == (other.name, other.sort)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.sort))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(Value):
     op: str
     left: "Term"
     right: "Term"
 
-    def __post_init__(self):
-        if self.op not in ARITH_OPS:
-            raise SortError(f"unknown arithmetic operator {self.op!r}")
-        for side in (self.left, self.right):
+    def __init__(self, op: str, left: "Term", right: "Term"):
+        if op not in ARITH_OPS:
+            raise SortError(f"unknown arithmetic operator {op!r}")
+        for side in (left, right):
             # Function terms are strictly general-sorted and can never sit
             # at an integer argument position.
             if isinstance(side, Func):
                 raise SortError(
                     f"function term {side} used as an argument of arithmetic"
                 )
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (
+                other.op, other.left, other.right
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
 
     def __str__(self):
         return _render(self, 0)
 
 
-@dataclass(frozen=True)
-class Func:
+class Func(Value):
     name: str
     args: tuple["Term", ...]
 
-    def __post_init__(self):
-        if not self.args:
-            raise SortError(f"zero-argument function {self.name!r}; use a constant")
+    def __init__(self, name: str, args: tuple["Term", ...]):
+        if not args:
+            raise SortError(f"zero-argument function {name!r}; use a constant")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
     def __str__(self):
         return f"{self.name}({','.join(str(a) for a in self.args)})"
@@ -259,11 +390,10 @@ def compare(t1: Term, t2: Term) -> int:
 # --- valuations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Value):
     """Immutable map from placeholder names to precomputed terms."""
 
-    items: tuple[tuple[str, Term], ...] = field(default=())
+    items: tuple[tuple[str, Term], ...] = ()
 
     def __post_init__(self):
         for name, value in self.items:

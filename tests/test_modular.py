@@ -27,7 +27,7 @@ from modasp.instantiation import (
 from modasp.intensionality import IntensionalityStatement
 from modasp.modular import (
     ComparisonReport,
-    _module_order,
+    _require_module_order,
     closure_holds,
     dependency_graph,
     is_coherent,
@@ -818,7 +818,7 @@ class TestOneCompile:
             )
             several += len(report.union_sets) > 1
             try:
-                _module_order(P, dependency_graph(P))
+                _require_module_order(P, dependency_graph(P))
                 topo += 1
             except EngineError:
                 pass
