@@ -1,12 +1,14 @@
-"""Golden CLI outputs: stdout and exit code of `solve`, `compare`,
-`check-coherence`, `instantiate` and `check-model` over every program x
-control pairing of the fixtures.  Every `solve` and `compare` entry also
-runs with `--cap 4`, which exposes which inputs the relevant-base cap
-refuses (exit 3).  `instantiate` runs in both modes and output formats,
-`check-model` in both modes with both checking engines on three candidates.
-Machine output is pinned for `solve` in both modes and `compare` with every
-engine at the default cap, for `check-coherence`, and for `check-model` with
-`reduct` in both modes on every candidate.
+"""Golden CLI outputs: stdout and exit code of `parse` on every program
+fixture, and of `solve`, `compare`, `check-coherence`, `instantiate` and
+`check-model` over every program x control pairing of the fixtures.  Every
+`solve` and `compare` entry also runs with `--cap 4`, which exposes which
+inputs the relevant-base cap refuses (exit 3).  `parse` and `instantiate`
+run in both output formats, `instantiate` in both modes, `check-model` in
+both modes with both checking engines on three candidates, plus one answer
+set of `terms.ctl` under that control file.  Machine output is pinned for
+`solve` in both modes and `compare` with every engine at the default cap,
+for `check-coherence`, and for `check-model` with `reduct` in both modes on
+every candidate.
 
 The expected outputs live in `fixtures/cli_golden.json`.  Regenerate them
 with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
@@ -24,6 +26,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 SOLVE_ENGINES = ("brute", "reduct", "fixpoint", "topo")
 CANDIDATES = ("", "q(0,0)", "q(0,0) q(1,1) q(2,2) q(3,3)")
+# An answer set of `terms.lp` under `terms.ctl`: function terms and
+# two-digit numerals in a candidate.
+TERMS_MODEL = "both(a) in(a,9) in(a,10) in(f(b),10) item(a) item(f(b)) out(f(b),9)"
 MACHINE = ["--output", "machine"]
 
 
@@ -31,8 +36,12 @@ def matrix() -> list[list[str]]:
     """Argument vectors, with fixture paths relative to the fixtures."""
     out = []
     for lp in sorted(FIXTURES.glob("*.lp")):
+        out += [["parse", lp.name], ["parse", lp.name, *MACHINE]]
         for ctl in sorted(FIXTURES.glob("*.ctl")):
             files = [lp.name, "--control", ctl.name]
+            candidates = CANDIDATES
+            if ctl.name == "terms.ctl":
+                candidates += (TERMS_MODEL,)
             if ctl.name.startswith("property"):
                 files += ["-c", "n=3"]
             for extra in ([], ["--cap", "4"], MACHINE):
@@ -53,7 +62,7 @@ def matrix() -> list[list[str]]:
                 for engine, extra in (
                     ("brute", []), ("reduct", []), ("reduct", MACHINE)
                 ):
-                    for model in CANDIDATES:
+                    for model in candidates:
                         out.append(
                             ["check-model", *files, "--mode", mode,
                              "--engine", engine, "--model", model, *extra]
