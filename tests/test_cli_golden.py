@@ -15,6 +15,7 @@ with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -82,7 +83,9 @@ def run_cli(argv: list[str]) -> dict:
     return {"exit": code, "stdout": stdout.getvalue()}
 
 
+@functools.cache
 def _load_golden() -> dict:
+    """The golden file, parsed once per test run (about 8 ms a parse)."""
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
