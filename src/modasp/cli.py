@@ -38,7 +38,7 @@ from .modular import (
     is_coherent,
 )
 from .parsing import parse_control, parse_ground_atom, parse_program
-from .subprograms import ClingoProgram, ControlPlan
+from .subprograms import ClingoProgram, ControlPlan, ProgramDeclaration
 
 
 class _UsageError(ModaspError):
@@ -186,15 +186,13 @@ def _cmd_parse(args) -> int:
     prog = parse_program(_read(args.program))
     decls = prog.declarations()
     subprograms = [
-        (name, decls[name], [str(r) for r in prog.subprogram(name).rules])
+        (ProgramDeclaration(name, decls[name]), [str(r) for r in prog.subprogram(name)])
         for name in ["base"] + [n for n in decls if n != "base"]
     ]
 
     def text():
-        for name, params, rules in subprograms:
-            yield f"#program {name}." if not params else (
-                f"#program {name}({','.join(params)})."
-            )
+        for decl, rules in subprograms:
+            yield str(decl)
             yield from rules
 
     _emit(
@@ -203,8 +201,8 @@ def _cmd_parse(args) -> int:
         lambda: {
             "command": "parse",
             "subprograms": [
-                {"name": name, "params": list(params), "rules": rules}
-                for name, params, rules in subprograms
+                {"name": decl.name, "params": list(decl.params), "rules": rules}
+                for decl, rules in subprograms
             ],
         },
     )

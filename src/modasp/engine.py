@@ -23,6 +23,7 @@ from .grounding import (
     GroundProgram,
     GroundRule,
     _assignments,
+    _comparison_holds,
     _eval_atom,
     _variable_sorts,
     ground,
@@ -114,15 +115,9 @@ class HTInterpretation(Value):
 # --- direct satisfaction (reference implementations) ---------------------------
 
 
-def _comparison_truth(comparison: Comparison) -> bool:
-    return Comparison(
-        comparison.rel, eval_ground(comparison.lhs), eval_ground(comparison.rhs)
-    ).holds()
-
-
 def _literal_truth_classical(I: Interpretation, literal: Literal) -> bool:
     if isinstance(literal.atom, Comparison):
-        value = _comparison_truth(literal.atom)
+        value = _comparison_holds(literal.atom)
     else:
         value = _eval_atom(literal.atom) in I.atoms
     if literal.negations == 1:
@@ -138,7 +133,7 @@ def _literal_truth_ht(hi: HTInterpretation, literal: Literal) -> bool:
     if literal.negations == 2:
         return _literal_truth_classical(hi.there, Literal(atom, 0))
     if isinstance(atom, Comparison):
-        return _comparison_truth(atom)
+        return _comparison_holds(atom)
     return _eval_atom(atom) in hi.here
 
 
@@ -366,7 +361,7 @@ class CompiledParts:
     every atom but those of them that lie in no part's region, which the
     closure condition makes false.  Union solving is the one-part case
     under the global statement.  Bit i stands for atom i of the universe;
-    the solvers sort it by `atom_order_key`, so that `models` comes out in
+    the solvers sort it by `atom_order_key`, so that `ordered` comes out in
     output order.
     """
 
@@ -397,10 +392,6 @@ class CompiledParts:
         for region in part_regions:
             defined |= region
         self.allowed = self.full & ~(self.intensional & ~defined)
-
-    def models(self, masks: Iterable[int]) -> tuple[Interpretation, ...]:
-        """The interpretations of `masks`, in the order of `ordered`."""
-        return tuple(self.ordered(masks).values())
 
     def ordered(self, masks: Iterable[int]) -> dict[int, Interpretation]:
         """Each distinct mask of `masks` with its interpretation, in output
@@ -654,14 +645,9 @@ def enumerate_kappa_stable(
 ) -> frozenset[Interpretation]:
     """All stable models over the relevant atom base (`_solve` with one
     part and no seeds but the extensional region)."""
-    return frozenset(_stable_models(kappa, pi, dom, engine, cap))
-
-
-def _stable_models(kappa, pi, dom, engine, cap) -> tuple[Interpretation, ...]:
-    """`enumerate_kappa_stable` in output order (`CompiledParts.models`)."""
     _require_engine(engine, ENGINES)
     compiled, _, masks = _solve(kappa, [(pi, kappa)], dom, engine, cap, frozenset())
-    return compiled.models(masks)
+    return frozenset(compiled.ordered(masks).values())
 
 
 def _solve(

@@ -22,7 +22,15 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import RangeError, SafetyError
-from .program import Comparison, Literal, PredAtom, Program, Rule, substitute_rule
+from .program import (
+    Comparison,
+    Literal,
+    PredAtom,
+    Program,
+    Rule,
+    atom_order_key,
+    substitute_rule,
+)
 from .terms import (
     Arith,
     Func,
@@ -192,6 +200,13 @@ def _eval_atom(atom: PredAtom) -> PredAtom:
     return PredAtom(atom.name, tuple(eval_ground(a) for a in atom.args))
 
 
+def _comparison_holds(comparison: Comparison) -> bool:
+    """Truth of a ground comparison, its sides evaluated first."""
+    return Comparison(
+        comparison.rel, eval_ground(comparison.lhs), eval_ground(comparison.rhs)
+    ).holds()
+
+
 def _finish_instance(rule: Rule, dom: Domain) -> Optional[GroundRule]:
     head = None
     if rule.head is not None:
@@ -203,14 +218,9 @@ def _finish_instance(rule: Rule, dom: Domain) -> Optional[GroundRule]:
     negneg: list[PredAtom] = []
     for lit in rule.body:
         if isinstance(lit.atom, Comparison):
-            truth = Comparison(
-                lit.atom.rel, eval_ground(lit.atom.lhs), eval_ground(lit.atom.rhs)
-            ).holds()
-            if lit.negations == 1:
-                truth = not truth
-            if truth:
-                continue
-            return None
+            if _comparison_holds(lit.atom) == (lit.negations == 1):
+                return None
+            continue
         atom = _eval_atom(lit.atom)
         in_domain = dom.contains_atom(atom)
         if lit.negations == 0:
@@ -224,12 +234,11 @@ def _finish_instance(rule: Rule, dom: Domain) -> Optional[GroundRule]:
             if not in_domain:
                 return None
             negneg.append(atom)
-    key = lambda a: (a.name, len(a.args), str(a))
     return GroundRule(
         head,
-        tuple(sorted(dict.fromkeys(pos), key=key)),
-        tuple(sorted(dict.fromkeys(neg), key=key)),
-        tuple(sorted(dict.fromkeys(negneg), key=key)),
+        tuple(sorted(dict.fromkeys(pos), key=atom_order_key)),
+        tuple(sorted(dict.fromkeys(neg), key=atom_order_key)),
+        tuple(sorted(dict.fromkeys(negneg), key=atom_order_key)),
     )
 
 

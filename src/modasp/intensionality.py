@@ -107,12 +107,9 @@ class _PatternTable:
             for p in patterns:
                 validate_pattern(p, self.placeholders)
 
-    def as_dict(self) -> dict[PredKey, tuple[Pattern, ...]]:
-        return dict(self.entries)
-
     @cached_property
     def _table(self) -> dict[PredKey, tuple[Pattern, ...]]:
-        return self.as_dict()
+        return dict(self.entries)
 
     def patterns_for(self, key: PredKey) -> tuple[Pattern, ...]:
         return self._table.get(key, ())

@@ -313,15 +313,8 @@ def modular_answer_sets(
     shared relevant atom base.  `topo` first requires coherence and an
     acyclic module order, then searches as `reduct` does.
     """
-    return frozenset(_answer_sets(P, dom, engine, cap))
-
-
-def _answer_sets(
-    P: ModularProgram, dom: Domain, engine: str, cap: int
-) -> tuple[Interpretation, ...]:
-    """`modular_answer_sets` in output order."""
     compiled, _, masks = _answer_masks(P, dom, engine, cap)
-    return compiled.models(masks)
+    return frozenset(compiled.ordered(masks).values())
 
 
 def _answer_masks(
@@ -459,7 +452,7 @@ def _theorem1_masks(
     Both readings share one grounding of each module and one atom base,
     the modular relevant base.  The union reading is one more checker over
     it: the module ground rules under the global statement.  That is exact.
-    The modular seeds contain the union's (`_stable_models`): both
+    The modular seeds contain the union's (`enumerate_kappa_stable`): both
     extensional regions range over the same predicates, because every
     predicate a module statement names has a global pattern.  Over the
     same rules, the modular derived set, instances and base contain the

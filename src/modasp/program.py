@@ -61,20 +61,9 @@ class Comparison(Value):
     lhs: Term
     rhs: Term
 
-    def __init__(self, rel: str, lhs: Term, rhs: Term):
-        if rel not in COMPARISON_RELS:
-            raise SortError(f"unknown comparison relation {rel!r}")
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rel, self.lhs, self.rhs) == (other.rel, other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rel, self.lhs, self.rhs))
+    def __post_init__(self):
+        if self.rel not in COMPARISON_RELS:
+            raise SortError(f"unknown comparison relation {self.rel!r}")
 
     def holds(self) -> bool:
         """Truth of a comparison between precomputed terms under the fixed order."""

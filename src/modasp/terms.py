@@ -124,17 +124,6 @@ class Numeral(Value):
 class SymbolicConstant(Value):
     name: str
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
     def __str__(self):
         return self.name
 
@@ -196,19 +185,9 @@ class Func(Value):
     name: str
     args: tuple["Term", ...]
 
-    def __init__(self, name: str, args: tuple["Term", ...]):
-        if not args:
-            raise SortError(f"zero-argument function {name!r}; use a constant")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) == (other.name, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.args))
+    def __post_init__(self):
+        if not self.args:
+            raise SortError(f"zero-argument function {self.name!r}; use a constant")
 
     def __str__(self):
         return f"{self.name}({','.join(str(a) for a in self.args)})"
@@ -325,34 +304,29 @@ def simplify(t: Term) -> Term:
     return Arith(t.op, left, right)
 
 
-def substitute_constants(t: Term, mapping: Mapping[str, Term]) -> Term:
-    """Replace symbolic constants found in `mapping` by their values."""
-    if isinstance(t, SymbolicConstant):
+def _substitute(t: Term, kind: type, mapping: Mapping[str, Term]) -> Term:
+    """Replace the leaves of class `kind` found by name in `mapping`."""
+    if isinstance(t, kind):
         return mapping.get(t.name, t)
     if isinstance(t, Arith):
         return Arith(
             t.op,
-            substitute_constants(t.left, mapping),
-            substitute_constants(t.right, mapping),
+            _substitute(t.left, kind, mapping),
+            _substitute(t.right, kind, mapping),
         )
     if isinstance(t, Func):
-        return Func(t.name, tuple(substitute_constants(a, mapping) for a in t.args))
+        return Func(t.name, tuple(_substitute(a, kind, mapping) for a in t.args))
     return t
+
+
+def substitute_constants(t: Term, mapping: Mapping[str, Term]) -> Term:
+    """Replace symbolic constants found in `mapping` by their values."""
+    return _substitute(t, SymbolicConstant, mapping)
 
 
 def substitute_variables(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace variables found in `mapping` by their values."""
-    if isinstance(t, Variable):
-        return mapping.get(t.name, t)
-    if isinstance(t, Arith):
-        return Arith(
-            t.op,
-            substitute_variables(t.left, mapping),
-            substitute_variables(t.right, mapping),
-        )
-    if isinstance(t, Func):
-        return Func(t.name, tuple(substitute_variables(a, mapping) for a in t.args))
-    return t
+    return _substitute(t, Variable, mapping)
 
 
 # --- total order on precomputed terms ---------------------------------------

@@ -349,7 +349,6 @@ def test_criterion_9_coherence_scaling(monkeypatch):
     for target in (engine_mod, modular_mod):
         monkeypatch.setattr(target, "is_kappa_stable", forbidden)
         monkeypatch.setattr(target, "CompiledParts", forbidden, raising=True)
-    monkeypatch.setattr(engine_mod, "_stable_models", forbidden)
     monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
     monkeypatch.setattr(engine_mod, "StabilityChecker", forbidden, raising=True)
     monkeypatch.setattr(engine_mod.Interpretation, "of", forbidden)

@@ -368,9 +368,8 @@ class TestUnionEngines:
             region = region_of(kappa, pi, dom)
             base = sorted(gp.heads() | region, key=atom_order_key)
             compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
-            expected = set(
-                compiled.models(_search(compiled.full, compiled.checkers, "brute"))
-            )
+            masks = _search(compiled.full, compiled.checkers, "brute")
+            expected = set(compiled.ordered(masks).values())
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected
 
     def test_cap_counts_reachable_base(self):

@@ -12,7 +12,6 @@ import modasp.modular as modular_mod
 from modasp.engine import (
     DEFAULT_CAP,
     Interpretation,
-    _stable_models,
     enumerate_kappa_stable,
     is_stable_in_parts,
 )
@@ -286,7 +285,6 @@ class TestCoherence:
         monkeypatch.setattr(engine_mod, "is_kappa_stable", forbidden)
         monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
         monkeypatch.setattr(modular_mod, "is_kappa_stable", forbidden)
-        monkeypatch.setattr(engine_mod, "_stable_models", forbidden)
         monkeypatch.setattr(engine_mod.Interpretation, "of", forbidden)
         assert is_coherent(p1()).coherent
 
@@ -480,7 +478,7 @@ class TestModularAnswerSets:
                 "extensional_region",
                 _counted(calls, "extensional_region", target.extensional_region),
             )
-        monkeypatch.setattr(engine_mod, "_stable_models", forbidden)
+        monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
         monkeypatch.setattr(
             modular_mod,
             "dependency_graph",
@@ -756,8 +754,7 @@ def _two_pipelines(P, dom, engine, cap=DEFAULT_CAP):
     the stable models of the union program on its own reachable base."""
     modular = _key_order(modular_answer_sets(P, dom, engine, cap))
     union_engine = "reduct" if engine == "topo" else engine
-    union = _stable_models(P.kappa, union_program(P), dom, union_engine, cap)
-    assert union == _key_order(
+    union = _key_order(
         enumerate_kappa_stable(P.kappa, union_program(P), dom, union_engine, cap)
     )
     modular_set, union_set = set(modular), set(union)
