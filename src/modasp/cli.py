@@ -50,6 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _cap(text: str) -> int:
+    """The value of `--cap`: an integer of at least 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="modasp",
@@ -67,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="model engine (default reduct)",
         ),
         "--cap": dict(
-            type=int, default=DEFAULT_CAP,
+            type=_cap, default=DEFAULT_CAP,
             help=f"relevant atom base cap for enumeration (default {DEFAULT_CAP})",
         ),
     }

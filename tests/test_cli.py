@@ -686,6 +686,33 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--engine", "reduct"],
+            ["solve", "--engine", "fixpoint"],
+            ["compare", "--engine", "reduct"],
+        ],
+    )
+    @pytest.mark.parametrize("cap", ["-1", "-25", "four"])
+    def test_cap_below_zero_is_a_usage_error(self, capsys, argv, cap):
+        command, *options = argv
+        code, out, err = run(
+            capsys, command, fixture("property.lp"), "--control",
+            fixture("property.ctl"), "-c", "n=3", *options, "--cap", cap,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --cap: expected an integer >= 0, got {cap!r}\n"
+
+    def test_cap_zero_is_accepted(self, capsys):
+        code, out, err = run(
+            capsys, "solve", fixture("property.lp"), "--control",
+            fixture("property.ctl"), "-c", "n=3", "--engine", "fixpoint",
+            "--cap", "0",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("q(0,0) q(1,1)")
+
     def test_unknown_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate", "x.lp")
         assert code == 2
