@@ -151,6 +151,20 @@ DEFAULTS = {
 
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 
+# The classes that write out `__eq__` and `__hash__`, with another value for
+# each of their fields.
+WRITTEN_OUT = {
+    Numeral: dict(value=2),
+    Variable: dict(name="Y", sort=Sort.INTEGER),
+    Arith: dict(op="*", left=A, right=ONE),
+    PredAtom: dict(name="q", args=(A,)),
+    Literal: dict(atom=Q1, negations=2),
+    Rule: dict(head=None, body=()),
+    GroundRule: dict(head=Q1, pos=(), neg=(Q1,), negneg=(Q1,)),
+    Interpretation: dict(atoms=frozenset({Q1})),
+    IntensionalityStatement: dict(entries=()),
+}
+
 
 def test_every_record_class_is_sampled():
     assert len(SAMPLES) == len(set(IDS)) == 34
@@ -211,6 +225,30 @@ class TestContract:
     def test_pickle_round_trip(self, cls, fields, change):
         obj = cls(**fields)
         assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_written_out_classes_are_listed():
+    own = {
+        cls
+        for cls, _, _ in SAMPLES
+        if "__eq__" in vars(cls) or "__hash__" in vars(cls)
+    }
+    assert own == set(WRITTEN_OUT)
+
+
+@pytest.mark.parametrize(
+    "cls, fields", [(cls, f) for cls, f, _ in SAMPLES if cls in WRITTEN_OUT],
+    ids=[cls.__name__ for cls, _, _ in SAMPLES if cls in WRITTEN_OUT],
+)
+def test_written_out_eq_and_hash_read_every_field(cls, fields):
+    others = WRITTEN_OUT[cls]
+    assert list(others) == list(cls._fields) == list(fields)
+    obj, copy = cls(**fields), cls(**fields)
+    assert obj == copy and hash(obj) == hash(copy)
+    for name, value in others.items():
+        changed = cls(**{**fields, name: value})
+        assert obj != changed and not obj == changed, name
+        assert hash(obj) != hash(changed), name
 
 
 def test_same_field_values_in_different_classes_are_unequal():
