@@ -30,11 +30,12 @@ class Value:
     assignment and deletion.  Fields named in the class keyword `hidden` are
     left out of equality, hashing and repr.  A class with a
     `cached_property` pickles its fields only, so a cached value is
-    rebuilt on first use after loading.  The classes that grounding and
-    search build or hash by the thousand per program (terms, atoms,
-    literals, rules, ground rules, interpretations, statements) write out
-    their own `__init__`, `__eq__` and `__hash__`, which the generic ones
-    here would slow down.
+    rebuilt on first use after loading.  The classes that a benchmark
+    workload builds or hashes by the thousand (numerals, variables,
+    arithmetic terms, predicate atoms, literals, rules, ground rules,
+    interpretations, statements) write out their own `__init__`, `__eq__`
+    and `__hash__`, which the generic ones here would slow down; the README
+    gives the counts.
     """
 
     _fields = _shown = ()
