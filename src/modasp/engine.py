@@ -60,18 +60,7 @@ DEFAULT_CAP = 24
 class Interpretation(Value):
     """A finite set of precomputed atoms, standing for everything true."""
 
-    atoms: frozenset[PredAtom]
-
-    def __init__(self, atoms: frozenset[PredAtom] = frozenset()):
-        object.__setattr__(self, "atoms", atoms)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.atoms == other.atoms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.atoms,))
+    atoms: frozenset[PredAtom] = frozenset()
 
     @classmethod
     def of(cls, atoms: Iterable[PredAtom]) -> "Interpretation":

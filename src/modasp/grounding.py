@@ -55,18 +55,16 @@ class Domain(Value):
 
     int_lo: int
     int_hi: int
-    general_terms: frozenset[Term] = frozenset()
+    general_terms: frozenset[Term]
 
-    def __post_init__(self):
-        if self.int_lo > self.int_hi:
-            raise RangeError(f"reversed domain {self.int_lo}..{self.int_hi}")
-        missing = {
-            Numeral(i) for i in range(self.int_lo, self.int_hi + 1)
-        } - self.general_terms
-        if missing:
-            object.__setattr__(
-                self, "general_terms", self.general_terms | missing
-            )
+    def __new__(
+        cls, int_lo: int, int_hi: int, general_terms: frozenset[Term] = frozenset()
+    ):
+        """The interval's numerals are added to `general_terms`."""
+        if int_lo > int_hi:
+            raise RangeError(f"reversed domain {int_lo}..{int_hi}")
+        numerals = {Numeral(i) for i in range(int_lo, int_hi + 1)}
+        return super().__new__(cls, int_lo, int_hi, general_terms | numerals)
 
     @classmethod
     def build(cls, programs: Iterable[Program], lo: int, hi: int) -> "Domain":
@@ -116,25 +114,9 @@ class GroundRule(Value):
     """
 
     head: Optional[PredAtom]
-    pos: tuple[PredAtom, ...]
-    neg: tuple[PredAtom, ...]
-    negneg: tuple[PredAtom, ...]
-
-    def __init__(self, head: Optional[PredAtom], pos=(), neg=(), negneg=()):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "negneg", negneg)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.head, self.pos, self.neg, self.negneg) == (
-                other.head, other.pos, other.neg, other.negneg
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.head, self.pos, self.neg, self.negneg))
+    pos: tuple[PredAtom, ...] = ()
+    neg: tuple[PredAtom, ...] = ()
+    negneg: tuple[PredAtom, ...] = ()
 
     def __str__(self):
         parts = [str(a) for a in self.pos]

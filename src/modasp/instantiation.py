@@ -10,6 +10,7 @@ from .intensionality import (
     IntensionalityStatement,
     ParametricIntensionality,
     Pattern,
+    PatternIndex,
     PredKey,
     instantiate_chi,
     require_coverage,
@@ -156,7 +157,8 @@ class ModularProgram(Value):
 
     Construction checks that every module pattern is subsumed by a global
     pattern, so each atom defined in a module is intensional globally.  The
-    signature is built on first use and kept.
+    signature and the index of the module patterns are built on first use
+    and kept.
     """
 
     kappa: IntensionalityStatement
@@ -173,6 +175,13 @@ class ModularProgram(Value):
         return frozenset(self.kappa.predicates()).union(
             *(m.signature().predicates for m in self.modules)
         )
+
+    @cached_property
+    def patterns(self) -> PatternIndex:
+        """The module patterns (statement i = module i), which the
+        dependency graph, the coherence check and the topo module order
+        look atoms up in."""
+        return PatternIndex([m.kappa for m in self.modules])
 
 
 def collective_union(

@@ -121,19 +121,7 @@ class IntensionalityStatement(_PatternTable, Value):
     Predicates without an entry are purely extensional (empty pattern set).
     """
 
-    entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...]
-
-    def __init__(self, entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...] = ()):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
+    entries: tuple[tuple[PredKey, tuple[Pattern, ...]], ...] = ()
 
     @classmethod
     def of(cls, mapping: Mapping[PredKey, Iterable[Pattern]]) -> "IntensionalityStatement":

@@ -84,16 +84,13 @@ Vertex = tuple[str, int]
 V = TypeVar("V")  # any sortable vertex: a Vertex, or a module index
 
 
-class DependencyGraph(Value, hidden=("patterns",)):
+class DependencyGraph(Value):
     """Vertices pair each predicate with each module index; an edge from
     (p,i) to (q,j) records that a rule can derive a region-i atom of p from
-    a region-j atom of q in its positive body.  `patterns` indexes the
-    module patterns (statement i = module i) the graph was read from; the
-    coherence check and the topo module order look atoms up in it too."""
+    a region-j atom of q in its positive body."""
 
     vertices: tuple[Vertex, ...]
     edges: frozenset[tuple[Vertex, Vertex]]
-    patterns: PatternIndex
 
     @cached_property
     def spanning(self) -> list[list[Vertex]]:
@@ -126,11 +123,11 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
     containment check).
 
     Each atom is tested with `may_share_instance` only against the module
-    patterns a `PatternIndex` returns for it, so when module patterns differ
+    patterns `P.patterns` returns for it, so when module patterns differ
     in a ground value, as under collective control, the cost is linear in
     the rules (see `is_coherent`).
     """
-    patterns = PatternIndex([m.kappa for m in P.modules])
+    patterns = P.patterns
     preds = sorted(P.signature().predicates)
     n = len(P.modules)
     vertices = tuple((name, i) for name, _ in preds for i in range(n))
@@ -152,7 +149,7 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
                         edge = ((rule.head.name, i), (literal.atom.name, j))
                         if edge[0] != edge[1]:
                             edges.add(edge)
-    return DependencyGraph(vertices, frozenset(edges), patterns)
+    return DependencyGraph(vertices, frozenset(edges))
 
 
 def strongly_connected_components(
@@ -258,7 +255,7 @@ def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
                     "its statement",
                 )
             )
-    index = graph.patterns
+    index = P.patterns
     for key in sorted(P.signature().predicates):
         for i, module in enumerate(P.modules):
             # Pairs (u_i, u_j) with j > i, listed by j, then u_i, then u_j.
@@ -366,7 +363,7 @@ def _require_module_order(P: ModularProgram, graph: DependencyGraph) -> None:
                     continue
                 edges.update(
                     (i, j)
-                    for j in _matching_modules(graph.patterns, literal.atom)
+                    for j in _matching_modules(P.patterns, literal.atom)
                     if j != i
                 )
     components = strongly_connected_components(range(len(P.modules)), edges)

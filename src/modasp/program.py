@@ -32,19 +32,7 @@ _REL_TESTS = {
 
 class PredAtom(Value):
     name: str
-    args: tuple[Term, ...]
-
-    def __init__(self, name: str, args: tuple[Term, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) == (other.name, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.args))
+    args: tuple[Term, ...] = ()
 
     @property
     def pred(self) -> tuple[str, int]:
@@ -78,21 +66,11 @@ Atom = Union[PredAtom, Comparison]
 
 class Literal(Value):
     atom: Atom
-    negations: int
+    negations: int = 0
 
-    def __init__(self, atom: Atom, negations: int = 0):
-        if negations not in (0, 1, 2):
+    def __post_init__(self):
+        if self.negations not in (0, 1, 2):
             raise SortError("a literal carries at most two occurrences of `not`")
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "negations", negations)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.negations) == (other.atom, other.negations)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.atom, self.negations))
 
     def __str__(self):
         return "not " * self.negations + str(self.atom)
@@ -102,19 +80,7 @@ class Rule(Value):
     """A rule ``head :- body``; a ``None`` head stands for falsity (a constraint)."""
 
     head: Optional[PredAtom]
-    body: tuple[Literal, ...]
-
-    def __init__(self, head: Optional[PredAtom], body: tuple[Literal, ...] = ()):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.head, self.body) == (other.head, other.body)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.head, self.body))
+    body: tuple[Literal, ...] = ()
 
     def atoms(self):
         if self.head is not None:
@@ -205,10 +171,7 @@ def make_rule(head: Optional[PredAtom], body: Iterable[Literal] = ()) -> Rule:
 class Signature(Value):
     """The predicate symbols occurring in a program, as (name, arity)."""
 
-    predicates: frozenset[tuple[str, int]]
-
-    def __init__(self, predicates: frozenset[tuple[str, int]] = frozenset()):
-        object.__setattr__(self, "predicates", predicates)
+    predicates: frozenset[tuple[str, int]] = frozenset()
 
     def __or__(self, other: "Signature") -> "Signature":
         return Signature(self.predicates | other.predicates)

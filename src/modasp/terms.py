@@ -12,52 +12,57 @@ arguments).
 """
 
 from enum import Enum
-from functools import cached_property
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterator, Mapping, Union
 
 from .errors import NotGroundError, NotPrecomputedError, SortError
 
 
-class Value:
+class Value(tuple):
     """Base of the immutable records.
 
-    A subclass lists its fields as annotations, in order; a class attribute
-    of the same name is that field's default.  `Value` gives construction by
-    position or keyword followed by `__post_init__`, equality between
-    objects of one class with equal fields, hashing and a
-    ``Name(field=value, ...)`` repr over the fields, and `AttributeError` on
-    assignment and deletion.  Fields named in the class keyword `hidden` are
-    left out of equality, hashing and repr.  A class with a
-    `cached_property` pickles its fields only, so a cached value is
-    rebuilt on first use after loading.  The classes that a benchmark
-    workload builds or hashes by the thousand (numerals, variables,
-    arithmetic terms, predicate atoms, literals, rules, ground rules,
-    interpretations, statements) write out their own `__init__`, `__eq__`
-    and `__hash__`, which the generic ones here would slow down; the README
-    gives the counts.
+    A record is a tuple of its class followed by its fields, so equality and
+    hashing are CPython's tuple code: records are equal when they are of one
+    class with equal fields.  A subclass lists its fields as annotations, in
+    order; a class attribute of the same name is that field's default, and
+    each field is read through a property.  One `__new__` builds every
+    record, by position or keyword, and then runs the checks of the class's
+    `__post_init__` when it or a base defines one.  The repr is
+    ``Name(field=value, ...)``, and assignment and deletion raise
+    `AttributeError`.  A record pickles as its class and fields only, so no
+    `cached_property` value travels and loading runs the checks again.
+
+    The hash of a record includes the hash of its class, which differs
+    between processes, so every printed order comes from an explicit sort.
+    Tuple length, iteration, indexing, concatenation and ordering reach
+    every record that does not define its own; no code relies on them.
     """
 
-    _fields = _shown = ()
+    _fields = ()
+    _defaults = {}
+    _check = None
 
-    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._shown = tuple(name for name in cls._fields if name not in hidden)
-        if any(
-            isinstance(value, cached_property)
-            for klass in cls.__mro__
-            for value in vars(klass).values()
-        ):
-            cls.__getstate__ = Value._field_state
+        cls._defaults = {
+            name: vars(cls)[name] for name in cls._fields if name in vars(cls)
+        }
+        for i, name in enumerate(cls._fields, 1):
+            read = itemgetter(i)
+            if cls.__getitem__ is not tuple.__getitem__:
+                # A lookup of its own (`Valuation`'s by name) is passed by.
+                read = lambda self, i=i: tuple.__getitem__(self, i)
+            setattr(cls, name, property(read))
+        cls._check = getattr(cls, "__post_init__", None)
 
-    def __init__(self, *args, **kwargs):
-        cls = type(self)
+    def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
             args = cls._bind(args, kwargs)
-        for name, value in zip(cls._fields, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+        self = tuple.__new__(cls, (cls,) + args)
+        if cls._check is not None:
+            cls._check(self)
+        return self
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
@@ -65,31 +70,16 @@ class Value:
         given = dict(zip(cls._fields, args))
         if len(args) > len(cls._fields) or given.keys() & kwargs.keys():
             raise TypeError(f"{cls.__name__}() got too many or repeated arguments")
-        defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-        values = {**defaults, **given, **kwargs}
+        values = {**cls._defaults, **given, **kwargs}
         if values.keys() != set(cls._fields):
             raise TypeError(f"{cls.__name__}() takes the arguments {cls._fields}")
         return tuple(values[name] for name in cls._fields)
 
-    def __post_init__(self):
-        pass
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._shown)
-
-    def _field_state(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+    def __reduce__(self):
+        return type(self), tuple.__getitem__(self, slice(1, None))
 
     def __repr__(self):
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({inner})"
 
     def __setattr__(self, name, value):
@@ -107,17 +97,6 @@ class Sort(Enum):
 class Numeral(Value):
     value: int
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
     def __str__(self):
         return str(self.value)
 
@@ -131,19 +110,7 @@ class SymbolicConstant(Value):
 
 class Variable(Value):
     name: str
-    sort: Sort
-
-    def __init__(self, name: str, sort: Sort = Sort.GENERAL):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sort", sort)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.sort) == (other.name, other.sort)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.sort))
+    sort: Sort = Sort.GENERAL
 
     def __str__(self):
         return self.name
@@ -154,29 +121,16 @@ class Arith(Value):
     left: "Term"
     right: "Term"
 
-    def __init__(self, op: str, left: "Term", right: "Term"):
-        if op not in ARITH_OPS:
-            raise SortError(f"unknown arithmetic operator {op!r}")
-        for side in (left, right):
+    def __post_init__(self):
+        if self.op not in ARITH_OPS:
+            raise SortError(f"unknown arithmetic operator {self.op!r}")
+        for side in (self.left, self.right):
             # Function terms are strictly general-sorted and can never sit
             # at an integer argument position.
             if isinstance(side, Func):
                 raise SortError(
                     f"function term {side} used as an argument of arithmetic"
                 )
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.op, self.left, self.right) == (
-                other.op, other.left, other.right
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.op, self.left, self.right))
 
     def __str__(self):
         return _render(self, 0)
