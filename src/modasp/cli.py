@@ -15,6 +15,7 @@ output, byte-identical across runs on identical inputs.
 
 import argparse
 import sys
+import warnings
 from typing import Optional
 
 from .engine import (
@@ -301,9 +302,17 @@ def _cmd_check_coherence(args) -> int:
 
 def _cmd_compare(args) -> int:
     modular, _, dom = _load_reading(args, MODULAR_ENGINES)
-    compiled, on_modular, on_union = _theorem1_masks(
-        modular, dom, args.engine, args.cap
-    )
+    # The incoherence note is a line on stderr whatever the interpreter's
+    # warning filters say, and it comes before a refusal of `topo`.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            compiled, on_modular, on_union = _theorem1_masks(
+                modular, dom, args.engine, args.cap
+            )
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     # Each answer set as its list of atoms for machine output, as one line
     # for text; `ComparisonReport.__str__` lays the text out.
     rows = compiled.rendered(on_modular + on_union)

@@ -12,18 +12,24 @@ every candidate.
 
 The expected outputs live in `fixtures/cli_golden.json`.  Regenerate them
 with `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
+A warning that escapes the CLI fails its entry.  A few entries also run in
+fresh interpreters, where record hashes and so set orders differ.
 """
 
 import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = FIXTURES / "cli_golden.json"
 SOLVE_ENGINES = ("brute", "reduct", "fixpoint", "topo")
 CANDIDATES = ("", "q(0,0)", "q(0,0) q(1,1) q(2,2) q(3,3)")
@@ -79,8 +85,23 @@ def run_cli(argv: list[str]) -> dict:
     ]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = main(resolved)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(resolved)
     return {"exit": code, "stdout": stdout.getvalue()}
+
+
+def run_child(argv: list[str], *options: str, **env: str):
+    """`python OPTIONS -m modasp.cli ARGV` in a fresh interpreter, in the
+    fixtures directory, with `src` on its path and `env` added."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *options, "-m", "modasp.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=FIXTURES,
+    )
 
 
 @functools.cache
@@ -96,6 +117,51 @@ def test_matches_golden(argv):
 
 def test_golden_covers_matrix():
     assert sorted(_load_golden()) == sorted(" ".join(a) for a in matrix())
+
+
+PROCESS_COMMANDS = [
+    ["solve", "--mode", "modular", "--engine", "reduct"],
+    ["compare", "--engine", "reduct"],
+    ["instantiate", "--mode", "modular", "--output", "text"],
+    ["check-coherence"],
+]
+
+
+@pytest.mark.parametrize("name", ["tangle", "gamma1"])
+@pytest.mark.parametrize("command", PROCESS_COMMANDS, ids=lambda c: c[0])
+def test_stdout_does_not_depend_on_the_process(name, command):
+    """A record's hash includes its class's, which lies elsewhere in every
+    process, so any printed order that came from a set would show here."""
+    argv = [command[0], f"{name}.lp", "--control", f"{name}.ctl", *command[1:]]
+    expected = _load_golden()[" ".join(argv)]
+    for seed in ("1", "2"):
+        child = run_child(argv, PYTHONHASHSEED=seed)
+        assert {"exit": child.returncode, "stdout": child.stdout} == expected
+
+
+NOTE = (
+    "warning: comparing an incoherent modular program; the union theorem "
+    "does not apply"
+)
+
+
+@pytest.mark.parametrize(
+    "options, env", [(["-W", "error"], {}), ([], {"PYTHONWARNINGS": "ignore"})],
+    ids=["error", "ignore"],
+)
+def test_incoherence_note_is_one_stderr_line(options, env):
+    """The warning filters of the interpreter neither hide the note of
+    `compare` on an incoherent program nor turn it into a traceback."""
+    files = ["tangle.lp", "--control", "tangle.ctl"]
+    argv = ["compare", *files, "--engine", "reduct"]
+    child = run_child(argv, *options, **env)
+    assert child.returncode == 1
+    assert child.stdout == _load_golden()[" ".join(argv)]["stdout"]
+    assert child.stderr == NOTE + "\n"
+    child = run_child(["compare", *files, "--engine", "topo"], *options, **env)
+    assert child.returncode == 2
+    first, second, *_ = child.stderr.splitlines()
+    assert first == NOTE and second.startswith("error: the topological engine")
 
 
 if __name__ == "__main__":
