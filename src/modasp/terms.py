@@ -51,7 +51,7 @@ class Value(tuple):
         for i, name in enumerate(cls._fields, 1):
             read = itemgetter(i)
             if cls.__getitem__ is not tuple.__getitem__:
-                # A lookup of its own (`Valuation`'s by name) is passed by.
+                # `Valuation.__getitem__` looks names up; read past it.
                 read = lambda self, i=i: tuple.__getitem__(self, i)
             setattr(cls, name, property(read))
         cls._check = getattr(cls, "__post_init__", None)
