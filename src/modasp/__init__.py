@@ -57,6 +57,7 @@ from .modular import (
     ComparisonReport,
     CoherenceReport,
     DependencyGraph,
+    ModularAnalysis,
     closure_holds,
     dependency_graph,
     is_coherent,

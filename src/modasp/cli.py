@@ -262,8 +262,11 @@ def _cmd_instantiate(args) -> int:
 def _cmd_solve(args) -> int:
     if args.mode == "union":
         union, kappa, dom = _load_reading(args, ENGINES)
+        preds = {*kappa.predicates(), *union.signature().predicates}
         parts = [(union, kappa)]
-        compiled, _, masks = _solve(kappa, parts, dom, args.engine, args.cap, frozenset())
+        compiled, _, masks = _solve(
+            kappa, preds, parts, dom, args.engine, args.cap, frozenset()
+        )
     else:
         modular, _, dom = _load_reading(args, MODULAR_ENGINES)
         compiled, _, masks = _answer_masks(modular, dom, args.engine, args.cap)

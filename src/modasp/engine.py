@@ -635,12 +635,14 @@ def enumerate_kappa_stable(
     """All stable models over the relevant atom base (`_solve` with one
     part and no seeds but the extensional region)."""
     _require_engine(engine, ENGINES)
-    compiled, _, masks = _solve(kappa, [(pi, kappa)], dom, engine, cap, frozenset())
+    preds = {*kappa.predicates(), *pi.signature().predicates}
+    compiled, _, masks = _solve(kappa, preds, [(pi, kappa)], dom, engine, cap, frozenset())
     return frozenset(compiled.ordered(masks).values())
 
 
 def _solve(
     kappa: IntensionalityStatement,
+    preds: Iterable[tuple[str, int]],
     parts: Sequence[tuple[Program, IntensionalityStatement]],
     dom: Domain,
     engine: str,
@@ -651,6 +653,7 @@ def _solve(
     their groundings, and as masks the subsets of the base that every part
     accepts with `engine` and whose true `kappa`-intensional atoms lie in
     some part's region.  Union solving is the one-part case under `kappa`.
+    `preds` holds every predicate of `kappa` and of the parts.
 
     One `ground_reachable` call, seeded with the extensional region of
     `kappa` plus `seeds`, grounds every part, so all share one derived set
@@ -672,9 +675,6 @@ def _solve(
     condition, in the region of a module j other than i, at a vertex an
     edge reaches from `(p, i)` and outside C, so in a lower component.
     """
-    preds = set(kappa.predicates()).union(
-        *(pi.signature().predicates for pi, _ in parts)
-    )
     region = extensional_region(kappa, preds, dom)
     grounded = ground_reachable([pi for pi, _ in parts], dom, region | seeds)
     if engine == "fixpoint":

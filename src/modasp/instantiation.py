@@ -157,8 +157,10 @@ class ModularProgram(Value):
 
     Construction checks that every module pattern is subsumed by a global
     pattern, so each atom defined in a module is intensional globally.  The
-    signature and the index of the module patterns are built on first use
-    and kept.
+    signature, the index of the module patterns and the analysis that
+    solving reads are built on first use and kept.  They are syntactic:
+    nothing kept depends on a domain, and each call that solves grounds,
+    compiles and searches afresh.
     """
 
     kappa: IntensionalityStatement
@@ -182,6 +184,15 @@ class ModularProgram(Value):
         dependency graph, the coherence check and the topo module order
         look atoms up in."""
         return PatternIndex([m.kappa for m in self.modules])
+
+    @cached_property
+    def analysis(self):
+        """The `modular.ModularAnalysis` of this program: its coherence
+        report, the refusal of `topo` and the predicates that seed the
+        modular search, taken from one dependency graph, which is not kept."""
+        from .modular import _analyse  # `modular` imports this module
+
+        return _analyse(self)
 
 
 def collective_union(

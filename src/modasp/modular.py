@@ -24,6 +24,7 @@ from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
     PatternIndex,
+    PredKey,
     lambda_holds,
     may_share_instance,
     pattern_match,
@@ -238,9 +239,10 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
     value, as the instances of one parametric module under collective
     control do, each lookup returns a bounded number of them and the cost is
     linear in rules plus patterns; a pattern with a variable at every
-    position still meets every module's patterns of its predicate.
+    position still meets every module's patterns of its predicate.  The
+    report is made once per program and kept (`ModularProgram.analysis`).
     """
-    return _coherence(P, dependency_graph(P))
+    return P.analysis.report
 
 
 def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
@@ -315,35 +317,24 @@ def modular_answer_sets(
 
 
 def _answer_masks(
-    P: ModularProgram,
-    dom: Domain,
-    engine: str,
-    cap: int,
-    graph: Optional[DependencyGraph] = None,
-    report: Optional[CoherenceReport] = None,
+    P: ModularProgram, dom: Domain, engine: str, cap: int
 ) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
     """`_solve` with one part per module, seeded with every domain atom of
-    the predicates of the components of `graph` that span modules.  `topo`
-    first refuses, on the caller's `report` when given, an incoherent
-    program and then a cyclic module order; its search is the one of
-    `reduct`, which is exact, so it finds what splitting by module
-    (Lifschitz & Turner, ICLP 1994) would.
+    the predicates of the components of the dependency graph that span
+    modules (no seeds when none does).  `topo` first refuses, with the
+    message kept in `P.analysis`, an incoherent program and then a cyclic
+    module order; its search is the one of `reduct`, which is exact, so it
+    finds what splitting by module (Lifschitz & Turner, ICLP 1994) would.
     """
     _require_engine(engine, MODULAR_ENGINES)
-    graph = graph or dependency_graph(P)
-    if engine == "topo":
-        report = report or _coherence(P, graph)
-        if not report.coherent:
-            raise EngineError(
-                "the topological engine requires a coherent modular program:\n"
-                + str(report)
-            )
-        _require_module_order(P, graph)
-    names = {p for component in graph.spanning for p, _ in component}
-    preds = [key for key in P.signature().predicates if key[0] in names]
-    seeds = extensional_region(IntensionalityStatement(), preds, dom)
+    analysis = P.analysis
+    if engine == "topo" and analysis.topo_refusal is not None:
+        raise EngineError(analysis.topo_refusal)
+    seeds = frozenset()
+    if analysis.spanning:
+        seeds = extensional_region(IntensionalityStatement(), analysis.spanning, dom)
     parts = [(m.pi, m.kappa) for m in P.modules]
-    return _solve(P.kappa, parts, dom, engine, cap, seeds)
+    return _solve(P.kappa, P._predicates, parts, dom, engine, cap, seeds)
 
 
 def _require_module_order(P: ModularProgram, graph: DependencyGraph) -> None:
@@ -372,6 +363,38 @@ def _require_module_order(P: ModularProgram, graph: DependencyGraph) -> None:
             "module dependencies are cyclic; the topological engine is not "
             "applicable"
         )
+
+
+class ModularAnalysis(Value):
+    """What solving reads of the dependency graph of a modular program: its
+    coherence report, the message `topo` refuses it with (None when `topo`
+    applies), and the predicates of the components that span modules."""
+
+    report: CoherenceReport
+    topo_refusal: Optional[str]
+    spanning: frozenset[PredKey]
+
+
+def _analyse(P: ModularProgram) -> ModularAnalysis:
+    """The analysis of `P` from one dependency graph, which is not kept.
+    `ModularProgram.analysis` calls this once per program; nothing in it
+    depends on a domain."""
+    graph = dependency_graph(P)
+    report = _coherence(P, graph)
+    refusal = None
+    if not report.coherent:
+        refusal = (
+            "the topological engine requires a coherent modular program:\n"
+            + str(report)
+        )
+    else:
+        try:
+            _require_module_order(P, graph)
+        except EngineError as error:
+            refusal = str(error)
+    names = {p for component in graph.spanning for p, _ in component}
+    spanning = frozenset(key for key in P._predicates if key[0] in names)
+    return ModularAnalysis(report, refusal, spanning)
 
 
 # --- the union/modular comparison harness -------------------------------------------
@@ -460,15 +483,13 @@ def _theorem1_masks(
     alone, and the cap, checked on the larger modular base first, refuses
     as before.
     """
-    graph = dependency_graph(P)
-    report = _coherence(P, graph)
-    if not report.coherent:
+    if not P.analysis.report.coherent:
         warnings.warn(
             "comparing an incoherent modular program; the union theorem "
             "does not apply",
             stacklevel=3,
         )
-    compiled, grounded, modular = _answer_masks(P, dom, engine, cap, graph, report)
+    compiled, grounded, modular = _answer_masks(P, dom, engine, cap)
     union_checker = StabilityChecker(
         [rule for gp in grounded for rule in gp.rules],
         compiled.index,

@@ -93,6 +93,10 @@ class Sort(Enum):
     INTEGER = "integer"
     GENERAL = "general"
 
+    # Members are singletons, so identity is equality; `Enum.__hash__` is
+    # Python code, and every `Variable` hash reaches it.
+    __hash__ = object.__hash__
+
 
 class Numeral(Value):
     value: int

@@ -26,6 +26,7 @@ from modasp.instantiation import (
 from modasp.intensionality import IntensionalityStatement
 from modasp.modular import (
     ComparisonReport,
+    _coherence,
     _require_module_order,
     closure_holds,
     dependency_graph,
@@ -460,8 +461,8 @@ class TestModularAnswerSets:
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_comparison_grounds_each_module_once(self, engine, monkeypatch):
         # Both readings share one grounding of the modules, one dependency
-        # graph and one extensional region, plus the seeds of the
-        # module-spanning components; the union program is never ground.
+        # graph and one extensional region; no component spans modules, so
+        # no seeds are built, and the union program is never ground.
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
@@ -488,7 +489,7 @@ class TestModularAnswerSets:
         assert calls == {
             "ground": 0,
             "ground_reachable": 1,
-            "extensional_region": 2,
+            "extensional_region": 1,
             "dependency_graph": 1,
         }
         assert report.equal
@@ -747,6 +748,103 @@ class TestTheorem1:
         direct = enumerate_kappa_stable(P.kappa, union_program(P), dom, "reduct")
         report = theorem1_check(P, dom)
         assert frozenset(report.union_sets) == direct
+
+
+def _fixture_program(stem):
+    return plan_program(
+        (FIXTURES / f"{stem}.lp").read_text(encoding="utf-8"),
+        (FIXTURES / f"{stem}.ctl").read_text(encoding="utf-8"),
+    )
+
+
+def _analysed_programs():
+    """The random coherent and pattern programs and the `tangle` and
+    `gamma1` fixtures, each with a domain."""
+    import random
+
+    import randprog
+
+    rng = random.Random(7373)
+    programs = [randprog.random_coherent_program(rng) for _ in range(60)]
+    for _ in range(60):
+        P = randprog.random_pattern_program(rng)
+        programs.append((P, Domain.build([m.pi for m in P.modules], 0, 1)))
+    return programs + [_fixture_program("tangle"), _fixture_program("gamma1")]
+
+
+class TestKeptAnalysis:
+    """`ModularProgram.analysis` is built once per program from one
+    dependency graph and says what a fresh analysis says."""
+
+    def test_matches_a_fresh_analysis(self):
+        verdicts = set()
+        for P, _ in _analysed_programs():
+            graph = dependency_graph(P)
+            report = _coherence(P, graph)
+            assert P.analysis.report == report
+            assert is_coherent(P) is P.analysis.report
+            try:
+                _require_module_order(P, graph)
+                order = None
+            except EngineError as refusal:
+                order = str(refusal)
+            expected = order
+            if not report.coherent:
+                expected = (
+                    "the topological engine requires a coherent modular "
+                    "program:\n" + str(report)
+                )
+            assert P.analysis.topo_refusal == expected
+            names = {p for component in graph.spanning for p, _ in component}
+            assert P.analysis.spanning == {
+                key for key in P.signature().predicates if key[0] in names
+            }
+            verdicts.add((report.coherent, order is None, bool(names)))
+        assert {(True, True, False), (True, False, False)} <= verdicts
+        assert {(False, True, True), (False, False, True)} & verdicts
+
+    def test_comparison_and_topo_build_one_graph(self, monkeypatch):
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        graphs = []
+
+        def counting_graph(P):
+            graphs.append(P)
+            return dependency_graph(P)
+
+        monkeypatch.setattr(modular_mod, "dependency_graph", counting_graph)
+        report = theorem1_check(P, dom, "reduct")
+        assert modular_answer_sets(P, dom, "topo") == frozenset(report.modular_sets)
+        assert len(graphs) == 1
+
+    def test_each_refusal_is_a_new_error(self):
+        refused = 0
+        for P, dom in _analysed_programs():
+            if P.analysis.topo_refusal is None:
+                continue
+            errors = []
+            for _ in range(2):
+                with pytest.raises(EngineError) as caught:
+                    modular_answer_sets(P, dom, "topo")
+                errors.append(caught.value)
+            first, second = errors
+            assert first is not second
+            assert str(first) == str(second) == P.analysis.topo_refusal
+            refused += 1
+        assert refused >= 2
+
+    def test_every_comparison_of_an_incoherent_program_warns(self):
+        P, dom = _fixture_program("tangle")
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                theorem1_check(P, dom)
+            assert [str(w.message) for w in caught] == [
+                "comparing an incoherent modular program; the union theorem "
+                "does not apply"
+            ]
 
 
 def _two_pipelines(P, dom, engine, cap=DEFAULT_CAP):

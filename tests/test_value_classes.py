@@ -7,6 +7,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from modasp.modular import (
     CoherenceReport,
     ComparisonReport,
     DependencyGraph,
+    ModularAnalysis,
     Violation,
     dependency_graph,
 )
@@ -108,6 +110,9 @@ SAMPLES = [
      dict(placeholders=frozenset({"n", "m"}))),
     (ModularProgram, dict(kappa=KAPPA, modules=(MODULE,)), dict(modules=())),
     (DependencyGraph, dict(vertices=(("p", 0),), edges=frozenset()), dict(vertices=())),
+    (ModularAnalysis,
+     dict(report=CoherenceReport(True), topo_refusal=None, spanning=frozenset()),
+     dict(topo_refusal="cyclic")),
     (Violation, dict(kind="tuples-unify", detail="d"), dict(detail="e")),
     (CoherenceReport, dict(coherent=False, violations=(Violation("k", "d"),)),
      dict(coherent=True)),
@@ -177,11 +182,16 @@ def _record_classes(cls=Value) -> set[type]:
     return found
 
 
-def test_every_record_class_is_sampled():
+def _all_record_classes() -> set[type]:
+    """`_record_classes()` once every `modasp` module is imported."""
     for module in pkgutil.iter_modules(modasp.__path__):
         importlib.import_module(f"modasp.{module.name}")
+    return _record_classes()
+
+
+def test_every_record_class_is_sampled():
     assert len(SAMPLES) == len(set(IDS))
-    assert {cls for cls, _, _ in SAMPLES} == _record_classes()
+    assert {cls for cls, _, _ in SAMPLES} == _all_record_classes()
 
 
 @pytest.mark.parametrize("cls, fields, change", SAMPLES, ids=IDS)
@@ -354,21 +364,51 @@ def test_pickle_keeps_membership_under_another_hash_seed(tmp_path):
     assert out == "ok\n"
 
 
+# Per `cached_property` of a record class: a record, a read that fills it,
+# and its name.
+CACHED = [
+    (Domain(0, 2, frozenset({A})), lambda d: d.integers(), "_pools"),
+    (TANGLE, lambda p: p.signature(), "_predicates"),
+    (KAPPA, lambda k: k.patterns_for(("p", 1)), "_table"),
+    (dependency_graph(TANGLE), lambda g: g.spanning, "spanning"),
+    (TANGLE, lambda p: p.patterns.candidates(("p", 1), (ONE,)), "patterns"),
+    (TANGLE, lambda p: p.analysis, "analysis"),
+]
+
+
+def _cached_properties(cls) -> dict[str, cached_property]:
+    """The `cached_property`s of `cls` and its bases, by name; a class
+    overrides its bases."""
+    return {
+        name: attr
+        for base in reversed(cls.__mro__)
+        for name, attr in vars(base).items()
+        if isinstance(attr, cached_property)
+    }
+
+
+def test_every_cached_property_is_pickle_checked():
+    """Tooling guard: a new `cached_property` on a record class must join
+    `CACHED`, so that no cache can travel in a pickle unnoticed."""
+    found = {
+        prop
+        for cls in _all_record_classes()
+        for prop in _cached_properties(cls).values()
+    }
+    listed = {_cached_properties(type(obj))[name] for obj, _, name in CACHED}
+    assert found == listed
+
+
 @pytest.mark.parametrize(
     "obj, fill, cached",
-    [
-        (Domain(0, 2, frozenset({A})), lambda d: d.integers(), "_pools"),
-        (TANGLE, lambda p: p.signature(), "_predicates"),
-        (KAPPA, lambda k: k.patterns_for(("p", 1)), "_table"),
-        (dependency_graph(TANGLE), lambda g: g.spanning, "spanning"),
-        (TANGLE, lambda p: p.patterns.candidates(("p", 1), (ONE,)), "patterns"),
-    ],
+    CACHED,
     ids=[
         "Domain",
         "ModularProgram",
         "IntensionalityStatement",
         "DependencyGraph",
         "ModularProgram.patterns",
+        "ModularProgram.analysis",
     ],
 )
 def test_pickled_state_holds_no_cached_property(obj, fill, cached):
