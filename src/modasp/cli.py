@@ -24,7 +24,7 @@ from .engine import (
     ENGINES,
     Interpretation,
     _require_engine,
-    _solve,
+    _union_masks,
     is_stable_in_parts,
 )
 from .errors import CapacityError, ModaspError, RequirementError
@@ -262,14 +262,10 @@ def _cmd_instantiate(args) -> int:
 def _cmd_solve(args) -> int:
     if args.mode == "union":
         union, kappa, dom = _load_reading(args, ENGINES)
-        preds = {*kappa.predicates(), *union.signature().predicates}
-        parts = [(union, kappa)]
-        compiled, _, masks = _solve(
-            kappa, preds, parts, dom, args.engine, args.cap, frozenset()
-        )
+        compiled, masks = _union_masks(kappa, union, dom, args.engine, args.cap)
     else:
         modular, _, dom = _load_reading(args, MODULAR_ENGINES)
-        compiled, _, masks = _answer_masks(modular, dom, args.engine, args.cap)
+        compiled, masks = _answer_masks(modular, dom, args.engine, args.cap)
     rows = list(compiled.rendered(masks).values())
     _emit(
         args,

@@ -20,7 +20,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
 from .grounding import (
     Domain,
-    GroundProgram,
     GroundRule,
     _assignments,
     _comparison_holds,
@@ -222,8 +221,9 @@ class StabilityChecker:
     Candidates are bit masks over the index; atoms outside it are false in
     every candidate, which resolves their literals at compile time.  Each
     rule compiles to `(head, pos, neg, negneg)`; a constraint, or a rule
-    whose head falls outside the index, gets head 0, which is never true:
-    no candidate making its body true can be a classical model.  `watch`
+    whose head falls outside the index, gets as head the bit above every
+    atom of the index.  No candidate holds it, so no candidate making the
+    body true is a classical model, and deriving it is a conflict.  `watch`
     files the position of each rule under its positive body atoms, so that
     `_closure` looks at a rule again only when one of them is derived.
     `ext_mask` holds the atoms extensional under the program's own
@@ -233,36 +233,28 @@ class StabilityChecker:
     def __init__(
         self, rules: Sequence[GroundRule], index: dict[PredAtom, int], ext_mask: int
     ):
-        self.index = index
         self.ext_mask = ext_mask
         self.compiled: list[tuple[int, int, int, int]] = []
         self.watch: dict[int, list[int]] = {}
+        bottom = 1 << len(index)
         for rule in rules:
-            entry = self._compile_rule(rule)
+            entry = _compile_rule(rule, index, bottom)
             if entry is not None:
                 for atom in set(rule.pos):
                     self.watch.setdefault(index[atom], []).append(len(self.compiled))
                 self.compiled.append(entry)
 
-    def _compile_rule(self, rule: GroundRule):
-        pos = 0
-        for atom in rule.pos:
-            bit = self.index.get(atom)
-            if bit is None:
-                return None  # positive body atom can never hold
-            pos |= bit
-        negneg = 0
-        for atom in rule.negneg:
-            bit = self.index.get(atom)
-            if bit is None:
-                return None
-            negneg |= bit
-        neg = 0
-        for atom in rule.neg:
-            bit = self.index.get(atom)
-            if bit is not None:
-                neg |= bit  # out-of-universe atoms make `not` literals true
-        return (self.index.get(rule.head, 0), pos, neg, negneg)
+    @classmethod
+    def joined(cls, checkers, ext_mask: int) -> "StabilityChecker":
+        """The checker of every rule of `checkers`, which share one index,
+        in order, with `ext_mask`: their rules are not compiled again."""
+        join = cls((), {}, ext_mask)
+        for c in checkers:
+            offset = len(join.compiled)
+            for bit, positions in c.watch.items():
+                join.watch.setdefault(bit, []).extend(i + offset for i in positions)
+            join.compiled += c.compiled
+        return join
 
     def classical(self, T: int) -> bool:
         for head, pos, neg, negneg in self.compiled:
@@ -315,6 +307,27 @@ class StabilityChecker:
         return self.minimal_reduct(T)
 
 
+def _compile_rule(rule: GroundRule, index: dict[PredAtom, int], bottom: int):
+    pos = 0
+    for atom in rule.pos:
+        bit = index.get(atom)
+        if bit is None:
+            return None  # positive body atom can never hold
+        pos |= bit
+    negneg = 0
+    for atom in rule.negneg:
+        bit = index.get(atom)
+        if bit is None:
+            return None
+        negneg |= bit
+    neg = 0
+    for atom in rule.neg:
+        bit = index.get(atom)
+        if bit is not None:
+            neg |= bit  # out-of-universe atoms make `not` literals true
+    return (index.get(rule.head, bottom), pos, neg, negneg)
+
+
 def _closure(
     derived: int, rules, watch: dict[int, list[int]], blocked: int, need: int
 ) -> int:
@@ -361,12 +374,12 @@ class CompiledParts:
         parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
     ):
         self.base = tuple(universe)
-        self.index = {atom: 1 << i for i, atom in enumerate(self.base)}
-        self.full = (1 << len(self.index)) - 1
+        index = {atom: 1 << i for i, atom in enumerate(self.base)}
+        self.full = (1 << len(index)) - 1
         statements = list(dict.fromkeys((kappa, *(st for _, st in parts))))
         patterns = PatternIndex(statements)
         regions = [0] * len(statements)
-        for atom, bit in self.index.items():
+        for atom, bit in index.items():
             for s in dict.fromkeys(s for s, _ in patterns.candidates(atom.pred, atom.args)):
                 if lambda_holds(statements[s], atom):
                     regions[s] |= bit
@@ -374,13 +387,21 @@ class CompiledParts:
         self.intensional = region_of[kappa]
         part_regions = [region_of[st] for _, st in parts]
         self.checkers = [
-            StabilityChecker(rules, self.index, self.full & ~region)
+            StabilityChecker(rules, index, self.full & ~region)
             for (rules, _), region in zip(parts, part_regions)
         ]
         defined = 0
         for region in part_regions:
             defined |= region
         self.allowed = self.full & ~(self.intensional & ~defined)
+
+    def interpretations(self, masks: Iterable[int]) -> frozenset[Interpretation]:
+        """The interpretation of each mask of `masks`, in no order."""
+        base = self.base
+        return frozenset(
+            Interpretation(frozenset(map(base.__getitem__, _bits(mask))))
+            for mask in masks
+        )
 
     def ordered(self, masks: Iterable[int]) -> dict[int, Interpretation]:
         """Each distinct mask of `masks` with its interpretation, in output
@@ -405,16 +426,17 @@ def _output_order(masks: Iterable[int]) -> list[tuple[list[int], int]]:
     """Each distinct mask of `masks` with its set-bit positions, ascending,
     sorted by those lists.  Over a universe sorted by `atom_order_key` that
     is the order of the models' lists of sorted atoms: output order."""
-    keyed = []
-    for mask in set(masks):
-        bits, rest = [], mask
-        while rest:
-            low = rest & -rest
-            bits.append(low.bit_length() - 1)
-            rest ^= low
-        keyed.append((bits, mask))
-    keyed.sort()
-    return keyed
+    return sorted((_bits(mask), mask) for mask in set(masks))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set-bit positions of `mask`, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _require_engine(engine: str, allowed: tuple[str, ...]):
@@ -513,42 +535,33 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     """Every subset of `mask` that all `checkers` accept (`check` with
     `engine`), found depth-first; atoms outside `mask` stay false.
 
-    The atoms of `mask` start open.  Each node runs `_propagate`, then
-    branches on an open choice (an atom outside every checker's own
-    region) if there is one, else on the lowest open atom.  At a total
-    assignment propagation has made `T` a classical model of every
-    checker, so only the leaf minimality test is left: `minimal_brute`
-    under `brute`, which first refuses a walk past `DEFAULT_CAP` atoms,
-    and `minimal_reduct` under every other engine, so callers pass their
-    engine as it is.  That test is exact, so the answers do not rest on
-    the propagator.
+    The atoms of `mask` start open.  Each node runs `_propagate`, whose
+    forward step runs over the join of `checkers`, then branches on an open
+    choice (an atom outside every checker's own region) if there is one,
+    else on the lowest open atom.  At a total assignment propagation has
+    made `T` a classical model of every checker, so only the leaf
+    minimality test is left: `minimal_brute` under `brute`, which first
+    refuses a walk past `DEFAULT_CAP` atoms, and `minimal_reduct` under
+    every other engine, so callers pass their engine as it is.  That test
+    is exact, so the answers do not rest on the propagator.
     """
-    # The forward step runs over every checker's rules at once, with one
-    # `watch` of their positions.  A constraint's head is a bit above every
-    # atom there, so deriving it is a conflict like any head already false.
-    bottom = 1 << max((len(c.index) for c in checkers), default=0)
-    rules, watch = [], {}
     choices = mask
-    relevant = negneg_atoms = 0
     for c in checkers:
-        for bit, positions in c.watch.items():
-            watch.setdefault(bit, []).extend(i + len(rules) for i in positions)
-        for head, pos, neg, negneg in c.compiled:
-            rules.append((head or bottom, pos, neg, negneg))
-            relevant |= head | pos | neg | negneg
-            negneg_atoms |= negneg
         choices &= c.ext_mask
-    forward = rules, watch, negneg_atoms
-    parts = [(c.ext_mask, c.compiled, c.watch) for c in checkers]
+    forward = StabilityChecker.joined(checkers, choices)
+    relevant = negneg_atoms = 0
+    for head, pos, neg, negneg in forward.compiled:
+        relevant |= head | pos | neg | negneg
+        negneg_atoms |= negneg
     leaves = [
         c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
     ]
     found = []
-    stack = [(0, mask, bool(parts))]
+    stack = [(0, mask, bool(checkers))]
     while stack:
         true, open_, changed = stack.pop()
         if changed:
-            state = _propagate(true, open_, forward, parts)
+            state = _propagate(true, open_, forward, negneg_atoms, checkers)
             if state is None:
                 continue
             true, open_ = state
@@ -571,13 +584,14 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     return found
 
 
-def _propagate(true: int, open_: int, forward, parts) -> Optional[tuple[int, int]]:
+def _propagate(
+    true: int, open_: int, forward: StabilityChecker, negneg_atoms: int, checkers
+) -> Optional[tuple[int, int]]:
     """One forward and one unfounded step per round, until nothing changes;
-    returns the new `(true, open_)`, or None on a conflict.  `forward`
-    holds every checker's rules (a constraint's head a bit above every
-    atom), their `watch` and the atoms they double-negate; `parts` holds
-    each checker's `ext_mask`, compiled rules and `watch`.  Each step drops
-    only assignments that `check` rejects under both minimality tests.
+    returns the new `(true, open_)`, or None on a conflict.  `forward` is
+    the join of `checkers`, and `negneg_atoms` the atoms its rules
+    double-negate.  Each step drops only assignments that `check` rejects
+    under both minimality tests.
 
     * Forward: the closure of `true` under the rules whose negated atoms
       are all false sets their heads true.  A derived head outside the
@@ -600,21 +614,22 @@ def _propagate(true: int, open_: int, forward, parts) -> Optional[tuple[int, int
       The step subsumes the support rule: an own atom each of whose rules
       has a body false in every extension never enters the bound.
     """
-    all_rules, all_watch, negneg_atoms = forward
     while True:
         possible = true | open_
-        derived = _closure(true, all_rules, all_watch, possible, true)
+        derived = _closure(true, forward.compiled, forward.watch, possible, true)
         if derived & ~possible:
             return None
         open_ &= ~derived
         new, true = derived & ~true, derived
         before = open_
-        for ext_mask, rules, watch in parts:
+        for c in checkers:
             possible = true | open_
-            if not possible & ~ext_mask:
+            if not possible & ~c.ext_mask:
                 continue  # no own atom to bound
-            derivable = _closure(possible & ext_mask, rules, watch, true, possible)
-            bound = ext_mask | derivable
+            derivable = _closure(
+                possible & c.ext_mask, c.compiled, c.watch, true, possible
+            )
+            bound = c.ext_mask | derivable
             if true & ~bound:
                 return None
             open_ &= bound
@@ -632,12 +647,19 @@ def enumerate_kappa_stable(
     engine: str = "reduct",
     cap: int = DEFAULT_CAP,
 ) -> frozenset[Interpretation]:
-    """All stable models over the relevant atom base (`_solve` with one
-    part and no seeds but the extensional region)."""
+    """All stable models over the relevant atom base (`_union_masks`)."""
+    compiled, masks = _union_masks(kappa, pi, dom, engine, cap)
+    return compiled.interpretations(masks)
+
+
+def _union_masks(
+    kappa: IntensionalityStatement, pi: Program, dom: Domain, engine: str, cap: int
+) -> tuple[CompiledParts, list[int]]:
+    """`_solve` with the one part `(pi, kappa)` and no seeds but the
+    extensional region."""
     _require_engine(engine, ENGINES)
     preds = {*kappa.predicates(), *pi.signature().predicates}
-    compiled, _, masks = _solve(kappa, preds, [(pi, kappa)], dom, engine, cap, frozenset())
-    return frozenset(compiled.ordered(masks).values())
+    return _solve(kappa, preds, [(pi, kappa)], dom, engine, cap, frozenset())
 
 
 def _solve(
@@ -648,12 +670,13 @@ def _solve(
     engine: str,
     cap: int,
     seeds: frozenset[PredAtom],
-) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
+) -> tuple[CompiledParts, list[int]]:
     """The parts `(program, statement)` compiled over their relevant base,
-    their groundings, and as masks the subsets of the base that every part
-    accepts with `engine` and whose true `kappa`-intensional atoms lie in
-    some part's region.  Union solving is the one-part case under `kappa`.
-    `preds` holds every predicate of `kappa` and of the parts.
+    and as masks the subsets of the base that every part accepts with
+    `engine` and whose true `kappa`-intensional atoms lie in some part's
+    region.  Union solving is the one-part case under `kappa`.  `preds`
+    holds every predicate of `kappa` and of the parts.  The checkers of
+    `compiled` hold the only compiled form of the ground rules.
 
     One `ground_reachable` call, seeded with the extensional region of
     `kappa` plus `seeds`, grounds every part, so all share one derived set
@@ -701,7 +724,7 @@ def _solve(
         kappa,
         [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
     )
-    return compiled, grounded, _search(compiled.allowed, compiled.checkers, engine)
+    return compiled, _search(compiled.allowed, compiled.checkers, engine)
 
 
 # --- support (derivability) -------------------------------------------------------

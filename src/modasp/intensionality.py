@@ -138,9 +138,6 @@ class IntensionalityStatement(_PatternTable, Value):
     def predicates(self) -> tuple[PredKey, ...]:
         return tuple(k for k, _ in self.entries)
 
-    def is_purely_extensional(self, key: PredKey) -> bool:
-        return not self.patterns_for(key)
-
     def is_purely_intensional(self, key: PredKey) -> bool:
         return any(
             all(isinstance(e, Variable) for e in p) for p in self.patterns_for(key)
@@ -213,9 +210,6 @@ class LambdaFormula(Value):
 
     pred: PredKey
     disjuncts: tuple[tuple[tuple[int, Term], ...], ...]
-
-    def is_true(self) -> bool:
-        return any(not d for d in self.disjuncts)
 
     def is_false(self) -> bool:
         return not self.disjuncts

@@ -19,7 +19,7 @@ from .engine import (
     is_kappa_stable,
 )
 from .errors import EngineError
-from .grounding import Domain, GroundProgram
+from .grounding import Domain
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
@@ -312,19 +312,20 @@ def modular_answer_sets(
     shared relevant atom base.  `topo` first requires coherence and an
     acyclic module order, then searches as `reduct` does.
     """
-    compiled, _, masks = _answer_masks(P, dom, engine, cap)
-    return frozenset(compiled.ordered(masks).values())
+    compiled, masks = _answer_masks(P, dom, engine, cap)
+    return compiled.interpretations(masks)
 
 
 def _answer_masks(
     P: ModularProgram, dom: Domain, engine: str, cap: int
-) -> tuple[CompiledParts, list[GroundProgram], list[int]]:
-    """`_solve` with one part per module, seeded with every domain atom of
-    the predicates of the components of the dependency graph that span
-    modules (no seeds when none does).  `topo` first refuses, with the
-    message kept in `P.analysis`, an incoherent program and then a cyclic
-    module order; its search is the one of `reduct`, which is exact, so it
-    finds what splitting by module (Lifschitz & Turner, ICLP 1994) would.
+) -> tuple[CompiledParts, list[int]]:
+    """The compiled modules of `P` and its answer masks: `_solve` with one
+    part per module, seeded with every domain atom of the predicates of the
+    components of the dependency graph that span modules (no seeds when
+    none does).  `topo` first refuses, with the message kept in
+    `P.analysis`, an incoherent program and then a cyclic module order; its
+    search is the one of `reduct`, which is exact, so it finds what
+    splitting by module (Lifschitz & Turner, ICLP 1994) would.
     """
     _require_engine(engine, MODULAR_ENGINES)
     analysis = P.analysis
@@ -470,8 +471,9 @@ def _theorem1_masks(
     statement, with the warning and refusals of `theorem1_check`.
 
     Both readings share one grounding of each module and one atom base,
-    the modular relevant base.  The union reading is one more checker over
-    it: the module ground rules under the global statement.  That is exact.
+    the modular relevant base.  The union reading is the join of the module
+    checkers (`StabilityChecker.joined`) under the global statement, so no
+    ground rule is compiled twice.  That is exact.
     The modular seeds contain the union's (`enumerate_kappa_stable`): both
     extensional regions range over the same predicates, because every
     predicate a module statement names has a global pattern.  Over the
@@ -489,10 +491,8 @@ def _theorem1_masks(
             "does not apply",
             stacklevel=3,
         )
-    compiled, grounded, modular = _answer_masks(P, dom, engine, cap)
-    union_checker = StabilityChecker(
-        [rule for gp in grounded for rule in gp.rules],
-        compiled.index,
-        compiled.full & ~compiled.intensional,
+    compiled, modular = _answer_masks(P, dom, engine, cap)
+    union = StabilityChecker.joined(
+        compiled.checkers, compiled.full & ~compiled.intensional
     )
-    return compiled, modular, _search(compiled.full, [union_checker], engine)
+    return compiled, modular, _search(compiled.full, [union], engine)

@@ -187,11 +187,6 @@ class Program(Value):
         unique = dict.fromkeys(rules)
         return cls(tuple(sorted(unique, key=str)))
 
-    def union(self, other: "Program") -> "Program":
-        return Program.of(self.rules + other.rules)
-
-    __or__ = union
-
     def signature(self) -> Signature:
         return Signature(
             frozenset(

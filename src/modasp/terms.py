@@ -171,16 +171,6 @@ def _render(t: Term, ctx: int) -> str:
     return text
 
 
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
-    if isinstance(t, Arith):
-        return is_ground(t.left) and is_ground(t.right)
-    if isinstance(t, Func):
-        return all(is_ground(a) for a in t.args)
-    return True
-
-
 def is_precomputed(t: Term) -> bool:
     if isinstance(t, (Variable, Arith)):
         return False

@@ -588,9 +588,10 @@ class TestSearch:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_head_outside_index_is_a_constraint(self, engine):
         # q :- p.  over the universe {p}, p extensional: q is not indexed,
-        # so the rule compiles to the constraint `:- p`.
+        # so the rule compiles to the constraint `:- p`, whose head is the
+        # bit above the one atom of the index.
         checker = _hand_checker([GroundRule(Q0, (P0,))], [P0], [])
-        assert checker.compiled == [(0, 1, 0, 0)]
+        assert checker.compiled == [(2, 1, 0, 0)]
         assert _search(1, [checker], engine) == [0]
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -605,6 +606,42 @@ class TestSearch:
         assert sorted(_search(0b1011, [], engine)) == [
             0, 1, 2, 3, 8, 9, 10, 11,
         ]
+
+
+class TestJoin:
+    """The join of the module checkers is the checker of the concatenated
+    module ground rules, so the union reading compiles no rule again."""
+
+    def test_join_equals_checker_of_concatenated_rules(self):
+        import randprog
+
+        rng = random.Random(37)
+        cases = [randprog.random_coherent_program(rng) for _ in range(30)]
+        while len(cases) < 60:
+            P = randprog.random_pattern_program(rng)
+            cases.append((P, Domain.build([m.pi for m in P.modules], 0, 1)))
+        checked = multi = constraints = 0
+        for P, dom in cases:
+            try:
+                grounded = [ground(m.pi, dom) for m in P.modules]
+                region = extensional_region(P.kappa, P.signature().predicates, dom)
+                base = _full_base(grounded, region)
+            except (CapacityError, SafetyError):
+                continue
+            parts = [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)]
+            compiled = CompiledParts(base, P.kappa, parts)
+            ext_mask = compiled.full & ~compiled.intensional
+            joined = StabilityChecker.joined(compiled.checkers, ext_mask)
+            index = {atom: 1 << i for i, atom in enumerate(base)}
+            rules = [rule for gp in grounded for rule in gp.rules]
+            alone = StabilityChecker(rules, index, ext_mask)
+            assert joined.compiled == alone.compiled
+            assert joined.watch == alone.watch
+            assert joined.ext_mask == ext_mask
+            checked += 1
+            multi += len(compiled.checkers) > 1
+            constraints += any(e[0] == 1 << len(base) for e in joined.compiled)
+        assert checked >= 30 and multi >= 20 and constraints >= 10
 
 
 def _set_bits(mask):

@@ -130,8 +130,11 @@ class TestInstantiateModule:
             Program.of([make_rule(PredAtom("q", (num(0), sym("k"))))]),
         )
         theta = Valuation.of({"k": num(5)})
-        unioned = d_k().pi | other.pi
-        left = instantiate_module(d_k(), theta).pi | instantiate_module(other, theta).pi
+        unioned = Program.of(d_k().pi.rules + other.pi.rules)
+        left = Program.of(
+            instantiate_module(d_k(), theta).pi.rules
+            + instantiate_module(other, theta).pi.rules
+        )
         right = apply_valuation(unioned, theta, ["k"])
         assert left == right
 
@@ -251,9 +254,7 @@ class TestCollectiveModular:
         )
         modular = collective_modular(self.prog, plan)
         union = collective_union(self.prog, plan.specs)
-        rules = Program.of(())
-        for module in modular.modules:
-            rules = rules | module.pi
+        rules = Program.of(r for module in modular.modules for r in module.pi.rules)
         assert rules == union
 
 

@@ -495,6 +495,35 @@ class TestModularAnswerSets:
         assert report.equal
         assert report.union_sets == (interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3)),)
 
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_comparison_compiles_each_module_ground_rule_once(
+        self, engine, monkeypatch
+    ):
+        # The union reading joins the module checkers: the rules handed to
+        # `StabilityChecker` are exactly the module ground rules, once each.
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        counts = {"grounded": 0, "compiled": 0}
+        init = engine_mod.StabilityChecker.__init__
+
+        def grounding(*args):
+            grounded = ground_reachable(*args)
+            counts["grounded"] += sum(len(gp.rules) for gp in grounded)
+            return grounded
+
+        def compiling(self, rules, *args):
+            rules = list(rules)
+            counts["compiled"] += len(rules)
+            init(self, rules, *args)
+
+        monkeypatch.setattr(engine_mod, "ground_reachable", grounding)
+        monkeypatch.setattr(engine_mod.StabilityChecker, "__init__", compiling)
+        assert theorem1_check(P, dom, engine).equal
+        assert counts["grounded"] > 0
+        assert counts["compiled"] == counts["grounded"]
+
 
 class TestTopoSearch:
     """`topo` is its coherence and module-order checks followed by the

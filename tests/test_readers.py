@@ -1,0 +1,67 @@
+"""Every function, method and class defined in the package has a reader:
+its name is read somewhere in `src/modasp` or `perfbench/` outside its own
+definition.  An import counts as a read; dunder methods are exempt."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "modasp").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _reads(tree):
+    """(line, name) of each name read in `tree`: a variable, an attribute
+    or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def _unread(paths, readers):
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    reads = {path: list(_reads(tree)) for path, tree in trees.items()}
+    unread = []
+    for path in paths:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # A read inside the definition itself, as by recursion, is none.
+            if not any(
+                read == name
+                and not (other == path and node.lineno <= line <= node.end_lineno)
+                for other in readers
+                for line, read in reads[other]
+            ):
+                unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_definition_has_a_reader():
+    assert _unread(PACKAGE, READERS) == []
+
+
+def test_a_definition_read_only_by_itself_is_unread(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from .m import used\n"
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class C:\n"
+        "    def __str__(self):\n        return ''\n"
+        "    def method(self):\n        return C\n",
+        encoding="utf-8",
+    )
+    assert _unread([source], [source]) == [
+        "m.py:4 recursive",
+        "m.py:6 C",
+        "m.py:9 method",
+    ]

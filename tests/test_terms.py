@@ -18,7 +18,6 @@ from modasp.terms import (
     Variable,
     compare,
     eval_ground,
-    is_ground,
     is_precomputed,
     simplify,
     sort_of,
@@ -70,8 +69,9 @@ class TestGroundAndPrecomputed:
     def test_precomputed_examples(self):
         assert is_precomputed(Func("f", (num(1),)))
         assert not is_precomputed(Arith("+", num(1), num(2)))
-        assert is_ground(Arith("+", num(1), num(2)))
-        assert not is_ground(var("X"))
+        assert eval_ground(Arith("+", num(1), num(2))) == num(3)
+        with pytest.raises(NotGroundError):
+            eval_ground(var("X"))
 
 
 class TestEvalGround:
