@@ -15,7 +15,6 @@ output, byte-identical across runs on identical inputs.
 
 import argparse
 import sys
-import warnings
 from typing import Optional
 
 from .engine import (
@@ -32,6 +31,7 @@ from .grounding import Domain
 from .instantiation import collective_modular, collective_union, global_statement
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
+    INCOHERENCE_NOTE,
     MODULAR_ENGINES,
     ComparisonReport,
     _answer_masks,
@@ -301,17 +301,12 @@ def _cmd_check_coherence(args) -> int:
 
 def _cmd_compare(args) -> int:
     modular, _, dom = _load_reading(args, MODULAR_ENGINES)
-    # The incoherence note is a line on stderr whatever the interpreter's
-    # warning filters say, and it comes before a refusal of `topo`.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            compiled, on_modular, on_union = _theorem1_masks(
-                modular, dom, args.engine, args.cap
-            )
-        finally:
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
+    # The incoherence note comes before a refusal of `topo`.
+    if not modular.analysis.report.coherent:
+        print(f"warning: {INCOHERENCE_NOTE}", file=sys.stderr)
+    compiled, on_modular, on_union = _theorem1_masks(
+        modular, dom, args.engine, args.cap
+    )
     # Each answer set as its list of atoms for machine output, as one line
     # for text; `ComparisonReport.__str__` lays the text out.
     rows = compiled.rendered(on_modular + on_union)

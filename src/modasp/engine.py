@@ -536,19 +536,22 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     `engine`), found depth-first; atoms outside `mask` stay false.
 
     The atoms of `mask` start open.  Each node runs `_propagate`, whose
-    forward step runs over the join of `checkers`, then branches on an open
-    choice (an atom outside every checker's own region) if there is one,
-    else on the lowest open atom.  At a total assignment propagation has
-    made `T` a classical model of every checker, so only the leaf
-    minimality test is left: `minimal_brute` under `brute`, which first
-    refuses a walk past `DEFAULT_CAP` atoms, and `minimal_reduct` under
-    every other engine, so callers pass their engine as it is.  That test
-    is exact, so the answers do not rest on the propagator.
+    forward step runs over the join of `checkers` (a lone checker is its
+    own), then branches on an open choice (an atom outside every checker's
+    own region) if there is one, else on the lowest open atom.  At a total
+    assignment propagation has made `T` a classical model of every checker,
+    so only the leaf minimality test is left: `minimal_brute` under
+    `brute`, which first refuses a walk past `DEFAULT_CAP` atoms, and
+    `minimal_reduct` under every other engine.  That test is exact, so the
+    answers do not rest on the propagator, nor on the order of the rules.
     """
     choices = mask
     for c in checkers:
         choices &= c.ext_mask
-    forward = StabilityChecker.joined(checkers, choices)
+    if len(checkers) == 1:
+        forward = checkers[0]  # `_propagate` reads only rules and watches
+    else:
+        forward = StabilityChecker.joined(checkers, choices)
     relevant = negneg_atoms = 0
     for head, pos, neg, negneg in forward.compiled:
         relevant |= head | pos | neg | negneg

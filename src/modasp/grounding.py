@@ -236,7 +236,7 @@ def _assignments(
 
 
 def ground(pi: Program, dom: Domain) -> GroundProgram:
-    """Instantiate every rule over the domain.
+    """Instantiate every rule over the domain, in text order.
 
     Integer variables range over the interval's numerals, general variables
     over the domain's terms; general variables must additionally occur in a
@@ -350,8 +350,8 @@ def ground_reachable(
     programs: Sequence[Program], dom: Domain, seeds: Iterable[PredAtom]
 ) -> list[GroundProgram]:
     """For each of the `programs`, the instances of its `ground(pi, dom)`
-    whose positive body lies in `R`, in the same order.  `R` is one least
-    model for all of them: that of every instance of every program
+    whose positive body lies in `R`, in no promised order.  `R` is one
+    least model for all of them: that of every instance of every program
     (negated literals read as true) plus the seeds as facts.
 
     Every stable model whose extensional atoms are among the seeds lies
@@ -465,4 +465,4 @@ def ground_reachable(
                 theta: dict[str, Term] = {}
                 if all(_match(a, v, theta, dom) for a, v in zip(pos[i].args, atom.args)):
                     join(rule, sorts, owner, pos[:i] + pos[i + 1 :], theta)
-    return [GroundProgram(tuple(sorted(instances, key=str))) for instances in out]
+    return [GroundProgram(tuple(instances)) for instances in out]

@@ -338,8 +338,8 @@ def _answer_masks(
     return _solve(P.kappa, P._predicates, parts, dom, engine, cap, seeds)
 
 
-def _require_module_order(P: ModularProgram, graph: DependencyGraph) -> None:
-    """Raise unless the modules have a topological order.
+def _module_order_refusal(P: ModularProgram, graph: DependencyGraph) -> Optional[str]:
+    """Why the modules have no topological order, or None when they have one.
 
     Edges come from the dependency graph plus negated body atoms (the graph
     tracks only positive dependencies, but an evaluation order would have
@@ -360,10 +360,11 @@ def _require_module_order(P: ModularProgram, graph: DependencyGraph) -> None:
                 )
     components = strongly_connected_components(range(len(P.modules)), edges)
     if any(len(component) > 1 for component in components):
-        raise EngineError(
+        return (
             "module dependencies are cyclic; the topological engine is not "
             "applicable"
         )
+    return None
 
 
 class ModularAnalysis(Value):
@@ -382,17 +383,13 @@ def _analyse(P: ModularProgram) -> ModularAnalysis:
     depends on a domain."""
     graph = dependency_graph(P)
     report = _coherence(P, graph)
-    refusal = None
     if not report.coherent:
         refusal = (
             "the topological engine requires a coherent modular program:\n"
             + str(report)
         )
     else:
-        try:
-            _require_module_order(P, graph)
-        except EngineError as error:
-            refusal = str(error)
+        refusal = _module_order_refusal(P, graph)
     names = {p for component in graph.spanning for p, _ in component}
     spanning = frozenset(key for key in P._predicates if key[0] in names)
     return ModularAnalysis(report, refusal, spanning)
@@ -402,6 +399,11 @@ def _analyse(P: ModularProgram) -> ModularAnalysis:
 
 
 A = TypeVar("A")  # one answer set: an Interpretation, or its rendered text
+
+# What `theorem1_check` warns and `compare` prints on an incoherent program.
+INCOHERENCE_NOTE = (
+    "comparing an incoherent modular program; the union theorem does not apply"
+)
 
 
 class ComparisonReport(Value, Generic[A]):
@@ -459,6 +461,8 @@ def theorem1_check(
     reports whatever it finds.  The incoherence warning comes first, then
     the refusals of `topo`, then the cap on the modular base.
     """
+    if not P.analysis.report.coherent:
+        warnings.warn(INCOHERENCE_NOTE, stacklevel=2)
     compiled, modular, union = _theorem1_masks(P, dom, engine, cap)
     return ComparisonReport.of(compiled.ordered(modular + union), modular, union)
 
@@ -468,7 +472,7 @@ def _theorem1_masks(
 ) -> tuple[CompiledParts, list[int], list[int]]:
     """The compiled modules of `P`, and as masks over their base the modular
     answer sets and the stable models of the rule union under the global
-    statement, with the warning and refusals of `theorem1_check`.
+    statement, with the refusals of `theorem1_check` but not its warning.
 
     Both readings share one grounding of each module and one atom base,
     the modular relevant base.  The union reading is the join of the module
@@ -485,12 +489,6 @@ def _theorem1_masks(
     alone, and the cap, checked on the larger modular base first, refuses
     as before.
     """
-    if not P.analysis.report.coherent:
-        warnings.warn(
-            "comparing an incoherent modular program; the union theorem "
-            "does not apply",
-            stacklevel=3,
-        )
     compiled, modular = _answer_masks(P, dom, engine, cap)
     union = StabilityChecker.joined(
         compiled.checkers, compiled.full & ~compiled.intensional

@@ -519,6 +519,39 @@ class TestSearch:
                 assert set(found) == _sweep(*block, engine)
         assert multi >= 20
 
+    def test_rule_order_changes_nothing(self):
+        # Grounding returns its instances in no promised order: over the
+        # rules of every part reversed, `_search` finds the same masks in
+        # the same order.
+        import randprog
+
+        rng = random.Random(41)
+        cases = [randprog.random_coherent_program(rng) for _ in range(60)]
+        while len(cases) < 120:
+            kappa, pi, dom = randprog.random_ground_instance(rng)
+            cases.append((ModularProgram(kappa, (Module(kappa, pi),)), dom))
+        multi = several = 0
+        for P, dom in cases:
+            grounded = [ground(m.pi, dom) for m in P.modules]
+            region = extensional_region(P.kappa, P.signature().predicates, dom)
+            base = _full_base(grounded, region)
+            orders = [
+                CompiledParts(
+                    base,
+                    P.kappa,
+                    [(rules(gp.rules), m.kappa) for gp, m in zip(grounded, P.modules)],
+                )
+                for rules in (tuple, lambda rules: rules[::-1])
+            ]
+            multi += len(P.modules) > 1
+            for engine in self.ENGINES:
+                forward, backward = (
+                    _search(c.allowed, c.checkers, engine) for c in orders
+                )
+                assert forward == backward
+                several += len(forward) > 1
+        assert multi >= 40 and several >= 40
+
     def test_reachable_modular_grounding_matches_full_sweep(self):
         # Modular solving grounds every module in one `ground_reachable`
         # call, seeded with the atoms of the module-spanning components; its

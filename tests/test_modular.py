@@ -27,7 +27,7 @@ from modasp.intensionality import IntensionalityStatement
 from modasp.modular import (
     ComparisonReport,
     _coherence,
-    _require_module_order,
+    _module_order_refusal,
     closure_holds,
     dependency_graph,
     is_coherent,
@@ -524,6 +524,32 @@ class TestModularAnswerSets:
         assert counts["grounded"] > 0
         assert counts["compiled"] == counts["grounded"]
 
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
+    def test_joins_only_what_holds_several_checkers(self, engine, monkeypatch):
+        # Modular solving joins its module checkers for the forward step, and
+        # the union reading joins them once more under the global statement;
+        # a lone checker, as in union solving, is its own join.
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        assert len(P.modules) >= 2 and is_coherent(P).coherent
+        joins = []
+        joined = engine_mod.StabilityChecker.joined.__func__
+
+        def counting(cls, checkers, ext_mask):
+            joins.append(len(checkers))
+            return joined(cls, checkers, ext_mask)
+
+        monkeypatch.setattr(
+            engine_mod.StabilityChecker, "joined", classmethod(counting)
+        )
+        check = "reduct" if engine == "topo" else engine
+        assert enumerate_kappa_stable(P.kappa, union_program(P), dom, check)
+        assert joins == []
+        assert theorem1_check(P, dom, engine).equal
+        assert joins == [len(P.modules)] * 2
+
 
 class TestTopoSearch:
     """`topo` is its coherence and module-order checks followed by the
@@ -801,6 +827,11 @@ def _analysed_programs():
     return programs + [_fixture_program("tangle"), _fixture_program("gamma1")]
 
 
+CYCLIC_MODULES = (
+    "module dependencies are cyclic; the topological engine is not applicable"
+)
+
+
 class TestKeptAnalysis:
     """`ModularProgram.analysis` is built once per program from one
     dependency graph and says what a fresh analysis says."""
@@ -812,11 +843,8 @@ class TestKeptAnalysis:
             report = _coherence(P, graph)
             assert P.analysis.report == report
             assert is_coherent(P) is P.analysis.report
-            try:
-                _require_module_order(P, graph)
-                order = None
-            except EngineError as refusal:
-                order = str(refusal)
+            order = _module_order_refusal(P, graph)
+            assert order in (None, CYCLIC_MODULES)
             expected = order
             if not report.coherent:
                 expected = (
@@ -874,6 +902,31 @@ class TestKeptAnalysis:
                 "comparing an incoherent modular program; the union theorem "
                 "does not apply"
             ]
+            # The warning points at the caller of `theorem1_check`.
+            assert [w.filename for w in caught] == [__file__]
+            assert caught[0].message.args == (modular_mod.INCOHERENCE_NOTE,)
+
+    def test_only_the_public_harness_warns(self):
+        # The masks under `theorem1_check` and `compare` are plain values:
+        # the note is the public harness's to issue, or the CLI's to print.
+        P, dom = _fixture_program("tangle")
+        assert not is_coherent(P).coherent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compiled, modular, union = modular_mod._theorem1_masks(
+                P, dom, "reduct", DEFAULT_CAP
+            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = theorem1_check(P, dom)
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning):  # before the cap refuses
+                theorem1_check(P, dom, cap=0)
+        assert report == ComparisonReport.of(
+            compiled.ordered(modular + union), modular, union
+        )
 
 
 def _two_pipelines(P, dom, engine, cap=DEFAULT_CAP):
@@ -941,11 +994,7 @@ class TestOneCompile:
                 P, dom, ("brute", "reduct", "topo")
             )
             several += len(report.union_sets) > 1
-            try:
-                _require_module_order(P, dependency_graph(P))
-                topo += 1
-            except EngineError:
-                pass
+            topo += _module_order_refusal(P, dependency_graph(P)) is None
         assert several >= 20
         assert topo >= 30
 

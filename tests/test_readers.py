@@ -1,6 +1,7 @@
 """Every function, method and class defined in the package has a reader:
 its name is read somewhere in `src/modasp` or `perfbench/` outside its own
-definition.  An import counts as a read; dunder methods are exempt."""
+definition.  An import counts as a read; dunder methods are exempt.  And
+only public functions warn: a helper returns its verdict as a value."""
 
 import ast
 from pathlib import Path
@@ -64,4 +65,51 @@ def test_a_definition_read_only_by_itself_is_unread(tmp_path):
         "m.py:4 recursive",
         "m.py:6 C",
         "m.py:9 method",
+    ]
+
+
+def _private_warnings(paths):
+    """(file:line name) of each `warnings.warn` call outside a public
+    function, named by its innermost enclosing function (`<module>` at the
+    top level).  Helpers return verdicts; only the public API warns."""
+    found = []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("warnings.warn", "warn")
+            and owner.startswith(("_", "<"))
+        ):
+            found.append(f"{path.name}:{node.lineno} {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return found
+
+
+def test_only_public_functions_warn():
+    assert _private_warnings(PACKAGE) == []
+
+
+def test_a_warning_outside_a_public_function_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import warnings\n"
+        "warnings.warn('top')\n"
+        "def public():\n    warnings.warn('fine')\n"
+        "def _helper():\n    warnings.warn('helper')\n"
+        "def outer():\n    def _inner():\n        warnings.warn('inner')\n"
+        "from warnings import warn\n"
+        "def _bare():\n    warn('bare')\n",
+        encoding="utf-8",
+    )
+    assert _private_warnings([source]) == [
+        "m.py:2 <module>",
+        "m.py:6 _helper",
+        "m.py:9 _inner",
+        "m.py:12 _bare",
     ]
