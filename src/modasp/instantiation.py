@@ -217,21 +217,9 @@ def global_statement(
 ) -> IntensionalityStatement:
     """The global statement of a plan: its `intensional` patterns, or purely
     intensional over `predicates` when it has none (read only then)."""
-    patterns = plan.global_kappa_dict()
-    if patterns is not None:
-        return IntensionalityStatement.of(patterns)
+    if plan.global_kappa is not None:
+        return plan.global_kappa
     return IntensionalityStatement.purely_intensional(predicates)
-
-
-def _plan_chi(
-    clingo_program: ClingoProgram, plan: ControlPlan, name: str
-) -> ParametricIntensionality:
-    params = clingo_program.declarations()[name]
-    overrides = plan.module_chi_dict().get(name)
-    pi = clingo_program.subprogram(name)
-    if overrides is None:
-        return default_chi(name, params, pi)
-    return ParametricIntensionality.of(params, overrides)
 
 
 def collective_modular(
@@ -245,15 +233,17 @@ def collective_modular(
     from the plan's `intensional` lines or defaults to purely intensional on
     every predicate of the assembled signature.
     """
-    names = dict.fromkeys(spec.name for spec in plan.specs)
-    chis = {name: _plan_chi(clingo_program, plan, name) for name in names}
-    programs = {name: clingo_program.subprogram(name) for name in names}
+    decls = clingo_program.declarations()
+    overrides = dict(plan.module_chi)
+    templates = {}
+    for name in dict.fromkeys(spec.name for spec in plan.specs):
+        pi = clingo_program.subprogram(name)
+        chi = overrides[name] if name in overrides else default_chi(name, decls[name], pi)
+        templates[name] = (chi, pi)
     modules = list(
         dict.fromkeys(
             instantiate_module(
-                ParametricModule(
-                    frozenset(spec.placeholders), chis[spec.name], programs[spec.name]
-                ),
+                ParametricModule(frozenset(spec.placeholders), *templates[spec.name]),
                 spec.valuation,
             )
             for spec in plan.specs

@@ -18,7 +18,11 @@ from .errors import (
     RangeError,
     UnboundConstantError,
 )
-from .intensionality import validate_pattern
+from .intensionality import (
+    IntensionalityStatement,
+    ParametricIntensionality,
+    validate_pattern,
+)
 from .program import Comparison, Literal, PredAtom, Rule, make_rule
 from .subprograms import (
     BASE,
@@ -400,7 +404,7 @@ def parse_control(
     declared: set[str] = set()
     specs: list[SubprogramSpec] = []
     domain: Optional[tuple[int, int]] = None
-    global_kappa: Optional[dict[tuple[str, int], list[tuple[Term, ...]]]] = None
+    intensional: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
     module_chi: dict[str, dict[tuple[str, int], list[tuple[Term, ...]]]] = {}
 
     ts = _TokenStream(_tokenize(text, comment="#"))
@@ -439,9 +443,7 @@ def parse_control(
             elif word == "intensional":
                 key, pattern = _parse_pattern_atom(ts, env, ())
                 ts.expect("DOT", "'.' at end of statement")
-                if global_kappa is None:
-                    global_kappa = {}
-                global_kappa.setdefault(key, []).append(pattern)
+                intensional.setdefault(key, []).append(pattern)
             elif word == "module":
                 name = ts.expect("IDENT", "a subprogram name").text
                 params = declared_params(decls, name)
@@ -469,16 +471,10 @@ def parse_control(
     return ControlPlan(
         specs=tuple(specs),
         domain=domain,
-        global_kappa=None
-        if global_kappa is None
-        else tuple(
-            sorted((key, tuple(pats)) for key, pats in global_kappa.items())
-        ),
+        global_kappa=IntensionalityStatement.of(intensional) if intensional else None,
         module_chi=tuple(
-            sorted(
-                (name, tuple(sorted((key, tuple(pats)) for key, pats in entries.items())))
-                for name, entries in module_chi.items()
-            )
+            (name, ParametricIntensionality.of(decls[name], module_chi[name]))
+            for name in sorted(module_chi)
         ),
     )
 

@@ -4,7 +4,12 @@ that select which subprogram instantiations make up a run."""
 from typing import Optional, Union
 
 from .errors import DeclarationConflictError, UnknownSubprogramError
-from .intensionality import Pattern, PredKey
+from .intensionality import (
+    IntensionalityStatement,
+    ParametricIntensionality,
+    Pattern,
+    PredKey,
+)
 from .program import Program, Rule
 from .terms import Valuation, Value
 
@@ -110,21 +115,17 @@ class SubprogramSpec(Value):
 class ControlPlan(Value):
     """The parsed content of a control file, ranges already expanded.
 
-    `global_kappa` is None when the file has no `intensional` lines, in which
-    case every predicate defaults to purely intensional.  `module_chi` maps a
-    subprogram name to pattern overrides; subprograms without an entry get a
-    head-derived parametric statement.
+    `global_kappa` is the statement of the file's `intensional` lines, or
+    None when it has none, in which case every predicate defaults to purely
+    intensional.  `module_chi` pairs a subprogram name with the parametric
+    statement of its `module` lines, over its declared parameters, sorted by
+    name; subprograms without an entry get a head-derived statement.
     """
 
     specs: tuple[SubprogramSpec, ...] = ()
     domain: Optional[tuple[int, int]] = None
-    global_kappa: Optional[tuple[tuple[PredKey, tuple[Pattern, ...]], ...]] = None
-    module_chi: tuple[tuple[str, tuple[tuple[PredKey, tuple[Pattern, ...]], ...]], ...] = ()
+    global_kappa: Optional[IntensionalityStatement] = None
+    module_chi: tuple[tuple[str, ParametricIntensionality], ...] = ()
 
     def global_kappa_dict(self) -> Optional[dict[PredKey, tuple[Pattern, ...]]]:
-        if self.global_kappa is None:
-            return None
-        return dict(self.global_kappa)
-
-    def module_chi_dict(self) -> dict[str, dict[PredKey, tuple[Pattern, ...]]]:
-        return {name: dict(entries) for name, entries in self.module_chi}
+        return None if self.global_kappa is None else dict(self.global_kappa.entries)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from modasp.errors import PatternError, RequirementError, UnboundPlaceholderError
+from modasp.errors import (
+    PatternError,
+    RequirementError,
+    UnboundPlaceholderError,
+    UnknownSubprogramError,
+)
 from modasp.instantiation import (
     Module,
     ModularProgram,
@@ -16,6 +21,7 @@ from modasp.instantiation import (
 from modasp.intensionality import IntensionalityStatement, ParametricIntensionality
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Literal, PredAtom, Program, make_rule
+from modasp.subprograms import ControlPlan, SubprogramSpec
 from modasp.terms import (
     Arith,
     Numeral,
@@ -256,6 +262,30 @@ class TestCollectiveModular:
         union = collective_union(self.prog, plan.specs)
         rules = Program.of(r for module in modular.modules for r in module.pi.rules)
         assert rules == union
+
+    @pytest.mark.parametrize("reading", ["union", "modular"])
+    def test_undeclared_subprogram_is_refused_by_name(self, reading):
+        plan = ControlPlan((SubprogramSpec("nope"),))
+        with pytest.raises(UnknownSubprogramError, match="'nope'"):
+            if reading == "union":
+                collective_union(parse_program("p(1)."), plan.specs)
+            else:
+                collective_modular(parse_program("p(1)."), plan)
+
+    def test_plan_statements_are_read_as_parsed(self):
+        plan = parse_control(
+            "use base. use property(1). intensional q(X,Y). module property: q(X,k+1).",
+            self.prog,
+        )
+        chi = dict(plan.module_chi)["property"]
+        assert chi == ParametricIntensionality.of(
+            {"k"}, {Q: [(var("X"), Arith("+", SymbolicConstant("k"), num(1)))]}
+        )
+        modular = collective_modular(self.prog, plan)
+        assert modular.kappa is plan.global_kappa
+        assert modular.modules[1].kappa == IntensionalityStatement.of(
+            {Q: [(var("X"), num(2))]}
+        )
 
 
 class TestModularProgramValidation:

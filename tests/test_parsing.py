@@ -386,7 +386,7 @@ class TestParseControl:
 
     def test_module_chi_override_keeps_placeholders(self):
         plan = parse_control("module property: q(X, k+1).", self.prog)
-        chi = plan.module_chi_dict()["property"]
+        chi = dict(dict(plan.module_chi)["property"].entries)
         assert chi == {
             ("q", 2): (
                 (Variable("X"), Arith("+", SymbolicConstant("k"), Numeral(1))),

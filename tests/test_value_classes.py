@@ -126,9 +126,9 @@ SAMPLES = [
     (SubprogramSpec, dict(name="step", placeholders=("n",), valuation=Valuation()),
      dict(name="base")),
     (ControlPlan,
-     dict(specs=(SubprogramSpec("base"),), domain=(0, 2), global_kappa=None,
-          module_chi=()),
-     dict(domain=None)),
+     dict(specs=(SubprogramSpec("step", ("n",)),), domain=(0, 2), global_kappa=KAPPA,
+          module_chi=(("step", CHI),)),
+     dict(global_kappa=None)),
     (Token, dict(kind="NAME", text="p", line=1, column=2), dict(column=3)),
 ]
 
