@@ -3,7 +3,7 @@ modules and their parametric templates, and the two collective readings of
 a control plan (plain union vs. a modular program)."""
 
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import PatternError, UnboundPlaceholderError
 from .intensionality import (
@@ -88,16 +88,28 @@ class ParametricModule(Value):
                 f"intensionality placeholders {extra} are not module placeholders"
             )
 
-    def integer_placeholders(self) -> frozenset[str]:
-        """Placeholders occurring under arithmetic anywhere in the program."""
-        out: set[str] = set()
-        for rule in self.pi.rules:
-            for term in rule.terms():
-                for s in subterms(term):
-                    if isinstance(s, Arith):
-                        for side in (s.left, s.right):
-                            out |= constants_of(side) & self.placeholders
-        return frozenset(out)
+
+def require_numerals(
+    pi: Program, placeholders: Iterable[str], mapping: Mapping[str, Term]
+) -> None:
+    """Refuse `mapping` when it assigns a non-numeral to a placeholder that
+    occurs under arithmetic in `pi`, and so is integer-sorted.  The rules are
+    walked only when some placeholder has a non-numeral value."""
+    symbolic = {x for x in placeholders if not isinstance(mapping[x], Numeral)}
+    if not symbolic:
+        return
+    integer: set[str] = set()
+    for rule in pi.rules:
+        for term in rule.terms():
+            for s in subterms(term):
+                if isinstance(s, Arith):
+                    integer |= constants_of(s) & symbolic
+    if integer:
+        name = min(integer)
+        raise PatternError(
+            f"placeholder {name} is integer-sorted (it occurs under "
+            f"arithmetic) but the valuation assigns {mapping[name]}"
+        )
 
 
 def instantiate_module(phi: ParametricModule, theta: Valuation) -> Module:
@@ -109,12 +121,7 @@ def instantiate_module(phi: ParametricModule, theta: Valuation) -> Module:
         raise UnboundPlaceholderError(
             f"placeholder {missing[0]} has no value in {theta}"
         )
-    for name in sorted(phi.integer_placeholders()):
-        if not isinstance(mapping[name], Numeral):
-            raise PatternError(
-                f"placeholder {name} is integer-sorted (it occurs under "
-                f"arithmetic) but the valuation assigns {mapping[name]}"
-            )
+    require_numerals(phi.pi, phi.placeholders, mapping)
     kappa = instantiate_chi(phi.chi, theta)
     pi = apply_valuation(phi.pi, theta, phi.placeholders)
     return Module(kappa, pi)

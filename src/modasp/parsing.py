@@ -8,6 +8,7 @@ variables, all others are symbolic constants or predicate/function names.
 """
 
 import re
+from contextlib import contextmanager
 from typing import Optional
 
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     RangeError,
     UnboundConstantError,
 )
+from .instantiation import require_numerals
 from .intensionality import (
     IntensionalityStatement,
     ParametricIntensionality,
@@ -229,6 +231,19 @@ def parse_term(text: str) -> Term:
     return term
 
 
+@contextmanager
+def _positioned(tok: Token):
+    """Give an error past the syntax (sorts, names, arities, ranges,
+    patterns), which carries no position of its own, the position of `tok`,
+    the first token of its rule or statement."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except ModaspError as err:
+        raise type(err)(f"line {tok.line}, column {tok.column}: {err}") from None
+
+
 # --- rules and program files --------------------------------------------------
 
 
@@ -328,7 +343,8 @@ def parse_program(text: str) -> ClingoProgram:
                 raise DeclarationConflictError(conflict, tok.line, tok.column)
             items.append(decl)
         else:
-            items.append(_parse_rule(ts))
+            with _positioned(ts.peek()):
+                items.append(_parse_rule(ts))
     return ClingoProgram(tuple(items))
 
 
@@ -411,7 +427,7 @@ def parse_control(
     while not ts.at("EOF"):
         tok = ts.expect("IDENT", "a control statement")
         word = tok.text
-        try:
+        with _positioned(tok):
             if word == "const":
                 name = ts.expect("IDENT", "a constant name").text
                 eq = ts.expect("OP", "'='")
@@ -429,7 +445,7 @@ def parse_control(
                 if name not in overrides:
                     env[name] = -value if neg else value
             elif word == "use":
-                specs.extend(_parse_use(ts, decls, env))
+                specs.extend(_parse_use(ts, clingo_program, decls, env))
             elif word == "domain":
                 lo = _eval_const_expr(ts, env)
                 ts.expect("RANGE", "'..'")
@@ -461,12 +477,6 @@ def parse_control(
                 raise ParseError(
                     f"unknown control statement {word!r}", tok.line, tok.column
                 )
-        except ParseError:
-            raise
-        except ModaspError as err:
-            # Errors past the syntax (names, arities, ranges, patterns) carry
-            # no position of their own: give them their statement's.
-            raise type(err)(f"line {tok.line}, column {tok.column}: {err}") from None
 
     return ControlPlan(
         specs=tuple(specs),
@@ -480,7 +490,10 @@ def parse_control(
 
 
 def _parse_use(
-    ts: _TokenStream, decls: dict[str, tuple[str, ...]], env: dict[str, int]
+    ts: _TokenStream,
+    clingo_program: ClingoProgram,
+    decls: dict[str, tuple[str, ...]],
+    env: dict[str, int],
 ) -> list[SubprogramSpec]:
     name_tok = ts.expect("IDENT", "a subprogram name")
     name = name_tok.text
@@ -533,4 +546,7 @@ def _parse_use(
         raise ArityMismatchError(
             f"subprogram {name!r} takes {len(params)} parameters, got {len(values)}"
         )
-    return [SubprogramSpec(name, params, Valuation.of(dict(zip(params, values))))]
+    mapping = dict(zip(params, values))
+    if not all(isinstance(v, Numeral) for v in values):
+        require_numerals(clingo_program.subprogram(name), params, mapping)
+    return [SubprogramSpec(name, params, Valuation.of(mapping))]

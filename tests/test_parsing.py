@@ -394,8 +394,17 @@ class TestParseControl:
         }
 
     def test_symbolic_value(self):
-        plan = parse_control("use property(a).", self.prog)
-        assert plan.specs[0].valuation["a" if False else "k"] == SymbolicConstant("a")
+        prog = parse_program("#program tag(k). t(k).")
+        plan = parse_control("use tag(a).", prog)
+        assert plan.specs[0].valuation["k"] == SymbolicConstant("a")
+
+    def test_symbolic_value_under_arithmetic_is_refused_at_its_use_line(self):
+        with pytest.raises(PatternError) as err:
+            parse_control("use base.\n  use property(a).", self.prog)
+        assert str(err.value) == (
+            "line 2, column 3: placeholder k is integer-sorted (it occurs "
+            "under arithmetic) but the valuation assigns a"
+        )
 
     def test_constant_arithmetic_in_values(self):
         plan = parse_control("const n = 3. use property(n*2+1).", self.prog)
@@ -424,6 +433,22 @@ def test_control_error_carries_position(error, text, line, column):
     with pytest.raises(error) as err:
         parse_control(text, parse_program(PROPERTY_LP))
     assert str(err.value).startswith(f"line {line}, column {column}: ")
+
+
+# Rule construction errors in program files, each on a rule that is not the
+# first, with the line and column of that rule's first token.
+RULE_ERRORS = [
+    ("q.\n p(f(1)+1).", 2, 2, "function term f(1) used as an argument"),
+    ("q.\n\np(f(X+1)) :- q(X).", 3, 1, "head term f(X+1) nests arithmetic"),
+    ("q.\n:- p(f(1)*2).", 2, 1, "function term f(1) used as an argument"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", RULE_ERRORS)
+def test_rule_error_carries_position(text, line, column, message):
+    with pytest.raises(SortError) as err:
+        parse_program(text)
+    assert str(err.value).startswith(f"line {line}, column {column}: {message}")
 
 
 # Malformed patterns: a repeated variable, an element that is not
