@@ -3,7 +3,6 @@
 import collections
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -731,6 +730,18 @@ def _bad_control(text, position, *options):
     return argv, {"e.lp": _ERROR_LP, "e.ctl": text}, position
 
 
+# A symbolic value for a placeholder that occurs under arithmetic.
+_SYMBOLIC_FILES = {
+    "e.lp": "#program m(k). r(k+1) :- p(k).",
+    "e.ctl": "use m(a). domain 0..2. intensional r(X).",
+}
+
+
+def _symbolic(command, mode):
+    argv = [command, "e.lp", "--control", "e.ctl", "--mode", mode]
+    return argv, _SYMBOLIC_FILES, "line 1, column 1"
+
+
 class TestErrorPaths:
     """Every refusal exits 2; those inside a file say where.  File names in
     `argv` are made in a fresh directory from `files` (None: a directory,
@@ -743,6 +754,11 @@ class TestErrorPaths:
             _bad_program("p(,).", "line 1, column 3"),
             _bad_program("1 :- q.", "line 1, column 1"),
             _bad_program("#program s(k,k).", "line 1, column 14"),
+            _bad_program("p(f(1)+1).", "line 1, column 1"),
+            _bad_program("q.\n  p(f(X+1)) :- q(X).", "line 2, column 3"),
+            _symbolic("solve", "union"),
+            _symbolic("solve", "modular"),
+            _symbolic("instantiate", "union"),
             (
                 ["check-model", "e.lp", "--control", "e.ctl", "--model", "1<2"],
                 {"e.lp": _ERROR_LP, "e.ctl": "domain 0..1."},
@@ -762,18 +778,31 @@ class TestErrorPaths:
         ],
     )
     def test_refused_with_exit_2(self, capsys, tmp_path, argv, files, position):
+        code, out, err = self.run_files(capsys, tmp_path, argv, files)
+        assert (code, out) == (2, "")
+        if position is None:
+            assert "column" not in err
+        else:
+            assert err.startswith(f"error: {position}: ")
+
+    def test_symbolic_value_is_refused_alike_in_both_modes(self, capsys, tmp_path):
+        errs = {
+            self.run_files(capsys, tmp_path, *_symbolic("solve", mode)[:2])[2]
+            for mode in ("union", "modular")
+        }
+        assert errs == {
+            "error: line 1, column 1: placeholder k is integer-sorted (it occurs "
+            "under arithmetic) but the valuation assigns a\n"
+        }
+
+    @staticmethod
+    def run_files(capsys, tmp_path, argv, files):
         for name, text in files.items():
             if text is None:
                 (tmp_path / name).mkdir()
             else:
                 (tmp_path / name).write_text(text + "\n", encoding="utf-8")
-        argv = [str(tmp_path / a) if a in files else a for a in argv]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        if position is None:
-            assert "column" not in err
-        else:
-            assert f"error: {position}: " in err
+        return run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
 
     def test_negative_constant_solves(self, capsys, tmp_path):
         lp = tmp_path / "e.lp"
@@ -781,57 +810,6 @@ class TestErrorPaths:
         ctl = tmp_path / "e.ctl"
         ctl.write_text("const n = -3.\nuse s(n).\ndomain n..0.\n", encoding="utf-8")
         assert run(capsys, "solve", str(lp), "--control", str(ctl))[:2] == (0, "q(-3)\n")
-
-
-# A symbolic value for a placeholder that occurs under arithmetic.
-_SYMBOLIC_LP = "#program m(k). r(k+1) :- p(k).\n"
-_SYMBOLIC_CTL = "use m(a). domain 0..2. intensional r(X).\n"
-_SYMBOLIC_MESSAGE = (
-    "error: line 1, column 1: placeholder k is integer-sorted (it occurs under "
-    "arithmetic) but the valuation assigns a\n"
-)
-
-
-def _symbolic(command, mode):
-    argv = [command, "e.lp", "--control", "e.ctl", "--mode", mode]
-    return argv, {"e.lp": _SYMBOLIC_LP, "e.ctl": _SYMBOLIC_CTL}
-
-
-class TestPositionedErrors:
-    """Input that parses as syntax but is refused past it (a sort error in a
-    rule, a value of the wrong sort in a `use` line) exits 2 with the line
-    and column of its rule or statement, in every command and mode."""
-
-    @staticmethod
-    def run_files(capsys, tmp_path, argv, files):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
-        return run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
-
-    @pytest.mark.parametrize(
-        "argv, files",
-        [
-            (["parse", "e.lp"], {"e.lp": "p(f(1)+1).\n"}),
-            (["parse", "e.lp"], {"e.lp": "p(f(X+1)) :- q(X).\n"}),
-            _symbolic("solve", "union"),
-            _symbolic("solve", "modular"),
-            _symbolic("instantiate", "union"),
-            _symbolic("instantiate", "modular"),
-        ],
-        ids=["arith-over-function", "arith-under-function", "solve-union",
-             "solve-modular", "instantiate-union", "instantiate-modular"],
-    )
-    def test_refused_with_a_position(self, capsys, tmp_path, argv, files):
-        code, out, err = self.run_files(capsys, tmp_path, argv, files)
-        assert (code, out) == (2, "")
-        assert re.match(r"^error: line \d+, column \d+: ", err)
-
-    def test_symbolic_value_is_refused_alike_in_both_modes(self, capsys, tmp_path):
-        errs = {
-            self.run_files(capsys, tmp_path, *_symbolic("solve", mode))[2]
-            for mode in ("union", "modular")
-        }
-        assert errs == {_SYMBOLIC_MESSAGE}
 
 
 _EVEN_LP = "p(X) :- not r(X), s(X).\nr(X) :- not p(X), s(X).\n"
