@@ -1,7 +1,8 @@
 """Generated control files, checked end to end through in-process
 `cli.main` (`randctl.py` writes the program and control text).
 
-Three oracles, none of which shares the code it checks:
+Three oracles, each comparing two runs that reach their answer by
+different paths:
 - a ranged `use` line gives the same stdout and exit code as one plain
   `use` line per value, for `instantiate` and `solve` in both modes;
 - `-c n=v` gives the same output as rewriting the `const` line;
@@ -16,7 +17,7 @@ from modasp.cli import main
 from randctl import MAX_N, random_case
 
 SEEDS = range(50)
-# Generated bases hold up to 27 atoms, past the default cap.
+# Some generated bases pass the default cap of 24 atoms; none passes 40.
 CAP = ("--cap", "40")
 
 
