@@ -361,10 +361,11 @@ class CompiledParts:
     statements, and `lambda_holds` decides only the statements it returns.
     `intensional` holds the atoms intensional under `kappa`, and `allowed`
     every atom but those of them that lie in no part's region, which the
-    closure condition makes false.  Union solving is the one-part case
-    under the global statement.  Bit i stands for atom i of the universe;
-    the solvers sort it by `atom_order_key`, so that `ordered` comes out in
-    output order.
+    closure condition makes false.  Given `region`, the atoms of the
+    universe extensional under `kappa`, `kappa` is not looked up, and
+    union solving, the one-part case under `kappa`, looks up nothing.
+    Bit i stands for atom i of the universe; the solvers sort it by
+    `atom_order_key`, so that `ordered` comes out in output order.
     """
 
     def __init__(
@@ -372,18 +373,30 @@ class CompiledParts:
         universe: Sequence[PredAtom],
         kappa: IntensionalityStatement,
         parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
+        region: Optional[Iterable[PredAtom]] = None,
     ):
         self.base = tuple(universe)
         index = {atom: 1 << i for i, atom in enumerate(self.base)}
         self.full = (1 << len(index)) - 1
-        statements = list(dict.fromkeys((kappa, *(st for _, st in parts))))
-        patterns = PatternIndex(statements)
+        statements = dict.fromkeys((kappa, *(st for _, st in parts)))
+        if region is not None:
+            del statements[kappa]
+        statements = list(statements)
         regions = [0] * len(statements)
-        for atom, bit in index.items():
-            for s in dict.fromkeys(s for s, _ in patterns.candidates(atom.pred, atom.args)):
-                if lambda_holds(statements[s], atom):
-                    regions[s] |= bit
+        if statements:
+            patterns = PatternIndex(statements)
+            for atom, bit in index.items():
+                for s in dict.fromkeys(
+                    s for s, _ in patterns.candidates(atom.pred, atom.args)
+                ):
+                    if lambda_holds(statements[s], atom):
+                        regions[s] |= bit
         region_of = dict(zip(statements, regions))
+        if region is not None:
+            extensional = 0
+            for atom in region:
+                extensional |= index[atom]
+            region_of[kappa] = self.full & ~extensional
         self.intensional = region_of[kappa]
         part_regions = [region_of[st] for _, st in parts]
         self.checkers = [
@@ -533,6 +546,108 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
 
 def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
     """Every subset of `mask` that all `checkers` accept (`check` with
+    `engine`); atoms outside `mask` stay false.
+
+    Each independent part of the program is searched once, and the answers
+    are the product of the parts' answers (splitting: Lifschitz & Turner,
+    ICLP 1994; Oikarinen & Janhunen, TPLP 2008).  Two atoms of `mask` lie
+    in one component when a rule of some checker mentions both; a rule's
+    atoms outside `mask`, a constraint's head among them, are false in
+    every candidate and join nothing.  Let `T` be a candidate and `T_k`
+    its atoms in component k.  Every test of `check` decomposes:
+    * classical satisfaction is a conjunction over rules, and each rule
+      reads the atoms of one component, or none of `mask`;
+    * the least model of the reduct from `T`'s extensional atoms is the
+      union over components of the least model of its rules from `T_k`'s,
+      since a rule derives its head from atoms of its own component, and
+      an atom that no rule mentions lies in it exactly when it is
+      extensional (the unfounded step of `_propagate` splits the same way);
+    * under `minimal_brute`, a proper closed here-world of one `T_k`, with
+      the rest of a classical model `T` added, stays closed under the rules
+      of the other components live at `T`, whose heads lie in `T`; and a
+      proper closed here-world of `T` is proper in some component.
+    So `T` is accepted exactly when each `T_k` is accepted over the
+    checkers' rules of component k, and each atom of `T` that no rule
+    mentions is extensional in every checker.  Such atoms need no search:
+    each doubles the answers; the others are false.  The rules that touch
+    no atom of `mask` read only false atoms: they form the empty part,
+    which joins the first component, or is searched over mask 0 when there
+    is none, so that a constraint that always fires still removes every
+    answer.  Components are taken in the order of their lowest bit, so the
+    answers do not depend on the order of the rules; a lone component is
+    searched with the checkers themselves.  `_branch` searches each part,
+    so the refusal of `brute` at a leaf counts one component's atoms.
+    """
+    # Union-find over the bit positions of `mask`, from 1: the atoms of a
+    # rule join the one at its highest position, its anchor.
+    parent: dict[int, int] = {}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    anchors = []  # per checker, the anchor of each rule, or 0 in the empty part
+    for c in checkers:
+        own = []
+        for head, pos, neg, negneg in c.compiled:
+            m = (head | pos | neg | negneg) & mask
+            top = m.bit_length()
+            own.append(top)
+            if m:
+                root = find(parent.setdefault(top, top))
+                m ^= 1 << (top - 1)
+                while m:
+                    i = m.bit_length()
+                    m ^= 1 << (i - 1)
+                    i = find(parent.setdefault(i, i))
+                    if i != root:
+                        parent[i] = root
+        anchors.append(own)
+    members: dict[int, list[int]] = {}
+    for i in sorted(parent):
+        members.setdefault(find(i), []).append(i)
+    if len(members) == 1 and len(parent) == mask.bit_count():
+        parts = [mask]  # one component, no rule-free atom: nothing to build
+    else:
+        parts = [sum(1 << (i - 1) for i in bits) for bits in members.values()] or [0]
+    if len(parts) == 1:
+        sliced = [checkers]
+    else:
+        part_of = {root: k for k, root in enumerate(members)}
+        sliced = [
+            [StabilityChecker((), {}, c.ext_mask) for c in checkers] for _ in parts
+        ]
+        for j, (c, own) in enumerate(zip(checkers, anchors)):
+            where = []
+            for entry, top in zip(c.compiled, own):
+                part = sliced[part_of[find(top)] if top else 0][j]
+                where.append((part, len(part.compiled)))
+                part.compiled.append(entry)
+            for bit, positions in c.watch.items():
+                for i in positions:
+                    part, at = where[i]
+                    part.watch.setdefault(bit, []).append(at)
+    found = [0]
+    for part, part_checkers in zip(parts, sliced):
+        answers = _branch(part, part_checkers, engine)
+        found = [a | b for a in found for b in answers]
+        if not found:
+            return found
+    free = mask
+    for part in parts:
+        free &= ~part
+    for c in checkers:
+        free &= c.ext_mask
+    while free:
+        bit = free & -free
+        free ^= bit
+        found += [a | bit for a in found]
+    return found
+
+
+def _branch(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
+    """Every subset of `mask` that all `checkers` accept (`check` with
     `engine`), found depth-first; atoms outside `mask` stay false.
 
     The atoms of `mask` start open.  Each node runs `_propagate`, whose
@@ -552,30 +667,26 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
         forward = checkers[0]  # `_propagate` reads only rules and watches
     else:
         forward = StabilityChecker.joined(checkers, choices)
-    relevant = negneg_atoms = 0
-    for head, pos, neg, negneg in forward.compiled:
-        relevant |= head | pos | neg | negneg
-        negneg_atoms |= negneg
+    negneg_atoms = 0
+    for entry in forward.compiled:
+        negneg_atoms |= entry[3]
     leaves = [
         c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
     ]
     found = []
-    stack = [(0, mask, bool(checkers))]
+    stack = [(0, mask)]
     while stack:
-        true, open_, changed = stack.pop()
-        if changed:
-            state = _propagate(true, open_, forward, negneg_atoms, checkers)
-            if state is None:
-                continue
-            true, open_ = state
+        true, open_ = stack.pop()
+        state = _propagate(true, open_, forward, negneg_atoms, checkers)
+        if state is None:
+            continue
+        true, open_ = state
         if open_:
             pick = open_ & choices or open_
             bit = pick & -pick
             open_ ^= bit
-            # Deciding an atom that no rule mentions propagates nothing.
-            changed = bit & relevant
-            stack.append((true, open_, changed))
-            stack.append((true | bit, open_, changed))
+            stack.append((true, open_))
+            stack.append((true | bit, open_))
         else:
             if engine == "brute":
                 _refuse_brute_walk(true, checkers)
@@ -685,6 +796,9 @@ def _solve(
     `kappa` plus `seeds`, grounds every part, so all share one derived set
     `R`.  The base holds the region and every ground head (a true atom
     needs a deriving rule or a choice axiom) and is refused past `cap`.
+    A head lies in the domain and has a predicate of `preds`, so each base
+    atom outside the region is `kappa`-intensional: `CompiledParts` takes
+    `kappa`'s region from the region, with no lookup.
 
     Exactness: every atom of an answer `I` lies in `R`, so the instances
     left out are vacuous.  With one part, a true intensional atom is
@@ -726,6 +840,7 @@ def _solve(
         sorted(base, key=atom_order_key),
         kappa,
         [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
+        region,
     )
     return compiled, _search(compiled.allowed, compiled.checkers, engine)
 

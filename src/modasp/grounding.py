@@ -154,6 +154,8 @@ class GroundProgram(Value):
 def _variable_sorts(rule: Rule) -> dict[str, Sort]:
     sorts: dict[str, Sort] = {}
     for t in rule.terms():
+        if isinstance(t, (Numeral, SymbolicConstant)):
+            continue
         for s in subterms(t):
             if isinstance(s, Variable):
                 sorts[s.name] = s.sort
@@ -179,7 +181,12 @@ def _check_safety(rule: Rule, sorts: dict[str, Sort]):
 
 
 def _eval_atom(atom: PredAtom) -> PredAtom:
-    return PredAtom(atom.name, tuple(eval_ground(a) for a in atom.args))
+    """The atom with its ground arguments evaluated; the atom itself when
+    they are all numerals and symbolic constants already."""
+    for arg in atom.args:
+        if not isinstance(arg, (Numeral, SymbolicConstant)):
+            return PredAtom(atom.name, tuple(eval_ground(a) for a in atom.args))
+    return atom
 
 
 def _comparison_holds(comparison: Comparison) -> bool:
@@ -216,12 +223,14 @@ def _finish_instance(rule: Rule, dom: Domain) -> Optional[GroundRule]:
             if not in_domain:
                 return None
             negneg.append(atom)
-    return GroundRule(
-        head,
-        tuple(sorted(dict.fromkeys(pos), key=atom_order_key)),
-        tuple(sorted(dict.fromkeys(neg), key=atom_order_key)),
-        tuple(sorted(dict.fromkeys(negneg), key=atom_order_key)),
-    )
+    return GroundRule(head, _canonical(pos), _canonical(neg), _canonical(negneg))
+
+
+def _canonical(atoms: list[PredAtom]) -> tuple[PredAtom, ...]:
+    """`atoms` without repeats, in atom order."""
+    if len(atoms) < 2:
+        return tuple(atoms)
+    return tuple(sorted(dict.fromkeys(atoms), key=atom_order_key))
 
 
 def _assignments(
@@ -415,14 +424,14 @@ def ground_reachable(
     for owner, pi in enumerate(programs):
         for rule in pi.rules:
             sorts = _variable_sorts(rule)
-            _check_safety(rule, sorts)
             if not sorts:
                 finished = _finish_instance(rule, dom)
                 instances = () if finished is None else (finished,)
-            elif _matchable(rule, sorts):
-                instantiable.append((rule, sorts, owner))
-                continue
             else:
+                _check_safety(rule, sorts)
+                if _matchable(rule, sorts):
+                    instantiable.append((rule, sorts, owner))
+                    continue
                 # Instantiate in full, failing exactly where `ground` fails.
                 instances = ground(Program((rule,)), dom).rules
             for finished in instances:

@@ -1,12 +1,14 @@
 """Generated control files, checked end to end through in-process
 `cli.main` (`randctl.py` writes the program and control text).
 
-Three oracles, each comparing two runs that reach their answer by
+Four oracles, each comparing two runs that reach their answer by
 different paths:
 - a ranged `use` line gives the same stdout and exit code as one plain
   `use` line per value, for `instantiate` and `solve` in both modes;
 - `-c n=v` gives the same output as rewriting the `const` line;
-- when `check-coherence` exits 0, `compare` exits 0 (Theorem 1).
+- when `check-coherence` exits 0, `compare` exits 0 (Theorem 1);
+- `check-model` accepts every answer set that `solve` prints, in both
+  modes: it checks the one candidate, with no search.
 """
 
 import random
@@ -70,6 +72,24 @@ def test_coherent_plans_compare_equal(cli, seed):
     coherent = cli(case.program, case.control(), "check-coherence")[0] == 0
     code, out = cli(case.program, case.control(), "compare", *CAP)
     assert code == 0 or not coherent, (out, case.program, case.control())
+
+
+def test_check_model_accepts_each_printed_answer_set(cli):
+    verdicts = {"union": "kappa-stable model\n", "modular": "answer set\n"}
+    checked = dict.fromkeys(verdicts, 0)
+    for seed in SEEDS:
+        case = random_case(random.Random(seed))
+        for mode, verdict in verdicts.items():
+            code, out = cli(case.program, case.control(), "solve", "--mode", mode, *CAP)
+            if code:
+                continue  # no answer set, or a refused modular reading
+            for line in out.splitlines():
+                argv = ("check-model", "--mode", mode, "--model", line)
+                assert cli(case.program, case.control(), *argv) == (0, verdict), (
+                    seed, mode, line
+                )
+                checked[mode] += 1
+    assert min(checked.values()) >= len(SEEDS)
 
 
 def test_the_generator_reaches_each_construct(cli):

@@ -558,9 +558,9 @@ class TestTopoSearch:
 
     def test_choices_under_a_constraint_take_one_extension_call(self, monkeypatch):
         # s(0..9) are global choices that the constraint rejects one by one:
-        # the root, then two propagations per choice.  A first block of
-        # choices without a checker would list all 2^10 subsets before any
-        # module prunes them.
+        # each s(X) is a component of its own, searched with a root and two
+        # propagations.  A first block of choices without a checker would
+        # list all 2^10 subsets before any module prunes them.
         import modasp.engine as engine_mod
 
         P, dom = plan_program(":- s(X).\n", "use base. domain 0..9. intensional p(X).")
@@ -573,7 +573,7 @@ class TestTopoSearch:
 
         monkeypatch.setattr(engine_mod, "_propagate", counted)
         assert modular_answer_sets(P, dom, "topo") == frozenset({Interpretation()})
-        assert calls[0] == 21
+        assert calls[0] == 30
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_every_modular_path_searches_one_block(self, engine, monkeypatch):
