@@ -218,50 +218,37 @@ def extensional_region(
 class StabilityChecker:
     """Mask-compiled stability test of one program over a shared atom index.
 
-    Candidates are bit masks over the index; atoms outside it are false in
-    every candidate, which resolves their literals at compile time.  Each
-    rule compiles to `(head, pos, neg, negneg)`; a constraint, or a rule
-    whose head falls outside the index, gets as head the bit above every
-    atom of the index.  No candidate holds it, so no candidate making the
-    body true is a classical model, and deriving it is a conflict.  `watch`
-    files the position of each rule under its positive body atoms, so that
-    `_closure` looks at a rule again only when one of them is derived.
+    Candidates are bit masks over the index; `compiled` holds each rule as
+    `(head, pos, neg, negneg)` (`_compile`).  The checker indexes its own
+    table: `watch` files the position of each rule under each bit of its
+    positive body, so that `_closure` looks at a rule again only when one
+    of them is derived, and `negneg` holds every double-negated atom.
     `ext_mask` holds the atoms extensional under the program's own
     statement.
     """
 
-    def __init__(
-        self, rules: Sequence[GroundRule], index: dict[PredAtom, int], ext_mask: int
-    ):
+    def __init__(self, compiled: list[tuple[int, int, int, int]], ext_mask: int):
+        self.compiled = compiled
         self.ext_mask = ext_mask
-        self.compiled: list[tuple[int, int, int, int]] = []
-        self.watch: dict[int, list[int]] = {}
-        bottom = 1 << len(index)
-        for rule in rules:
-            entry = _compile_rule(rule, index, bottom)
-            if entry is not None:
-                for atom in set(rule.pos):
-                    self.watch.setdefault(index[atom], []).append(len(self.compiled))
-                self.compiled.append(entry)
+        watch: dict[int, list[int]] = {}
+        negnegs = 0
+        for i, (_, pos, _, negneg) in enumerate(compiled):
+            negnegs |= negneg
+            while pos:
+                bit = pos & -pos
+                watch.setdefault(bit, []).append(i)
+                pos ^= bit
+        self.watch = watch
+        self.negneg = negnegs
 
     @classmethod
     def joined(cls, checkers, ext_mask: int) -> "StabilityChecker":
         """The checker of every rule of `checkers`, which share one index,
         in order, with `ext_mask`: their rules are not compiled again."""
-        join = cls((), {}, ext_mask)
-        for c in checkers:
-            offset = len(join.compiled)
-            for bit, positions in c.watch.items():
-                join.watch.setdefault(bit, []).extend(i + offset for i in positions)
-            join.compiled += c.compiled
-        return join
+        return cls([entry for c in checkers for entry in c.compiled], ext_mask)
 
     def classical(self, T: int) -> bool:
-        for head, pos, neg, negneg in self.compiled:
-            if pos & T == pos and neg & T == 0 and negneg & T == negneg:
-                if not head & T:
-                    return False
-        return True
+        return all(head & T for _, head in self._live(T))
 
     def _live(self, T: int) -> list[tuple[int, int]]:
         # Rules whose negated literals and positive body hold at the
@@ -307,25 +294,31 @@ class StabilityChecker:
         return self.minimal_reduct(T)
 
 
-def _compile_rule(rule: GroundRule, index: dict[PredAtom, int], bottom: int):
-    pos = 0
-    for atom in rule.pos:
-        bit = index.get(atom)
-        if bit is None:
-            return None  # positive body atom can never hold
-        pos |= bit
-    negneg = 0
-    for atom in rule.negneg:
-        bit = index.get(atom)
-        if bit is None:
-            return None
-        negneg |= bit
-    neg = 0
-    for atom in rule.neg:
-        bit = index.get(atom)
-        if bit is not None:
-            neg |= bit  # out-of-universe atoms make `not` literals true
-    return (index.get(rule.head, bottom), pos, neg, negneg)
+def _compile(
+    rules: Iterable[GroundRule], index: dict[PredAtom, int]
+) -> list[tuple[int, int, int, int]]:
+    """Each rule of `rules` as `(head, pos, neg, negneg)`, bit masks over
+    `index`.  Atoms outside the index are false in every candidate: a rule
+    with one in its positive or double-negated body is dropped, and one in
+    a negated literal makes that literal true.  A constraint, or a rule
+    whose head falls outside the index, gets as head the bit above every
+    atom of the index.  No candidate holds it, so no candidate making the
+    body true is a classical model, and deriving it is a conflict."""
+    bottom = 1 << len(index)
+    compiled = []
+    for rule in rules:
+        pos = neg = negneg = 0
+        try:
+            for atom in rule.pos:
+                pos |= index[atom]
+            for atom in rule.negneg:
+                negneg |= index[atom]
+        except KeyError:
+            continue
+        for atom in rule.neg:
+            neg |= index.get(atom, 0)
+        compiled.append((index.get(rule.head, bottom), pos, neg, negneg))
+    return compiled
 
 
 def _closure(
@@ -356,14 +349,13 @@ class CompiledParts:
     """The stability checkers of several parts over one atom universe.
 
     Each part `(ground rules, statement)` gets a `StabilityChecker` over one
-    shared atom-to-bit index.  Region masks are computed once per distinct
-    statement: each atom is looked up once in a `PatternIndex` of the
-    statements, and `lambda_holds` decides only the statements it returns.
-    `intensional` holds the atoms intensional under `kappa`, and `allowed`
-    every atom but those of them that lie in no part's region, which the
-    closure condition makes false.  Given `region`, the atoms of the
-    universe extensional under `kappa`, `kappa` is not looked up, and
-    union solving, the one-part case under `kappa`, looks up nothing.
+    shared atom-to-bit index.  `region` holds the atoms of the universe
+    extensional under `kappa`, so `intensional`, the atoms intensional
+    under `kappa`, needs no lookup.  The masks of the other statements are
+    computed once per distinct statement: each atom is looked up once in a
+    `PatternIndex` of them, and `lambda_holds` decides only the statements
+    it returns.  `allowed` holds every atom but the intensional ones that
+    lie in no part's region, which the closure condition makes false.
     Bit i stands for atom i of the universe; the solvers sort it by
     `atom_order_key`, so that `ordered` comes out in output order.
     """
@@ -373,15 +365,16 @@ class CompiledParts:
         universe: Sequence[PredAtom],
         kappa: IntensionalityStatement,
         parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
-        region: Optional[Iterable[PredAtom]] = None,
+        region: Iterable[PredAtom],
     ):
         self.base = tuple(universe)
         index = {atom: 1 << i for i, atom in enumerate(self.base)}
         self.full = (1 << len(index)) - 1
-        statements = dict.fromkeys((kappa, *(st for _, st in parts)))
-        if region is not None:
-            del statements[kappa]
-        statements = list(statements)
+        extensional = 0
+        for atom in region:
+            extensional |= index[atom]
+        self.intensional = self.full & ~extensional
+        statements = list(dict.fromkeys(st for _, st in parts if st != kappa))
         regions = [0] * len(statements)
         if statements:
             patterns = PatternIndex(statements)
@@ -392,20 +385,15 @@ class CompiledParts:
                     if lambda_holds(statements[s], atom):
                         regions[s] |= bit
         region_of = dict(zip(statements, regions))
-        if region is not None:
-            extensional = 0
-            for atom in region:
-                extensional |= index[atom]
-            region_of[kappa] = self.full & ~extensional
-        self.intensional = region_of[kappa]
+        region_of[kappa] = self.intensional
         part_regions = [region_of[st] for _, st in parts]
         self.checkers = [
-            StabilityChecker(rules, index, self.full & ~region)
-            for (rules, _), region in zip(parts, part_regions)
+            StabilityChecker(_compile(rules, index), self.full & ~own)
+            for (rules, _), own in zip(parts, part_regions)
         ]
         defined = 0
-        for region in part_regions:
-            defined |= region
+        for own in part_regions:
+            defined |= own
         self.allowed = self.full & ~(self.intensional & ~defined)
 
     def interpretations(self, masks: Iterable[int]) -> frozenset[Interpretation]:
@@ -499,7 +487,10 @@ def is_stable_in_parts(
             raise DomainError(f"atom {atom} lies outside the declared domain")
     grounded = ground_reachable([pi for pi, _ in parts], dom, I.atoms)
     compiled = CompiledParts(
-        universe, kappa, [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)]
+        universe,
+        kappa,
+        [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
+        [atom for atom in universe if not lambda_holds(kappa, atom)],
     )
     T = compiled.full
     if engine == "brute":
@@ -579,7 +570,7 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     so the refusal of `brute` at a leaf counts one component's atoms.
     """
     # Union-find over the bit positions of `mask`, from 1: the atoms of a
-    # rule join the one at its highest position, its anchor.
+    # rule join the one at its highest position.
     parent: dict[int, int] = {}
 
     def find(i: int) -> int:
@@ -587,14 +578,11 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
             parent[i] = i = parent[parent[i]]
         return i
 
-    anchors = []  # per checker, the anchor of each rule, or 0 in the empty part
     for c in checkers:
-        own = []
         for head, pos, neg, negneg in c.compiled:
             m = (head | pos | neg | negneg) & mask
-            top = m.bit_length()
-            own.append(top)
             if m:
+                top = m.bit_length()
                 root = find(parent.setdefault(top, top))
                 m ^= 1 << (top - 1)
                 while m:
@@ -603,7 +591,6 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
                     i = find(parent.setdefault(i, i))
                     if i != root:
                         parent[i] = root
-        anchors.append(own)
     members: dict[int, list[int]] = {}
     for i in sorted(parent):
         members.setdefault(find(i), []).append(i)
@@ -614,20 +601,17 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     if len(parts) == 1:
         sliced = [checkers]
     else:
+        # Each checker's rules by component, the empty part's in the first.
         part_of = {root: k for k, root in enumerate(members)}
+        tables = [[[] for _ in checkers] for _ in parts]
+        for j, c in enumerate(checkers):
+            for entry in c.compiled:
+                m = (entry[0] | entry[1] | entry[2] | entry[3]) & mask
+                tables[part_of[find(m.bit_length())] if m else 0][j].append(entry)
         sliced = [
-            [StabilityChecker((), {}, c.ext_mask) for c in checkers] for _ in parts
+            [StabilityChecker(t, c.ext_mask) for t, c in zip(row, checkers)]
+            for row in tables
         ]
-        for j, (c, own) in enumerate(zip(checkers, anchors)):
-            where = []
-            for entry, top in zip(c.compiled, own):
-                part = sliced[part_of[find(top)] if top else 0][j]
-                where.append((part, len(part.compiled)))
-                part.compiled.append(entry)
-            for bit, positions in c.watch.items():
-                for i in positions:
-                    part, at = where[i]
-                    part.watch.setdefault(bit, []).append(at)
     found = [0]
     for part, part_checkers in zip(parts, sliced):
         answers = _branch(part, part_checkers, engine)
@@ -664,12 +648,9 @@ def _branch(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     for c in checkers:
         choices &= c.ext_mask
     if len(checkers) == 1:
-        forward = checkers[0]  # `_propagate` reads only rules and watches
+        forward = checkers[0]  # `_propagate` reads only its rules and index
     else:
         forward = StabilityChecker.joined(checkers, choices)
-    negneg_atoms = 0
-    for entry in forward.compiled:
-        negneg_atoms |= entry[3]
     leaves = [
         c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
     ]
@@ -677,7 +658,7 @@ def _branch(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     stack = [(0, mask)]
     while stack:
         true, open_ = stack.pop()
-        state = _propagate(true, open_, forward, negneg_atoms, checkers)
+        state = _propagate(true, open_, forward, checkers)
         if state is None:
             continue
         true, open_ = state
@@ -699,13 +680,12 @@ def _branch(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
 
 
 def _propagate(
-    true: int, open_: int, forward: StabilityChecker, negneg_atoms: int, checkers
+    true: int, open_: int, forward: StabilityChecker, checkers
 ) -> Optional[tuple[int, int]]:
     """One forward and one unfounded step per round, until nothing changes;
     returns the new `(true, open_)`, or None on a conflict.  `forward` is
-    the join of `checkers`, and `negneg_atoms` the atoms its rules
-    double-negate.  Each step drops only assignments that `check` rejects
-    under both minimality tests.
+    the join of `checkers`.  Each step drops only assignments that `check`
+    rejects under both minimality tests.
 
     * Forward: the closure of `true` under the rules whose negated atoms
       are all false sets their heads true.  A derived head outside the
@@ -750,7 +730,7 @@ def _propagate(
         # The forward closure took double-negated atoms from the old `true`;
         # unless it derived one of them, it is closed, and stays so while
         # the unfounded step changes nothing.
-        if open_ == before and not new & negneg_atoms:
+        if open_ == before and not new & forward.negneg:
             return true, open_
 
 

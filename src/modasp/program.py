@@ -137,14 +137,17 @@ def make_rule(head: Optional[PredAtom], body: Iterable[Literal] = ()) -> Rule:
     rule-to-formula translation, which is out of scope.
     """
     rule = Rule(head, tuple(body))
+    names: set[str] = set()
     integer_vars: set[str] = set()
     for t in rule.terms():
         for s in subterms(t):
             if isinstance(s, Arith):
                 for side in (s.left, s.right):
                     integer_vars |= variables_of(side)
-            if isinstance(s, Variable) and s.sort is Sort.INTEGER:
-                integer_vars.add(s.name)
+            elif isinstance(s, Variable):
+                names.add(s.name)
+                if s.sort is Sort.INTEGER:
+                    integer_vars.add(s.name)
     if rule.head is not None:
         for arg in rule.head.args:
             for s in subterms(arg):
@@ -154,18 +157,11 @@ def make_rule(head: Optional[PredAtom], body: Iterable[Literal] = ()) -> Rule:
                     raise SortError(
                         f"head term {s} nests arithmetic under a function symbol"
                     )
-
-    def fix(t: Term) -> Term:
-        if isinstance(t, Variable):
-            want = Sort.INTEGER if t.name in integer_vars else Sort.GENERAL
-            return Variable(t.name, want)
-        if isinstance(t, Arith):
-            return Arith(t.op, fix(t.left), fix(t.right))
-        if isinstance(t, Func):
-            return Func(t.name, tuple(fix(a) for a in t.args))
-        return t
-
-    return map_rule_terms(rule, fix)
+    sorts = {
+        name: Variable(name, Sort.INTEGER if name in integer_vars else Sort.GENERAL)
+        for name in names
+    }
+    return substitute_rule(rule, sorts)
 
 
 class Signature(Value):

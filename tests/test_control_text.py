@@ -9,9 +9,17 @@ different paths:
 - when `check-coherence` exits 0, `compare` exits 0 (Theorem 1);
 - `check-model` accepts every answer set that `solve` prints, in both
   modes: it checks the one candidate, with no search.
+
+And three metamorphic cases, each changing the text of a case in a way
+that must not change `solve` (both modes) or `check-coherence`:
+- shuffling the plain `use` lines;
+- repeating a `use` line: identical instantiations collapse into one
+  module, and the union drops duplicate rules;
+- renaming the predicates consistently, which renames the answer sets.
 """
 
 import random
+import re
 
 import pytest
 
@@ -21,6 +29,9 @@ from randctl import MAX_N, random_case
 SEEDS = range(50)
 # Some generated bases pass the default cap of 24 atoms; none passes 40.
 CAP = ("--cap", "40")
+SOLVES = (("solve", "--mode", "union", *CAP), ("solve", "--mode", "modular", *CAP))
+# A renaming of every predicate of `randctl` that reverses their order.
+RENAMING = {"e": "w", "p": "c", "q": "b", "r": "a"}
 
 
 @pytest.fixture
@@ -106,3 +117,73 @@ def test_the_generator_reaches_each_construct(cli):
     assert any(len(case.uses) == 2 for case in cases)
     verdicts = [cli(c.program, c.control(), "check-coherence")[0] for c in cases]
     assert min(verdicts.count(0), verdicts.count(1)) >= len(SEEDS) // 3
+
+
+def _with_uses(control, rearrange):
+    """`control` with its `use` lines, which follow its first line,
+    replaced by `rearrange` of them."""
+    lines = control.splitlines()
+    uses = [line for line in lines if line.startswith("use ")]
+    rest = [line for line in lines if not line.startswith("use ")]
+    return "\n".join(rest[:1] + rearrange(uses) + rest[1:]) + "\n"
+
+
+def _renamed(text, renaming):
+    """`text` with each predicate name of `renaming` replaced."""
+    pattern = r"\b(" + "|".join(renaming) + r")\("
+    return re.sub(pattern, lambda m: renaming[m[1]] + "(", text)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_use_line_order_changes_nothing(cli, seed):
+    rng = random.Random(seed)
+    case = random_case(rng)
+    control = case.control(expanded=True)
+    shuffled = _with_uses(control, lambda uses: rng.sample(uses, len(uses)))
+    for argv in SOLVES:
+        assert cli(case.program, control, *argv) == cli(case.program, shuffled, *argv)
+
+    def kinds(text):
+        # The report names modules by position, which the shuffle changes:
+        # the verdict and the kinds of the violations stay.
+        code, out = cli(case.program, text, "check-coherence")
+        return code, sorted(line.split(":")[0] for line in out.splitlines())
+
+    assert kinds(control) == kinds(shuffled), (control, shuffled)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_repeated_use_line_changes_nothing(cli, seed):
+    rng = random.Random(seed)
+    case = random_case(rng)
+    control = case.control(expanded=True)
+
+    def repeat(uses):
+        # After the first copy, so that the modules keep their order.
+        i = rng.randrange(len(uses))
+        j = rng.randint(i + 1, len(uses))
+        return uses[:j] + [uses[i]] + uses[j:]
+
+    repeated = _with_uses(control, repeat)
+    for argv in (*SOLVES, ("check-coherence",)):
+        assert cli(case.program, control, *argv) == cli(
+            case.program, repeated, *argv
+        ), (argv, repeated)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_renaming_predicates_renames_the_answer_sets(cli, seed):
+    case = random_case(random.Random(seed))
+    control = case.control()
+    program, renamed = _renamed(case.program, RENAMING), _renamed(control, RENAMING)
+    back = {new: old for old, new in RENAMING.items()}
+    for argv in SOLVES:
+        code, out = cli(case.program, control, *argv)
+        renamed_code, renamed_out = cli(program, renamed, *argv)
+        assert renamed_code == code, argv
+        assert sorted(sorted(line.split()) for line in out.splitlines()) == sorted(
+            sorted(_renamed(line, back).split()) for line in renamed_out.splitlines()
+        ), argv
+    assert cli(program, renamed, "check-coherence")[0] == cli(
+        case.program, control, "check-coherence"
+    )[0]

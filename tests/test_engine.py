@@ -10,6 +10,7 @@ from modasp.engine import (
     HTInterpretation,
     StabilityChecker,
     Interpretation,
+    _compile,
     _output_order,
     _search,
     check_support,
@@ -364,6 +365,12 @@ def _sweep(mask, checkers, engine):
     }
 
 
+def _compiled_parts(universe, kappa, parts):
+    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`."""
+    region = [atom for atom in universe if not lambda_holds(kappa, atom)]
+    return CompiledParts(universe, kappa, parts, region)
+
+
 def _full_base(grounded, region, cap=24):
     """Every head of the full groundings `grounded` plus the extensional
     region, sorted; refuses more than `cap` atoms, as the solvers do."""
@@ -378,7 +385,7 @@ def _modular_parts(P, dom, cap=24):
     those groundings plus the extensional region."""
     grounded = [ground(m.pi, dom) for m in P.modules]
     region = extensional_region(P.kappa, P.signature().predicates, dom)
-    return CompiledParts(
+    return _compiled_parts(
         _full_base(grounded, region, cap),
         P.kappa,
         [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
@@ -407,7 +414,7 @@ def _hand_checker(rules, universe, intensional):
     kappa = IntensionalityStatement.of(
         {(a.name, len(a.args)): [a.args] for a in intensional}
     )
-    (checker,) = CompiledParts(universe, kappa, [(rules, kappa)]).checkers
+    (checker,) = _compiled_parts(universe, kappa, [(rules, kappa)]).checkers
     return checker
 
 
@@ -444,7 +451,7 @@ def _loop_parts(rng):
     if undefined and rng.random() < 0.5:
         # A globally intensional atom that no part defines is never true.
         intensional.add(undefined[0])
-    return CompiledParts(atoms, statement(intensional), parts)
+    return _compiled_parts(atoms, statement(intensional), parts)
 
 
 def _split_parts(rng):
@@ -493,7 +500,7 @@ def _split_parts(rng):
         region = [a for a in atoms if rng.random() < 0.4]
         parts.append((rules, statement(region)))
     intensional = {a for _, st in parts for a in atoms if lambda_holds(st, a)}
-    compiled = CompiledParts(atoms, statement(intensional), parts)
+    compiled = _compiled_parts(atoms, statement(intensional), parts)
     mask = compiled.allowed
     for atom in outside:
         mask &= ~(1 << atoms.index(atom))
@@ -543,7 +550,7 @@ class TestSearch:
             gp = ground(pi, dom)
             region = extensional_region(kappa, pi.signature().predicates, dom)
             base = _full_base([gp], region)
-            compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
+            compiled = _compiled_parts(base, kappa, [(gp.rules, kappa)])
             (checker,) = compiled.checkers
             full = (1 << len(base)) - 1
             for engine in self.ENGINES:
@@ -589,7 +596,7 @@ class TestSearch:
             region = extensional_region(P.kappa, P.signature().predicates, dom)
             base = _full_base(grounded, region)
             orders = [
-                CompiledParts(
+                _compiled_parts(
                     base,
                     P.kappa,
                     [(rules(gp.rules), m.kappa) for gp, m in zip(grounded, P.modules)],
@@ -797,9 +804,10 @@ class TestSplit:
 class TestKappaRegion:
     """`_solve` hands `CompiledParts` the extensional region, so that the
     global statement is not looked up: every base atom outside the region
-    is a head, and so intensional.  The masks must be the lookup's."""
+    is a head, and so intensional.  The masks must be those of a direct
+    scan of the base with `lambda_holds`."""
 
-    def test_region_masks_match_the_lookup(self, monkeypatch):
+    def test_region_masks_match_the_direct_scan(self, monkeypatch):
         import randprog
 
         import modasp.engine as engine_mod
@@ -816,17 +824,17 @@ class TestKappaRegion:
             with monkeypatch.context() as patched:
                 patched.setattr(engine_mod, "PatternIndex", forbidden)
                 compiled, _ = engine_mod._union_masks(P.kappa, pi, dom, "reduct", 24)
-            looked_up = CompiledParts(compiled.base, P.kappa, [((), P.kappa)])
-            assert compiled.intensional == looked_up.intensional
-            assert compiled.allowed == looked_up.allowed
+            scanned = _compiled_parts(compiled.base, P.kappa, [((), P.kappa)])
+            assert compiled.intensional == scanned.intensional
+            assert compiled.allowed == scanned.allowed
             union += compiled.intensional != compiled.full
             compiled, _ = _answer_masks(P, dom, "reduct", 24)
             parts = [((), m.kappa) for m in P.modules]
-            looked_up = CompiledParts(compiled.base, P.kappa, parts)
-            assert compiled.intensional == looked_up.intensional
-            assert compiled.allowed == looked_up.allowed
+            scanned = _compiled_parts(compiled.base, P.kappa, parts)
+            assert compiled.intensional == scanned.intensional
+            assert compiled.allowed == scanned.allowed
             assert [c.ext_mask for c in compiled.checkers] == [
-                c.ext_mask for c in looked_up.checkers
+                c.ext_mask for c in scanned.checkers
             ]
             modular += len(P.modules) > 1
         assert union >= 20 and modular >= 20
@@ -853,12 +861,12 @@ class TestJoin:
             except (CapacityError, SafetyError):
                 continue
             parts = [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)]
-            compiled = CompiledParts(base, P.kappa, parts)
+            compiled = _compiled_parts(base, P.kappa, parts)
             ext_mask = compiled.full & ~compiled.intensional
             joined = StabilityChecker.joined(compiled.checkers, ext_mask)
             index = {atom: 1 << i for i, atom in enumerate(base)}
             rules = [rule for gp in grounded for rule in gp.rules]
-            alone = StabilityChecker(rules, index, ext_mask)
+            alone = StabilityChecker(_compile(rules, index), ext_mask)
             assert joined.compiled == alone.compiled
             assert joined.watch == alone.watch
             assert joined.ext_mask == ext_mask
@@ -866,6 +874,72 @@ class TestJoin:
             multi += len(compiled.checkers) > 1
             constraints += any(e[0] == 1 << len(base) for e in joined.compiled)
         assert checked >= 30 and multi >= 20 and constraints >= 10
+
+
+def _scanned_index(checker):
+    """`watch` and `negneg` of `checker` by a direct scan of its table:
+    `watch[bit]` holds every `i` with `compiled[i][1] & bit`."""
+    compiled = checker.compiled
+    width = max((pos.bit_length() for _, pos, _, _ in compiled), default=0)
+    watch = {}
+    for k in range(width):
+        positions = [i for i, entry in enumerate(compiled) if entry[1] >> k & 1]
+        if positions:
+            watch[1 << k] = positions
+    negneg = 0
+    for entry in compiled:
+        negneg |= entry[3]
+    return watch, negneg
+
+
+class TestIndex:
+    """Every checker indexes its own table: its `watch` and `negneg` are
+    those of a direct scan of `compiled`, wherever it was built."""
+
+    def test_compiled_parts_index_their_tables(self):
+        import randprog
+
+        rng = random.Random(43)
+        parts = [
+            _modular_parts(*randprog.random_coherent_program(rng))
+            for _ in range(20)
+        ]
+        parts += _pattern_parts(rng, 20)
+        parts += [_loop_parts(rng) for _ in range(20)]
+        watched = negnegs = 0
+        for compiled in parts:
+            union = StabilityChecker.joined(compiled.checkers, compiled.allowed)
+            for checker in [*compiled.checkers, union]:
+                watch, negneg = _scanned_index(checker)
+                assert checker.watch == watch and checker.negneg == negneg
+                watched += bool(watch)
+                negnegs += bool(negneg)
+        assert watched >= 60 and negnegs >= 10
+
+    def test_sliced_checkers_index_their_tables(self, monkeypatch):
+        # `_search` hands each component's checkers to `_branch`.
+        import modasp.engine as engine_mod
+
+        branch = engine_mod._branch
+        seen = []
+
+        def recording(mask, checkers, engine):
+            seen.append(checkers)
+            return branch(mask, checkers, engine)
+
+        monkeypatch.setattr(engine_mod, "_branch", recording)
+        rng = random.Random(47)
+        several = 0
+        for _ in range(100):
+            compiled, mask, _ = _split_parts(rng)
+            seen.clear()
+            _search(mask, compiled.checkers, "reduct")
+            several += len(seen) > 1
+            for checkers in seen:
+                for checker in checkers:
+                    watch, negneg = _scanned_index(checker)
+                    assert checker.watch == watch and checker.negneg == negneg
+        assert several >= 20
 
 
 def _set_bits(mask):

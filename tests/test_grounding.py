@@ -25,7 +25,7 @@ from modasp.grounding import (
     ground_reachable,
 )
 from modasp.instantiation import collective_union, global_statement
-from modasp.intensionality import IntensionalityStatement
+from modasp.intensionality import IntensionalityStatement, lambda_holds
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Literal, PredAtom, Program, Rule, atom_order_key, make_rule
@@ -78,6 +78,12 @@ def assert_contract(pi, dom, seeds):
 def region_of(kappa, pi, dom):
     preds = set(pi.signature().predicates) | set(kappa.predicates())
     return extensional_region(kappa, preds, dom)
+
+
+def compiled_parts(universe, kappa, parts):
+    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`."""
+    region = [atom for atom in universe if not lambda_holds(kappa, atom)]
+    return CompiledParts(universe, kappa, parts, region)
 
 
 # --- random non-ground programs ------------------------------------------------
@@ -385,7 +391,7 @@ class TestUnionEngines:
             gp = ground(pi, dom)
             region = region_of(kappa, pi, dom)
             base = sorted(gp.heads() | region, key=atom_order_key)
-            compiled = CompiledParts(base, kappa, [(gp.rules, kappa)])
+            compiled = compiled_parts(base, kappa, [(gp.rules, kappa)])
             masks = _search(compiled.full, compiled.checkers, "brute")
             expected = set(compiled.ordered(masks).values())
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected

@@ -500,26 +500,26 @@ class TestModularAnswerSets:
         self, engine, monkeypatch
     ):
         # The union reading joins the module checkers: the rules handed to
-        # `StabilityChecker` are exactly the module ground rules, once each.
+        # `_compile` are exactly the module ground rules, once each.
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
         )
         counts = {"grounded": 0, "compiled": 0}
-        init = engine_mod.StabilityChecker.__init__
+        compile_rules = engine_mod._compile
 
         def grounding(*args):
             grounded = ground_reachable(*args)
             counts["grounded"] += sum(len(gp.rules) for gp in grounded)
             return grounded
 
-        def compiling(self, rules, *args):
+        def compiling(rules, index):
             rules = list(rules)
             counts["compiled"] += len(rules)
-            init(self, rules, *args)
+            return compile_rules(rules, index)
 
         monkeypatch.setattr(engine_mod, "ground_reachable", grounding)
-        monkeypatch.setattr(engine_mod.StabilityChecker, "__init__", compiling)
+        monkeypatch.setattr(engine_mod, "_compile", compiling)
         assert theorem1_check(P, dom, engine).equal
         assert counts["grounded"] > 0
         assert counts["compiled"] == counts["grounded"]

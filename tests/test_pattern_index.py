@@ -144,6 +144,12 @@ def scan_region(statement, universe):
     return sum(1 << b for b, atom in enumerate(universe) if lambda_holds(statement, atom))
 
 
+def compiled_parts(universe, kappa, parts):
+    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`."""
+    region = [atom for atom in universe if not lambda_holds(kappa, atom)]
+    return CompiledParts(universe, kappa, parts, region)
+
+
 # --- random programs ---------------------------------------------------------------
 
 
@@ -246,7 +252,7 @@ class TestAgainstFullScan:
     def test_compiled_region_masks(self, corpus):
         for P, values in corpus:
             universe = universe_of(P, values)
-            compiled = CompiledParts(universe, P.kappa, [((), m.kappa) for m in P.modules])
+            compiled = compiled_parts(universe, P.kappa, [((), m.kappa) for m in P.modules])
             full = (1 << len(universe)) - 1
             regions = [scan_region(m.kappa, universe) for m in P.modules]
             for checker, region in zip(compiled.checkers, regions):

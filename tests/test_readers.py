@@ -1,7 +1,9 @@
 """Every function, method and class defined in the package has a reader:
 its name is read somewhere in `src/modasp` or `perfbench/` outside its own
-definition.  An import counts as a read; dunder methods are exempt.  And
-only public functions warn: a helper returns its verdict as a value."""
+definition.  An import counts as a read; dunder methods are exempt.  Every
+parameter of a function or method but a dunder is read in its body, except
+the receiver `self` or `cls`, which an override may not need.  And only
+public functions warn: a helper returns its verdict as a value."""
 
 import ast
 from pathlib import Path
@@ -65,6 +67,56 @@ def test_a_definition_read_only_by_itself_is_unread(tmp_path):
         "m.py:4 recursive",
         "m.py:6 C",
         "m.py:9 method",
+    ]
+
+
+def _unread_parameters(paths):
+    """(file:line function parameter) of each parameter of a non-dunder
+    function that its body never reads, `self` and `cls` exempt."""
+    unread = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            read = {
+                name.id
+                for statement in node.body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {node.name} {param.arg}"
+                for param in params
+                if param.arg not in read and param.arg not in ("self", "cls")
+            ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(PACKAGE) == []
+
+
+def test_a_parameter_its_body_never_reads_is_unread(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "def used(a, *args, b, **kw):\n    return a, args, b, kw\n"
+        "def default(a, b=None):\n    return a\n"
+        "def annotated(a: int, b) -> int:\n    return b\n"
+        "def outer(a):\n    def inner():\n        return a\n    return inner\n"
+        "class C:\n"
+        "    def __setattr__(self, name, value):\n        pass\n"
+        "    def method(self, x, *rest):\n        return x\n",
+        encoding="utf-8",
+    )
+    assert _unread_parameters([source]) == [
+        "m.py:3 default b",
+        "m.py:5 annotated a",
+        "m.py:14 method rest",
     ]
 
 
