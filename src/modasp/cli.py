@@ -1,16 +1,9 @@
 """Command-line frontend.
 
-Commands
-    parse            list subprograms and their rules
-    instantiate      print the union program or the modular program dump
-    solve            print answer sets, one per line, atoms sorted
-    check-coherence  report coherence; exit 0 iff coherent
-    compare          compare modular and union answer sets; exit 0 iff equal
-    check-model      membership of a given atom set under the chosen semantics
-
-Exit codes: 0 success/true, 1 false/violation, 2 usage or parse error,
-3 capacity exceeded.  Diagnostics go to standard error; results to standard
-output, byte-identical across runs on identical inputs.
+`_COMMAND_TABLE` lists the commands, each with its handler, its help text
+and its options.  Exit codes: 0 success/true, 1 false/violation, 2 usage or
+parse error, 3 capacity exceeded.  Diagnostics go to standard error;
+results to standard output, byte-identical across runs on identical inputs.
 """
 
 import argparse
@@ -61,61 +54,51 @@ def _cap(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
+# Each option a command may take, keyed by its flags, with the keywords of
+# its `add_argument` call.
+_OPTIONS = {
+    "--control": dict(help="control file (.ctl)"),
+    "-c/--const": dict(
+        action="append", default=[], metavar="NAME=INT",
+        help="override a constant of the control file (repeatable)",
+    ),
+    "--mode": dict(
+        choices=("union", "modular"), default="union",
+        help="semantics to use (default union)",
+    ),
+    "--engine": dict(
+        choices=tuple(dict.fromkeys(ENGINES + MODULAR_ENGINES)), default="reduct",
+        help="model engine (default reduct)",
+    ),
+    "--cap": dict(
+        type=_cap, default=DEFAULT_CAP,
+        help=f"relevant atom base cap for enumeration (default {DEFAULT_CAP})",
+    ),
+    "--model": dict(
+        required=True, metavar="ATOMS",
+        help='candidate atoms, space-separated, e.g. "q(0,0) q(1,1)"',
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of `_COMMAND_TABLE`, with the program file,
+    `--output` and the row's options; `run` is the row's handler."""
     parser = _Parser(
         prog="modasp",
         description="Answer sets for clingo-style programs with collective control.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    flags = {
-        "--mode": dict(
-            choices=("union", "modular"), default="union",
-            help="semantics to use (default union)",
-        ),
-        "--engine": dict(
-            choices=tuple(dict.fromkeys(ENGINES + MODULAR_ENGINES)), default="reduct",
-            help="model engine (default reduct)",
-        ),
-        "--cap": dict(
-            type=_cap, default=DEFAULT_CAP,
-            help=f"relevant atom base cap for enumeration (default {DEFAULT_CAP})",
-        ),
-    }
-
-    def add(name, help_text, *options):
+    for name, (run, help_text, options) in _COMMAND_TABLE.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("program", help="program file (.lp)")
-        p.add_argument("--control", help="control file (.ctl)")
-        p.add_argument(
-            "-c",
-            "--const",
-            action="append",
-            default=[],
-            metavar="NAME=INT",
-            help="override a constant of the control file (repeatable)",
-        )
         p.add_argument(
             "--output", choices=("text", "machine"), default="text",
             help="output format (default text)",
         )
         for option in options:
-            p.add_argument(option, **flags[option])
-        return p
-
-    add("parse", "list subprograms and their rules")
-    add("instantiate", "print the instantiated program", "--mode")
-    add("solve", "compute and print answer sets", "--mode", "--engine", "--cap")
-    add("check-coherence", "check the modular program for coherence")
-    compare = add(
-        "compare", "compare modular and union answer sets", "--engine", "--cap"
-    )
-    compare.set_defaults(mode="modular")
-    check_model = add("check-model", "check a candidate model", "--mode", "--engine")
-    check_model.add_argument(
-        "--model", required=True, metavar="ATOMS",
-        help='candidate atoms, space-separated, e.g. "q(0,0) q(1,1)"',
-    )
+            p.add_argument(*option.split("/"), **_OPTIONS[option])
+        p.set_defaults(run=run)
     return parser
 
 
@@ -151,20 +134,20 @@ def _load_plan(args) -> tuple[ClingoProgram, ControlPlan]:
     return prog, parse_control(_read(args.control), prog, _parse_overrides(args.const))
 
 
-def _load_reading(args, engines: tuple[str, ...]):
-    """The reading of the plan that a grounding command works on, with its
-    global statement and its domain.  Refuses a plan without a domain, then
-    an engine outside `engines`, before anything is built.  `--mode union`
-    reads the rule union, with the domain over it; `modular` the modular
-    program, with the domain over the module rules, which hold every term
-    of the union."""
+def _load_reading(args, mode: str, engines: tuple[str, ...]):
+    """The `mode` reading of the plan that a grounding command works on,
+    with its global statement and its domain.  Refuses a plan without a
+    domain, then an engine outside `engines`, before anything is built.
+    `union` reads the rule union, with the domain over it; `modular` the
+    modular program, with the domain over the module rules, which hold every
+    term of the union."""
     prog, plan = _load_plan(args)
     if plan.domain is None:
         raise _UsageError(
             "the control file must declare a domain, e.g. `domain 0..10.`"
         )
     _require_engine(args.engine, engines)
-    if args.mode == "union":
+    if mode == "union":
         union = collective_union(prog, plan.specs)
         kappa = global_statement(plan, union.signature().predicates)
         return union, kappa, Domain.build([union], *plan.domain)
@@ -261,10 +244,10 @@ def _cmd_instantiate(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.mode == "union":
-        union, kappa, dom = _load_reading(args, ENGINES)
+        union, kappa, dom = _load_reading(args, "union", ENGINES)
         compiled, masks = _union_masks(kappa, union, dom, args.engine, args.cap)
     else:
-        modular, _, dom = _load_reading(args, MODULAR_ENGINES)
+        modular, _, dom = _load_reading(args, "modular", MODULAR_ENGINES)
         compiled, masks = _answer_masks(modular, dom, args.engine, args.cap)
     rows = list(compiled.rendered(masks).values())
     _emit(
@@ -300,7 +283,7 @@ def _cmd_check_coherence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    modular, _, dom = _load_reading(args, MODULAR_ENGINES)
+    modular, _, dom = _load_reading(args, "modular", MODULAR_ENGINES)
     # The incoherence note comes before a refusal of `topo`.
     if not modular.analysis.report.coherent:
         print(f"warning: {INCOHERENCE_NOTE}", file=sys.stderr)
@@ -333,7 +316,7 @@ def _cmd_check_model(args) -> int:
     # construction error (exit 1).
     atoms = [parse_ground_atom(part) for part in args.model.split()]
     candidate = Interpretation.of(atoms)
-    reading, kappa, dom = _load_reading(args, CHECK_ENGINES)
+    reading, kappa, dom = _load_reading(args, args.mode, CHECK_ENGINES)
     if args.mode == "union":
         parts = [(reading, kappa)]
         yes, no = "kappa-stable model", "not a kappa-stable model"
@@ -354,25 +337,37 @@ def _cmd_check_model(args) -> int:
     return 0 if verdict else 1
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "instantiate": _cmd_instantiate,
-    "solve": _cmd_solve,
-    "check-coherence": _cmd_check_coherence,
-    "compare": _cmd_compare,
-    "check-model": _cmd_check_model,
+# Each command: its handler, its help text and the `_OPTIONS` it takes.
+_PLAN = ("--control", "-c/--const")
+_COMMAND_TABLE = {
+    "parse": (_cmd_parse, "list subprograms and their rules", ()),
+    "instantiate": (
+        _cmd_instantiate, "print the union program or the modular program dump",
+        (*_PLAN, "--mode"),
+    ),
+    "solve": (
+        _cmd_solve, "print answer sets, one per line, atoms sorted",
+        (*_PLAN, "--mode", "--engine", "--cap"),
+    ),
+    "check-coherence": (
+        _cmd_check_coherence, "report coherence; exit 0 iff coherent", _PLAN
+    ),
+    "compare": (
+        _cmd_compare, "compare modular and union answer sets; exit 0 iff equal",
+        (*_PLAN, "--engine", "--cap"),
+    ),
+    "check-model": (
+        _cmd_check_model,
+        "membership of a given atom set under the chosen semantics",
+        (*_PLAN, "--mode", "--engine", "--model"),
+    ),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -641,8 +641,14 @@ def _branch(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     assignment propagation has made `T` a classical model of every checker,
     so only the leaf minimality test is left: `minimal_brute` under
     `brute`, which first refuses a walk past `DEFAULT_CAP` atoms, and
-    `minimal_reduct` under every other engine.  That test is exact, so the
-    answers do not rest on the propagator, nor on the order of the rules.
+    `minimal_reduct` under every other engine.  Classical satisfaction and
+    completeness rest on `_propagate`.  Under `brute` the leaf test is an
+    independent subset walk.  Under the other engines it repeats a call: the
+    last round of `_propagate` ran `_closure(T & ext_mask, compiled, watch,
+    T, T)`, which is `minimal_reduct(T)`, for each checker with an own atom,
+    and for the others the test holds trivially; no test run has seen it
+    reject a leaf.  It stays for when propagation is incremental and no
+    longer ends in that call.
     """
     choices = mask
     for c in checkers:

@@ -329,13 +329,11 @@ def _match(t: Term, value: Term, theta: dict[str, Term], dom: Optional[Domain]) 
 
 
 def _invert(t: Term, target: int, bindings: dict[str, Term]) -> bool:
+    # `t` holds its one variable once, so it is that variable or arithmetic
+    # (which takes no function term) with the variable in one operand.
     if isinstance(t, Variable):
         bindings[t.name] = Numeral(target)
         return True
-    if isinstance(t, Numeral):
-        return t.value == target
-    if isinstance(t, (SymbolicConstant, Func)):
-        return False
     left, right = simplify(t.left), simplify(t.right)
     var_on_left = bool(variables_of(left))
     side, other = (left, right) if var_on_left else (right, left)

@@ -214,13 +214,20 @@ def _parse_term_list(ts: _TokenStream) -> tuple[Term, ...]:
     if not ts.at("LPAREN"):
         return ()
     ts.deeper()
-    terms = [_parse_term(ts)]
-    while ts.at("COMMA"):
-        ts.next()
-        terms.append(_parse_term(ts))
+    terms = _parse_list(ts, _parse_term)
     ts.expect("RPAREN")
     ts.depth -= 1
     return tuple(terms)
+
+
+def _parse_list(ts: _TokenStream, item) -> list:
+    """One or more items, each parsed by `item(ts)`, separated by commas:
+    terms, body literals, `#program` parameters and `module` patterns."""
+    items = [item(ts)]
+    while ts.at("COMMA"):
+        ts.next()
+        items.append(item(ts))
+    return items
 
 
 def parse_term(text: str) -> Term:
@@ -279,30 +286,20 @@ def _parse_literal(ts: _TokenStream) -> Literal:
     return Literal(_parse_atom(ts), negations)
 
 
-def _parse_body(ts: _TokenStream) -> list[Literal]:
-    body = [_parse_literal(ts)]
-    while ts.at("COMMA"):
-        ts.next()
-        body.append(_parse_literal(ts))
-    return body
-
-
 def _parse_rule(ts: _TokenStream) -> Rule:
-    if ts.at("IMPLIES"):
-        ts.next()
-        body = _parse_body(ts)
-        ts.expect("DOT", "'.' at end of rule")
-        return make_rule(None, body)
-    tok = ts.peek()
-    head = _parse_atom(ts)
-    if isinstance(head, Comparison):
-        raise ParseError(
-            "a comparison cannot be the head of a rule", tok.line, tok.column
-        )
+    """A rule `head.` or `head :- body.`, or a constraint `:- body.`"""
+    head = None
+    if not ts.at("IMPLIES"):
+        tok = ts.peek()
+        head = _parse_atom(ts)
+        if isinstance(head, Comparison):
+            raise ParseError(
+                "a comparison cannot be the head of a rule", tok.line, tok.column
+            )
     body: list[Literal] = []
     if ts.at("IMPLIES"):
         ts.next()
-        body = _parse_body(ts)
+        body = _parse_list(ts, _parse_literal)
     ts.expect("DOT", "'.' at end of rule")
     return make_rule(head, body)
 
@@ -311,19 +308,16 @@ def _parse_declaration(ts: _TokenStream) -> ProgramDeclaration:
     ts.expect("DIRECTIVE")
     name = ts.expect("IDENT", "a subprogram name").text
     params: list[str] = []
+
+    def parameter(ts: _TokenStream) -> None:
+        tok = ts.expect("IDENT", "a parameter name (lowercase)")
+        if tok.text in params:
+            raise ParseError(f"duplicate parameter {tok.text!r}", tok.line, tok.column)
+        params.append(tok.text)
+
     if ts.at("LPAREN"):
         ts.next()
-        while True:
-            tok = ts.expect("IDENT", "a parameter name (lowercase)")
-            if tok.text in params:
-                raise ParseError(
-                    f"duplicate parameter {tok.text!r}", tok.line, tok.column
-                )
-            params.append(tok.text)
-            if ts.at("COMMA"):
-                ts.next()
-                continue
-            break
+        _parse_list(ts, parameter)
         ts.expect("RPAREN")
     ts.expect("DOT", "'.' after #program declaration")
     return ProgramDeclaration(name, tuple(params))
@@ -465,13 +459,10 @@ def parse_control(
                 params = declared_params(decls, name)
                 ts.expect("COLON", "':'")
                 entries = module_chi.setdefault(name, {})
-                while True:
-                    key, pattern = _parse_pattern_atom(ts, env, params)
+                for key, pattern in _parse_list(
+                    ts, lambda ts: _parse_pattern_atom(ts, env, params)
+                ):
                     entries.setdefault(key, []).append(pattern)
-                    if ts.at("COMMA"):
-                        ts.next()
-                        continue
-                    break
                 ts.expect("DOT", "'.' at end of statement")
             else:
                 raise ParseError(

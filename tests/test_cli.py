@@ -1,5 +1,6 @@
 """Command-line behaviour: output surfaces, exit codes, determinism."""
 
+import argparse
 import collections
 import json
 import os
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import modasp.cli as cli
 import modasp.engine as engine_mod
 import modasp.modular as modular_mod
-from modasp.cli import main
+from modasp.cli import build_parser, main
 from modasp.grounding import ground
 from modasp.program import PredAtom
 
@@ -615,9 +617,8 @@ class TestErrors:
                 paths[ext].write_bytes(b"\xff\xfe")
             else:
                 paths[ext].write_text(text, encoding="utf-8")
-        code, out, err = run(
-            capsys, command, str(paths["lp"]), "--control", str(paths["ctl"])
-        )
+        control = [] if command == "parse" else ["--control", str(paths["ctl"])]
+        code, out, err = run(capsys, command, str(paths["lp"]), *control)
         assert (code, out) == (2, "")
         assert f"cannot read {paths[bad]}: " in err
         assert "Traceback" not in err
@@ -683,6 +684,12 @@ class TestErrors:
         code, out, err = run(
             capsys, command, fixture("p1.lp"), "--control", fixture("p1.ctl"), *options
         )
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("options", [["--control", "p1.ctl"], ["-c", "n=3"]])
+    def test_parse_refuses_plan_options(self, capsys, options):
+        code, out, err = run(capsys, "parse", fixture("p1.lp"), *options)
         assert (code, out) == (2, "")
         assert "unrecognized arguments" in err
 
@@ -894,3 +901,69 @@ class TestOutputPass:
         )
         assert child.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
         assert child.stdout.count("\n") > 2 * 729
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """A namespace that records each attribute read once `reads` is set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparsers(parser):
+    (action,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+# A value for each option without choices; an option with choices takes its
+# first.  A new option without either fails the test until it is added here.
+_OPTION_VALUES = {
+    "control": fixture("property3.ctl"),
+    "const": "n=2",
+    "cap": "24",
+    "model": "q(0,0) q(1,1)",
+}
+
+
+def _unread_options(parser, command, monkeypatch, capsys):
+    """The options of `command` that `main`, run with `parser` and given
+    every one of them on the property fixture, never reads."""
+    argv, dests = [command, fixture("property.lp")], {"program"}
+    for action in _subparsers(parser)[command]._actions:
+        if action.option_strings and action.dest != "help":
+            value = action.choices[0] if action.choices else _OPTION_VALUES[action.dest]
+            argv += [action.option_strings[-1], value]
+            dests.add(action.dest)
+    namespace = _RecordingNamespace()
+
+    def parse_args(args):
+        argparse.ArgumentParser.parse_args(parser, args, namespace=namespace)
+        namespace.reads = set()
+        return namespace
+
+    monkeypatch.setattr(parser, "parse_args", parse_args, raising=False)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    return sorted(dests - namespace.reads)
+
+
+class TestEveryOptionIsRead:
+    """Every option of every command is read when the command runs: an
+    option that the handler ignores would be accepted and do nothing."""
+
+    @pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+    def test_every_option_is_read(self, monkeypatch, capsys, command):
+        assert _unread_options(build_parser(), command, monkeypatch, capsys) == []
+
+    def test_an_ignored_option_is_named(self, monkeypatch, capsys):
+        parser = build_parser()
+        _subparsers(parser)["parse"].add_argument("--extra", choices=("x",))
+        assert _unread_options(parser, "parse", monkeypatch, capsys) == ["extra"]

@@ -29,7 +29,7 @@ from modasp.intensionality import IntensionalityStatement, lambda_holds
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Literal, PredAtom, Program, Rule, atom_order_key, make_rule
-from modasp.terms import Arith, Func, Numeral, SymbolicConstant, Variable
+from modasp.terms import Arith, Func, Numeral, Sort, SymbolicConstant, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -356,6 +356,16 @@ class TestHandCases:
         dom = Domain(0, 1, frozenset({num(5), num(6)}))
         gp = assert_contract(Program.of([rule]), dom, {atom("p", 6), atom("p", 1)})
         assert [str(r) for r in gp.rules] == ["r(0) :- p(1).", "r(5) :- p(6)."]
+
+    def test_variable_of_two_sorts_grounds_as_in_ground(self):
+        # A variable integer in the head and general in the body (built
+        # without `make_rule`) is not matched: the rule is grounded in full.
+        head, body = Variable("X", Sort.INTEGER), Variable("X")
+        rule = Rule(atom("r", head), (Literal(atom("p", body)),))
+        dom = Domain(0, 1, frozenset({SymbolicConstant("a")}))
+        seeds = {atom("p", 1), atom("p", SymbolicConstant("a"))}
+        gp = assert_contract(Program.of([rule]), dom, seeds)
+        assert [str(r) for r in gp.rules] == ["r(1) :- p(1).", "r(a) :- p(a)."]
 
     def test_variable_free_rules(self):
         # p(5) lies outside 0..3, and 1 > 2 is false; the repeated q(1) is

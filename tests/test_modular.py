@@ -228,6 +228,16 @@ class TestCoherence:
         assert not report.coherent
         assert {v.kind for v in report.violations} == {"tuples-unify"}
 
+    def test_every_predicate_is_checked_for_unifying_tuples(self):
+        # Only q, the last predicate in order, has tuples that unify.
+        P, _ = plan_program(
+            "#program a.\np(0).\nq(0).\n#program b.\np(1).\nq(X) :- p(X).\n",
+            "use a. use b. domain 0..1. module a: p(0), q(X). module b: p(1), q(X).",
+        )
+        assert [(v.kind, v.detail) for v in is_coherent(P).violations] == [
+            ("tuples-unify", "q(X) of module 0 unifies with q(X) of module 1")
+        ]
+
     def test_cross_module_cycle(self):
         module_a = Module(
             IntensionalityStatement.of({Q: [(var("X"), num(2))]}),
