@@ -938,7 +938,8 @@ def _unread_options(parser, command, monkeypatch, capsys):
     argv, dests = [command, fixture("property.lp")], {"program"}
     for action in _subparsers(parser)[command]._actions:
         if action.option_strings and action.dest != "help":
-            value = action.choices[0] if action.choices else _OPTION_VALUES[action.dest]
+            choices = action.choices
+            value = choices[0] if choices else _OPTION_VALUES[action.dest]
             argv += [action.option_strings[-1], value]
             dests.add(action.dest)
     namespace = _RecordingNamespace()
@@ -948,7 +949,7 @@ def _unread_options(parser, command, monkeypatch, capsys):
         namespace.reads = set()
         return namespace
 
-    monkeypatch.setattr(parser, "parse_args", parse_args, raising=False)
+    monkeypatch.setattr(parser, "parse_args", parse_args)
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     assert main(argv) in (0, 1)
     capsys.readouterr()
