@@ -351,13 +351,15 @@ class CompiledParts:
     Each part `(ground rules, statement)` gets a `StabilityChecker` over one
     shared atom-to-bit index.  `region` holds the atoms of the universe
     extensional under `kappa`, so `intensional`, the atoms intensional
-    under `kappa`, needs no lookup.  The masks of the other statements are
-    computed once per distinct statement: each atom is looked up once in a
-    `PatternIndex` of them, and `lambda_holds` decides only the statements
-    it returns.  `allowed` holds every atom but the intensional ones that
-    lie in no part's region, which the closure condition makes false.
-    Bit i stands for atom i of the universe; the solvers sort it by
-    `atom_order_key`, so that `ordered` comes out in output order.
+    under `kappa`, is the own region of every part under `kappa` and needs
+    no lookup.  The own region of each other part is found through
+    `patterns`, a `PatternIndex` of the parts' statements (statement i is
+    that of part i; None when every part is under `kappa`): each atom is
+    looked up once, and `lambda_holds` decides only the parts it returns.
+    `allowed` holds every atom but the intensional ones that lie in no
+    part's region, which the closure condition makes false.  Bit i stands
+    for atom i of the universe; the solvers sort it by `atom_order_key`, so
+    that `ordered` comes out in output order.
     """
 
     def __init__(
@@ -366,6 +368,7 @@ class CompiledParts:
         kappa: IntensionalityStatement,
         parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
         region: Iterable[PredAtom],
+        patterns: Optional[PatternIndex],
     ):
         self.base = tuple(universe)
         index = {atom: 1 << i for i, atom in enumerate(self.base)}
@@ -374,25 +377,22 @@ class CompiledParts:
         for atom in region:
             extensional |= index[atom]
         self.intensional = self.full & ~extensional
-        statements = list(dict.fromkeys(st for _, st in parts if st != kappa))
-        regions = [0] * len(statements)
-        if statements:
-            patterns = PatternIndex(statements)
+        statements = [st for _, st in parts]
+        looked_up = [st != kappa for st in statements]
+        regions = [0 if other else self.intensional for other in looked_up]
+        if patterns is not None and any(looked_up):
             for atom, bit in index.items():
                 for s in dict.fromkeys(
                     s for s, _ in patterns.candidates(atom.pred, atom.args)
                 ):
-                    if lambda_holds(statements[s], atom):
+                    if looked_up[s] and lambda_holds(statements[s], atom):
                         regions[s] |= bit
-        region_of = dict(zip(statements, regions))
-        region_of[kappa] = self.intensional
-        part_regions = [region_of[st] for _, st in parts]
         self.checkers = [
             StabilityChecker(_compile(rules, index), self.full & ~own)
-            for (rules, _), own in zip(parts, part_regions)
+            for (rules, _), own in zip(parts, regions)
         ]
         defined = 0
-        for own in part_regions:
+        for own in regions:
             defined |= own
         self.allowed = self.full & ~(self.intensional & ~defined)
 
@@ -400,8 +400,7 @@ class CompiledParts:
         """The interpretation of each mask of `masks`, in no order."""
         base = self.base
         return frozenset(
-            Interpretation(frozenset(map(base.__getitem__, _bits(mask))))
-            for mask in masks
+            Interpretation(frozenset(_members(base, mask))) for mask in masks
         )
 
     def ordered(self, masks: Iterable[int]) -> dict[int, Interpretation]:
@@ -409,35 +408,43 @@ class CompiledParts:
         order (`_output_order`)."""
         base = self.base
         return {
-            mask: Interpretation(frozenset(map(base.__getitem__, bits)))
-            for bits, mask in _output_order(masks)
+            mask: Interpretation(frozenset(_members(base, mask)))
+            for mask in _output_order(masks)
         }
 
     def rendered(self, masks: Iterable[int]) -> dict[int, list[str]]:
         """Each distinct mask of `masks` with the text of its atoms, in
         output order (`_output_order`); each base atom is rendered once."""
         names = [str(atom) for atom in self.base]
-        return {
-            mask: list(map(names.__getitem__, bits))
-            for bits, mask in _output_order(masks)
-        }
+        return {mask: list(_members(names, mask)) for mask in _output_order(masks)}
 
 
-def _output_order(masks: Iterable[int]) -> list[tuple[list[int], int]]:
-    """Each distinct mask of `masks` with its set-bit positions, ascending,
-    sorted by those lists.  Over a universe sorted by `atom_order_key` that
+def _output_order(masks: Iterable[int]) -> list[int]:
+    """The distinct masks of `masks`, sorted as their lists of set-bit
+    positions, ascending.  Over a universe sorted by `atom_order_key` that
     is the order of the models' lists of sorted atoms: output order."""
-    return sorted((_bits(mask), mask) for mask in set(masks))
+    return sorted(set(masks), key=_order_key)
 
 
-def _bits(mask: int) -> list[int]:
-    """The set-bit positions of `mask`, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
+_FLIP = str.maketrans("01", "10")
+
+
+def _order_key(mask: int) -> str:
+    """The binary digits of `mask` from bit 0 up, "0" for a set bit and "1"
+    for a clear one; "" for the empty mask, whose list comes first.  At the
+    lowest bit where two masks differ, the mask that holds it has the
+    smaller next position and key, or the other has no bit left and a key
+    that is a proper prefix of its key."""
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
+
+
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(items: Sequence, mask: int) -> Iterable:
+    """The items of `items` at the set bits of `mask`, in order, picked by
+    `compress` from its binary digits, bit 0 first."""
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_SELECT))
 
 
 def _require_engine(engine: str, allowed: tuple[str, ...]):
@@ -491,6 +498,7 @@ def is_stable_in_parts(
         kappa,
         [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
         [atom for atom in universe if not lambda_holds(kappa, atom)],
+        PatternIndex([st for _, st in parts]),
     )
     T = compiled.full
     if engine == "brute":
@@ -569,35 +577,43 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     searched with the checkers themselves.  `_branch` searches each part,
     so the refusal of `brute` at a leaf counts one component's atoms.
     """
-    # Union-find over the bit positions of `mask`, from 1: the atoms of a
-    # rule join the one at its highest position.
-    parent: dict[int, int] = {}
+    # Union-find over the bit positions of `mask`: the atoms of a rule join
+    # the one at its highest position.  `mentioned` holds the atoms of some
+    # rule.
+    parent = list(range(mask.bit_length()))
 
     def find(i: int) -> int:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
+    mentioned = 0
     for c in checkers:
         for head, pos, neg, negneg in c.compiled:
             m = (head | pos | neg | negneg) & mask
             if m:
-                top = m.bit_length()
-                root = find(parent.setdefault(top, top))
-                m ^= 1 << (top - 1)
+                mentioned |= m
+                top = m.bit_length() - 1
+                root = find(top)
+                m ^= 1 << top
                 while m:
-                    i = m.bit_length()
-                    m ^= 1 << (i - 1)
-                    i = find(parent.setdefault(i, i))
+                    i = m.bit_length() - 1
+                    m ^= 1 << i
+                    i = find(i)
                     if i != root:
                         parent[i] = root
-    members: dict[int, list[int]] = {}
-    for i in sorted(parent):
-        members.setdefault(find(i), []).append(i)
-    if len(members) == 1 and len(parent) == mask.bit_count():
+    # Each component's mask, under its root, in the order of its lowest bit.
+    members: dict[int, int] = {}
+    m = mentioned
+    while m:
+        bit = m & -m
+        m ^= bit
+        root = find(bit.bit_length() - 1)
+        members[root] = members.get(root, 0) | bit
+    if len(members) == 1 and mentioned == mask:
         parts = [mask]  # one component, no rule-free atom: nothing to build
     else:
-        parts = [sum(1 << (i - 1) for i in bits) for bits in members.values()] or [0]
+        parts = list(members.values()) or [0]
     if len(parts) == 1:
         sliced = [checkers]
     else:
@@ -607,7 +623,8 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
         for j, c in enumerate(checkers):
             for entry in c.compiled:
                 m = (entry[0] | entry[1] | entry[2] | entry[3]) & mask
-                tables[part_of[find(m.bit_length())] if m else 0][j].append(entry)
+                k = part_of[find(m.bit_length() - 1)] if m else 0
+                tables[k][j].append(entry)
         sliced = [
             [StabilityChecker(t, c.ext_mask) for t, c in zip(row, checkers)]
             for row in tables
@@ -618,9 +635,7 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
         found = [a | b for a in found for b in answers]
         if not found:
             return found
-    free = mask
-    for part in parts:
-        free &= ~part
+    free = mask & ~mentioned
     for c in checkers:
         free &= c.ext_mask
     while free:
@@ -759,7 +774,7 @@ def _union_masks(
     extensional region."""
     _require_engine(engine, ENGINES)
     preds = {*kappa.predicates(), *pi.signature().predicates}
-    return _solve(kappa, preds, [(pi, kappa)], dom, engine, cap, frozenset())
+    return _solve(kappa, preds, [(pi, kappa)], dom, engine, cap, frozenset(), None)
 
 
 def _solve(
@@ -770,12 +785,14 @@ def _solve(
     engine: str,
     cap: int,
     seeds: frozenset[PredAtom],
+    patterns: Optional[PatternIndex],
 ) -> tuple[CompiledParts, list[int]]:
     """The parts `(program, statement)` compiled over their relevant base,
     and as masks the subsets of the base that every part accepts with
     `engine` and whose true `kappa`-intensional atoms lie in some part's
     region.  Union solving is the one-part case under `kappa`.  `preds`
-    holds every predicate of `kappa` and of the parts.  The checkers of
+    holds every predicate of `kappa` and of the parts, and `patterns`
+    indexes the parts' statements for `CompiledParts`.  The checkers of
     `compiled` hold the only compiled form of the ground rules.
 
     One `ground_reachable` call, seeded with the extensional region of
@@ -827,6 +844,7 @@ def _solve(
         kappa,
         [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
         region,
+        patterns,
     )
     return compiled, _search(compiled.allowed, compiled.checkers, engine)
 
@@ -871,17 +889,17 @@ def check_support(
 
 def _bind_head(head: PredAtom, atom: PredAtom) -> Optional[dict[str, Term]]:
     """Bind head variables that appear directly as arguments; reject early
-    when a ground argument cannot evaluate to the target."""
+    when a ground argument cannot evaluate to the target.  A variable met
+    again keeps its first binding: `check_support`'s guard on the
+    evaluated head rejects an instance whose repeats disagree."""
     theta: dict[str, Term] = {}
     for arg, target in zip(head.args, atom.args):
         if isinstance(arg, Variable):
             if arg.name in theta:
-                if theta[arg.name] != target:
-                    return None
-            elif arg.sort is Sort.INTEGER and not isinstance(target, Numeral):
+                continue
+            if arg.sort is Sort.INTEGER and not isinstance(target, Numeral):
                 return None
-            else:
-                theta[arg.name] = target
+            theta[arg.name] = target
         elif not any(isinstance(s, Variable) for s in subterms(arg)):
             if eval_ground(arg) != target:
                 return None

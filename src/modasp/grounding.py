@@ -64,7 +64,7 @@ class Domain(Value):
         if int_lo > int_hi:
             raise RangeError(f"reversed domain {int_lo}..{int_hi}")
         numerals = {Numeral(i) for i in range(int_lo, int_hi + 1)}
-        return super().__new__(cls, int_lo, int_hi, general_terms | numerals)
+        return tuple.__new__(cls, (cls, int_lo, int_hi, general_terms | numerals))
 
     @classmethod
     def build(cls, programs: Iterable[Program], lo: int, hi: int) -> "Domain":
@@ -103,7 +103,7 @@ class Domain(Value):
         return term in self.general_terms
 
     def contains_atom(self, atom: PredAtom) -> bool:
-        return all(arg in self.general_terms for arg in atom.args)
+        return self.general_terms.issuperset(atom.args)
 
 
 class GroundRule(Value):
@@ -197,21 +197,23 @@ def _comparison_holds(comparison: Comparison) -> bool:
 
 
 def _finish_instance(rule: Rule, dom: Domain) -> Optional[GroundRule]:
-    head = None
-    if rule.head is not None:
-        head = _eval_atom(rule.head)
-        if not dom.contains_atom(head):
+    terms = dom.general_terms
+    head = rule.head
+    if head is not None:
+        head = _eval_atom(head)
+        if not terms.issuperset(head.args):
             return None
     pos: list[PredAtom] = []
     neg: list[PredAtom] = []
     negneg: list[PredAtom] = []
     for lit in rule.body:
-        if isinstance(lit.atom, Comparison):
-            if _comparison_holds(lit.atom) == (lit.negations == 1):
+        atom = lit.atom
+        if isinstance(atom, Comparison):
+            if _comparison_holds(atom) == (lit.negations == 1):
                 return None
             continue
-        atom = _eval_atom(lit.atom)
-        in_domain = dom.contains_atom(atom)
+        atom = _eval_atom(atom)
+        in_domain = terms.issuperset(atom.args)
         if lit.negations == 0:
             if not in_domain:
                 return None
@@ -462,6 +464,8 @@ def ground_reachable(
             entry[0] -= 1
             if not entry[0]:
                 keep(entry[1], entry[2])
+        if not watch:
+            continue  # no rule with variables: nothing to match or take
         keys = [(atom.pred,)] + [(atom.pred, k, v) for k, v in enumerate(atom.args)]
         if not any(key in watch for key in keys):
             continue  # no positive body literal can match it

@@ -255,10 +255,10 @@ def lambda_holds(kappa: IntensionalityStatement, atom: PredAtom) -> bool:
     membership formula at the argument tuple.
     """
     for pattern in kappa.patterns_for(atom.pred):
-        if all(
-            isinstance(elem, Variable) or elem == arg
-            for elem, arg in zip(pattern, atom.args)
-        ):
+        for elem, arg in zip(pattern, atom.args):
+            if not isinstance(elem, Variable) and elem != arg:
+                break
+        else:
             return True
     return False
 

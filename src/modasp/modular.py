@@ -335,7 +335,7 @@ def _answer_masks(
     if analysis.spanning:
         seeds = extensional_region(IntensionalityStatement(), analysis.spanning, dom)
     parts = [(m.pi, m.kappa) for m in P.modules]
-    return _solve(P.kappa, P._predicates, parts, dom, engine, cap, seeds)
+    return _solve(P.kappa, P._predicates, parts, dom, engine, cap, seeds, P.patterns)
 
 
 def _module_order_refusal(P: ModularProgram, graph: DependencyGraph) -> Optional[str]:

@@ -82,19 +82,20 @@ class Rule(Value):
     head: Optional[PredAtom]
     body: tuple[Literal, ...] = ()
 
-    def atoms(self):
-        if self.head is not None:
-            yield self.head
-        for lit in self.body:
-            yield lit.atom
+    def atoms(self) -> list[Atom]:
+        """The head, if any, and the body atoms, in order."""
+        body = [lit.atom for lit in self.body]
+        return body if self.head is None else [self.head, *body]
 
-    def terms(self):
+    def terms(self) -> list[Term]:
+        """The arguments of `atoms()`, both sides of a comparison, in order."""
+        out: list[Term] = []
         for atom in self.atoms():
             if isinstance(atom, PredAtom):
-                yield from atom.args
+                out += atom.args
             else:
-                yield atom.lhs
-                yield atom.rhs
+                out += (atom.lhs, atom.rhs)
+        return out
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -206,7 +207,7 @@ class Program(Value):
 def atom_order_key(atom: PredAtom):
     """Sort key for precomputed atoms: predicate name, arity, then arguments
     in term order."""
-    return (atom.name, len(atom.args), tuple(order_key(a) for a in atom.args))
+    return (atom.name, len(atom.args), tuple(map(order_key, atom.args)))
 
 
 def atom_is_precomputed(atom: PredAtom) -> bool:

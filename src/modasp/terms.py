@@ -12,7 +12,9 @@ arguments).
 """
 
 from enum import Enum
+from functools import cache
 from operator import add, itemgetter, mul, sub
+from types import CodeType, FunctionType
 from typing import Iterator, Mapping, Union
 
 from .errors import NotGroundError, NotPrecomputedError, SortError
@@ -25,9 +27,12 @@ class Value(tuple):
     hashing are CPython's tuple code: records are equal when they are of one
     class with equal fields.  A subclass lists its fields as annotations, in
     order; a class attribute of the same name is that field's default, and
-    each field is read through a property.  One `__new__` builds every
-    record, by position or keyword, and then runs the checks of the class's
-    `__post_init__` when it or a base defines one.  The repr is
+    only the last fields may have one.  Each field is read through a
+    property.  Each class gets a `__new__` of its own, built from one
+    template (`_constructor`), which takes the fields by position or
+    keyword, builds the tuple and then runs the checks of the class's
+    `__post_init__` when it or a base defines one; Python's own argument
+    binding refuses a wrong number of fields with `TypeError`.  The repr is
     ``Name(field=value, ...)``, and assignment and deletion raise
     `AttributeError`.  A record pickles as its class and fields only, so no
     `cached_property` value travels and loading runs the checks again.
@@ -39,41 +44,22 @@ class Value(tuple):
     """
 
     _fields = ()
-    _defaults = {}
-    _check = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {
-            name: vars(cls)[name] for name in cls._fields if name in vars(cls)
-        }
+        defaulted = [name for name in cls._fields if name in vars(cls)]
+        if defaulted != list(cls._fields[len(cls._fields) - len(defaulted) :]):
+            raise TypeError(f"{cls.__name__}: only the last fields may have defaults")
+        defaults = tuple(vars(cls)[name] for name in defaulted)
         for i, name in enumerate(cls._fields, 1):
             read = itemgetter(i)
             if cls.__getitem__ is not tuple.__getitem__:
                 # `Valuation.__getitem__` looks names up; read past it.
                 read = lambda self, i=i: tuple.__getitem__(self, i)
             setattr(cls, name, property(read))
-        cls._check = getattr(cls, "__post_init__", None)
-
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):
-            args = cls._bind(args, kwargs)
-        self = tuple.__new__(cls, (cls,) + args)
-        if cls._check is not None:
-            cls._check(self)
-        return self
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values of a call that names or omits some of them."""
-        given = dict(zip(cls._fields, args))
-        if len(args) > len(cls._fields) or given.keys() & kwargs.keys():
-            raise TypeError(f"{cls.__name__}() got too many or repeated arguments")
-        values = {**cls._defaults, **given, **kwargs}
-        if values.keys() != set(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes the arguments {cls._fields}")
-        return tuple(values[name] for name in cls._fields)
+        if "__new__" not in vars(cls):
+            cls.__new__ = _constructor(cls, defaults)
 
     def __reduce__(self):
         return type(self), tuple.__getitem__(self, slice(1, None))
@@ -87,6 +73,39 @@ class Value(tuple):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+_TEMPLATE = """\
+def __new__(cls, {fields}):
+    self = _new(cls, (cls, {fields}))
+    _check(self)
+    return self
+"""
+
+
+@cache
+def _template(arity: int, checked: bool) -> CodeType:
+    """`_TEMPLATE` over `arity` fields named ``f0, f1, ...``, without the
+    `_check` line unless `checked`: compiled once for each shape."""
+    source = _TEMPLATE.format(fields=", ".join(f"f{i}" for i in range(arity)))
+    if not checked:
+        source = source.replace("    _check(self)\n", "")
+    scope: dict = {}
+    exec(source, scope)
+    return scope["__new__"].__code__
+
+
+def _constructor(cls: type, defaults: tuple) -> FunctionType:
+    """The `__new__` of the record class `cls`: the template of its shape
+    with its field names for parameters, `defaults` for the last of them,
+    and the `__post_init__` that reaches it, if any, for `_check`."""
+    check = getattr(cls, "__post_init__", None)
+    code = _template(len(cls._fields), check is not None)
+    code = code.replace(co_varnames=("cls", *cls._fields, "self"))
+    scope = {"_new": tuple.__new__, "_check": check}
+    constructor = FunctionType(code, scope, "__new__", defaults or None)
+    constructor.__qualname__ = f"{cls.__qualname__}.__new__"
+    return constructor
 
 
 class Sort(Enum):

@@ -39,7 +39,7 @@ MUTANTS = (
     # The search (`engine.py`).
     Mutant(
         "search-drops-empty-part", "engine.py",
-        "for bits in members.values()] or [0]", "for bits in members.values()]",
+        "parts = list(members.values()) or [0]", "parts = list(members.values())",
         (
             "tests/test_engine.py::TestSearch::test_empty_block_mask_checks_the_partial",
             "tests/test_engine.py::TestSearch::test_modular_parts_match_sweep",
@@ -96,6 +96,7 @@ MUTANTS = (
         "if derived & ~possible:", "if False:",
         (
             "tests/test_acceptance.py::test_criterion_6_engine_cross_validation",
+            "tests/test_engine.py::TestSearch::test_blocks_match_plain_sweep",
         ),
     ),
     Mutant(
@@ -139,10 +140,24 @@ MUTANTS = (
     ),
     Mutant(
         "answers-left-unsorted", "engine.py",
-        "return sorted((_bits(mask), mask) for mask in set(masks))",
-        "return [(_bits(mask), mask) for mask in set(masks)]",
+        "return sorted(set(masks), key=_order_key)",
+        "return list(set(masks))",
         (
             "tests/test_engine.py::TestOutputOrder::test_agrees_with_sorting_by_set_bits",
+        ),
+    ),
+    Mutant(
+        "order-key-puts-empty-mask-last", "engine.py",
+        'translate(_FLIP) if mask else ""', 'translate(_FLIP) if mask else "1"',
+        (
+            "tests/test_engine.py::TestOutputOrder::test_every_mask_below_2_to_the_12",
+        ),
+    ),
+    Mutant(
+        "module-regions-shifted-by-one", "engine.py",
+        "regions[s] |= bit", "regions[s - 1] |= bit",
+        (
+            "tests/test_pattern_index.py::TestAgainstFullScan::test_solved_region_masks",
         ),
     ),
     Mutant(
@@ -171,12 +186,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "grounding-skips-watched-rules", "grounding.py",
+        "        if not watch:\n            continue",
+        "        if True:\n            continue",
+        (
+            "tests/test_grounding.py::TestContract::test_random_rule_programs",
+        ),
+    ),
+    Mutant(
         "reachable-grounding-drops-seeds", "grounding.py",
         "    for atom in seeds:\n        derive(atom)",
         "    for atom in ():\n        derive(atom)",
         (
             "tests/test_acceptance.py::test_criterion_3_kappa_stability_fixtures",
             "tests/test_cli.py::TestCheckModel::test_accepted_models",
+        ),
+    ),
+    # The records (`terms.py`).
+    Mutant(
+        "record-constructor-skips-post-init", "terms.py",
+        'check = getattr(cls, "__post_init__", None)', "check = None",
+        (
+            "tests/test_value_classes.py::test_checks_run_when_built_and_when_unpickled",
         ),
     ),
     # The modular layer and instantiation.

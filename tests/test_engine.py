@@ -36,7 +36,7 @@ from modasp.instantiation import (
     collective_union,
     global_statement,
 )
-from modasp.intensionality import IntensionalityStatement, lambda_holds
+from modasp.intensionality import IntensionalityStatement, PatternIndex, lambda_holds
 from modasp.modular import dependency_graph, modular_answer_sets
 from modasp.parsing import parse_control, parse_program
 from modasp.program import (
@@ -366,9 +366,11 @@ def _sweep(mask, checkers, engine):
 
 
 def _compiled_parts(universe, kappa, parts):
-    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`."""
+    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`
+    and an index of the parts' statements."""
     region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    return CompiledParts(universe, kappa, parts, region)
+    patterns = PatternIndex([st for _, st in parts])
+    return CompiledParts(universe, kappa, parts, region, patterns)
 
 
 def _full_base(grounded, region, cap=24):
@@ -954,9 +956,23 @@ _widths_and_masks = st.integers(0, 12).flatmap(
 )
 
 
+def _wide_masks(rng, count):
+    """Seeded masks wider than 256 bits with the empty mask, each beside a
+    copy cut at a random bit and one with a random bit flipped, so that
+    some lists are prefixes of others and some differ late."""
+    masks = [0]
+    for _ in range(count):
+        mask = rng.getrandbits(rng.randint(257, 320)) | 1 << 256
+        masks += [mask, mask & ((1 << rng.randint(0, 320)) - 1)]
+        masks.append(mask ^ 1 << rng.randint(0, 319))
+    return masks
+
+
 class TestOutputOrder:
-    """`_output_order` is the one ordering of answer masks: its key, built by
-    walking the set bits, must sort as the lists of set-bit positions do."""
+    """`_output_order` is the one ordering of answer masks, which `ordered`
+    and `rendered` use: it must sort masks as their lists of set-bit
+    positions, ascending, do, and decoding a mask must give the atoms at
+    its set bits, on bases as wide as `fixpoint` and a high `--cap` make."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_widths_and_masks, st.randoms(use_true_random=False))
@@ -964,9 +980,31 @@ class TestOutputOrder:
         width, masks = width_and_masks
         masks = masks + masks[: len(masks) // 2] + [0, (1 << width) - 1, 0]
         rng.shuffle(masks)
-        ordered = _output_order(masks)
-        assert [mask for _, mask in ordered] == sorted(set(masks), key=_set_bits)
-        assert all(bits == _set_bits(mask) for bits, mask in ordered)
+        assert _output_order(masks) == sorted(set(masks), key=_set_bits)
+
+    def test_every_mask_below_2_to_the_12(self):
+        masks = list(range(1 << 12))
+        random.Random(89).shuffle(masks)
+        assert _output_order(masks) == sorted(masks, key=_set_bits)
+
+    def test_wide_masks(self):
+        masks = _wide_masks(random.Random(97), 500)
+        assert _output_order(masks) == sorted(set(masks), key=_set_bits)
+
+    def test_decoding_agrees_with_a_per_bit_walk(self):
+        universe = [PredAtom("p", (Numeral(i),)) for i in range(320)]
+        compiled = CompiledParts(universe, IntensionalityStatement(), [], [], None)
+        masks = _wide_masks(random.Random(101), 100)
+        masks += [compiled.full, *masks[:20]]
+        decoded = {m: [universe[i] for i in _set_bits(m)] for m in masks}
+        in_order = sorted(decoded, key=_set_bits)
+        ordered = compiled.ordered(masks)
+        assert list(ordered) == in_order
+        assert all(ordered[m] == Interpretation.of(decoded[m]) for m in masks)
+        assert compiled.interpretations(masks) == frozenset(ordered.values())
+        rendered = compiled.rendered(masks)
+        assert list(rendered) == in_order
+        assert all(rendered[m] == [str(a) for a in decoded[m]] for m in masks)
 
 
 EVEN_LOOP = """

@@ -25,7 +25,7 @@ from modasp.grounding import (
     ground_reachable,
 )
 from modasp.instantiation import collective_union, global_statement
-from modasp.intensionality import IntensionalityStatement, lambda_holds
+from modasp.intensionality import IntensionalityStatement, PatternIndex, lambda_holds
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Literal, PredAtom, Program, Rule, atom_order_key, make_rule
@@ -81,9 +81,11 @@ def region_of(kappa, pi, dom):
 
 
 def compiled_parts(universe, kappa, parts):
-    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`."""
+    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`
+    and an index of the parts' statements."""
     region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    return CompiledParts(universe, kappa, parts, region)
+    patterns = PatternIndex([st for _, st in parts])
+    return CompiledParts(universe, kappa, parts, region, patterns)
 
 
 # --- random non-ground programs ------------------------------------------------

@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import random
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,9 @@ import pytest
 import randprog
 from modasp.cli import main
 from modasp.engine import CompiledParts
+from modasp.errors import EngineError
+from modasp.grounding import Domain
+from modasp.instantiation import collective_modular, collective_union
 from modasp.intensionality import (
     IntensionalityStatement,
     PatternIndex,
@@ -25,12 +29,16 @@ from modasp.intensionality import (
 from modasp.modular import (
     CoherenceReport,
     Violation,
+    _answer_masks,
     _module_order_refusal,
     dependency_graph,
     is_coherent,
     is_simple_module,
+    modular_answer_sets,
     strongly_connected_components,
+    theorem1_check,
 )
+from modasp.parsing import parse_control, parse_program
 from modasp.program import PredAtom, atom_order_key
 from modasp.terms import Arith, Numeral, Sort, Variable
 
@@ -145,9 +153,11 @@ def scan_region(statement, universe):
 
 
 def compiled_parts(universe, kappa, parts):
-    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`."""
+    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`
+    and an index of the parts' statements."""
     region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    return CompiledParts(universe, kappa, parts, region)
+    patterns = PatternIndex([st for _, st in parts])
+    return CompiledParts(universe, kappa, parts, region, patterns)
 
 
 # --- random programs ---------------------------------------------------------------
@@ -180,6 +190,28 @@ def programs():
 @pytest.fixture(scope="module")
 def corpus():
     return list(programs())
+
+
+FIXTURE_PLANS = [
+    ("gamma1.lp", "gamma1.ctl"),
+    ("p1.lp", "p1.ctl"),
+    ("property.lp", "property3.ctl"),
+    ("tangle.lp", "tangle.ctl"),
+    ("terms.lp", "terms.ctl"),
+]
+
+
+def solvable():
+    """The modular readings of the fixture plans with their domains, then
+    seeded coherent programs."""
+    for lp, ctl in FIXTURE_PLANS:
+        prog = parse_program((FIXTURES / lp).read_text(encoding="utf-8"))
+        plan = parse_control((FIXTURES / ctl).read_text(encoding="utf-8"), prog)
+        dom = Domain.build([collective_union(prog, plan.specs)], *plan.domain)
+        yield collective_modular(prog, plan), dom
+    rng = random.Random(4343)
+    for _ in range(100):
+        yield randprog.random_coherent_program(rng)
 
 
 class TestPatternIndex:
@@ -262,6 +294,46 @@ class TestAgainstFullScan:
             for region in regions:
                 defined |= region
             assert compiled.allowed == full & ~(intensional & ~defined)
+
+    def test_solved_region_masks(self):
+        """The module regions of a modular solve, looked up in `P.patterns`,
+        are those of a direct `lambda_holds` scan of its base."""
+        several = 0
+        for P, dom in solvable():
+            compiled, _ = _answer_masks(P, dom, "reduct", 64)
+            base, full = compiled.base, compiled.full
+            assert compiled.intensional == scan_region(P.kappa, base)
+            assert [c.ext_mask for c in compiled.checkers] == [
+                full & ~scan_region(m.kappa, base) for m in P.modules
+            ]
+            several += len(P.modules) > 1
+        assert several > 20
+
+
+def test_solving_builds_no_pattern_index(monkeypatch):
+    """Solving reads the index `P.patterns` of the module statements: once it
+    exists, `modular_answer_sets` and `theorem1_check` build no other."""
+    cases = list(solvable())
+    for P, _ in cases:
+        P.patterns
+    built = []
+    init = PatternIndex.__init__
+
+    def counting(self, statements):
+        built.append(statements)
+        init(self, statements)
+
+    monkeypatch.setattr(PatternIndex, "__init__", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the incoherent fixture warns
+        for P, dom in cases:
+            modular_answer_sets(P, dom, "reduct", 64)
+            theorem1_check(P, dom, "reduct", 64)
+            try:
+                modular_answer_sets(P, dom, "topo", 64)
+            except EngineError:
+                pass  # a cyclic module order
+    assert built == []
 
 
 # --- call counts ---------------------------------------------------------------------

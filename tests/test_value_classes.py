@@ -1,12 +1,15 @@
 """The immutable records: construction, equality, hashing, repr, freezing and
 pickling, for every record class, and the imports of the CLI's start-up."""
 
+import ast
 import importlib
+import inspect
 import os
 import pickle
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
@@ -14,7 +17,15 @@ import pytest
 
 import modasp
 from modasp.engine import HTInterpretation, Interpretation
-from modasp.errors import PatternError, RangeError, SortError
+from modasp.errors import (
+    DeclarationConflictError,
+    DomainError,
+    NotPrecomputedError,
+    PatternError,
+    RangeError,
+    RequirementError,
+    SortError,
+)
 from modasp.grounding import Domain, GroundProgram, GroundRule
 from modasp.instantiation import Module, ModularProgram, ParametricModule
 from modasp.intensionality import (
@@ -198,8 +209,10 @@ def test_every_record_class_is_sampled():
 class TestContract:
     def test_keyword_and_positional_construction_agree(self, cls, fields, change):
         by_keyword, by_position = cls(**fields), cls(*fields.values())
-        assert by_keyword == by_position
-        assert hash(by_keyword) == hash(by_position)
+        first, *rest = fields
+        mixed = cls(fields[first], **{k: fields[k] for k in rest})
+        assert by_keyword == by_position == mixed
+        assert hash(by_keyword) == hash(by_position) == hash(mixed)
         assert all(getattr(by_keyword, k) == v for k, v in fields.items())
 
     def test_equality_and_hash_follow_the_fields(self, cls, fields, change):
@@ -231,7 +244,9 @@ class TestContract:
     def test_defaults(self, cls, fields, change):
         defaults = DEFAULTS.get(cls, {})
         required = {k: v for k, v in fields.items() if k not in defaults}
-        assert cls(**required) == cls(**required, **defaults)
+        by_default = cls(**required)
+        assert by_default == cls(**required, **defaults)
+        assert hash(by_default) == hash(cls(*required.values(), *defaults.values()))
         if cls is not Domain:  # the domain adds its interval's numerals
             assert all(getattr(cls(**required), k) == v for k, v in defaults.items())
 
@@ -240,6 +255,8 @@ class TestContract:
         first, *rest = fields
         calls.append(((fields[first],), {first: fields[first]}))
         required = [k for k in fields if k not in DEFAULTS.get(cls, {})]
+        if required:
+            calls.append((tuple(fields[k] for k in required[:-1]), {}))
         calls += [((), {k: v for k, v in fields.items() if k != r}) for r in required]
         for args, kwargs in calls:
             with pytest.raises(TypeError):
@@ -250,13 +267,21 @@ class TestContract:
         assert pickle.loads(pickle.dumps(obj)) == obj
 
 
-def test_written_out_classes_are_listed():
-    """Every record is built, compared and hashed by `Value`: no class writes
-    out `__init__`, `__eq__` or `__hash__`, and only `Domain`, which adds its
-    interval's numerals, writes out `__new__`."""
-    for cls, _, _ in SAMPLES:
-        assert not {"__init__", "__eq__", "__hash__"} & vars(cls).keys(), cls
-        assert ("__new__" in vars(cls)) == (cls is Domain), cls
+def test_no_class_body_writes_the_record_methods():
+    """Every record is built, compared and hashed by `Value`: no class body
+    writes `__init__`, `__eq__`, `__hash__` or `__new__`, except `Domain`'s,
+    which writes `__new__` to add its interval's numerals.  Every other
+    class holds the `__new__` that `Value` builds for it, whose parameters
+    are its fields."""
+    for cls in _all_record_classes():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        (body,) = tree.body
+        written = {node.name for node in body.body if isinstance(node, ast.FunctionDef)}
+        expected = {"__new__"} if cls is Domain else set()
+        assert written & {"__init__", "__eq__", "__hash__", "__new__"} == expected, cls
+        if cls is not Domain:
+            code = vars(cls)["__new__"].__code__
+            assert code.co_varnames[: code.co_argcount] == ("cls", *cls._fields), cls
 
 
 @pytest.mark.parametrize(
@@ -294,6 +319,57 @@ def test_generic_report_is_subscriptable():
     assert report == ComparisonReport(("p",), ("p",), True)
 
 
+# Per class with a `__post_init__`: fields that it refuses, and the error.
+REFUSED = {
+    Arith: (dict(op="/", left=ONE, right=ONE), SortError),
+    Func: (dict(name="f", args=()), SortError),
+    Valuation: (dict(items=(("n", X),)), NotPrecomputedError),
+    Comparison: (dict(rel="~", lhs=ONE, rhs=ONE), SortError),
+    Literal: (dict(atom=P1, negations=3), SortError),
+    HTInterpretation: (
+        dict(here=frozenset({Q1}), there=Interpretation(frozenset({P1}))),
+        DomainError,
+    ),
+    IntensionalityStatement: (dict(entries=((("p", 2), ((X, X),)),)), PatternError),
+    ParametricIntensionality: (
+        dict(placeholders=frozenset(), entries=((("p", 2), ((X, X),)),)),
+        PatternError,
+    ),
+    ParametricModule: (
+        dict(placeholders=frozenset(), chi=CHI, pi=PROGRAM),
+        PatternError,
+    ),
+    ModularProgram: (
+        dict(kappa=IntensionalityStatement(), modules=(MODULE,)),
+        RequirementError,
+    ),
+    ClingoProgram: (
+        dict(items=(ProgramDeclaration("s", ("n",)), ProgramDeclaration("s", ()))),
+        DeclarationConflictError,
+    ),
+}
+
+
+def test_every_checked_class_is_listed():
+    checked = {c for c in _all_record_classes() if hasattr(c, "__post_init__")}
+    assert checked == REFUSED.keys()
+
+
+@pytest.mark.parametrize("cls", REFUSED, ids=[cls.__name__ for cls in REFUSED])
+def test_checks_run_when_built_and_when_unpickled(cls):
+    """A refused field is refused by position, by keyword and on loading a
+    pickle of a record built past the checks."""
+    fields, error = REFUSED[cls]
+    with pytest.raises(error):
+        cls(*fields.values())
+    with pytest.raises(error):
+        cls(**fields)
+    unchecked = tuple.__new__(cls, (cls, *fields.values()))
+    data = pickle.dumps(unchecked)
+    with pytest.raises(error):
+        pickle.loads(data)
+
+
 class TestValidation:
     def test_arith_with_a_bad_operator(self):
         with pytest.raises(SortError):
@@ -311,6 +387,13 @@ class TestValidation:
     def test_non_linear_pattern(self, cls):
         with pytest.raises(PatternError):
             cls(entries=((("p", 2), ((X, X),)),))
+
+    def test_a_default_before_a_required_field(self):
+        with pytest.raises(TypeError):
+
+            class Misordered(Value):
+                first: int = 0
+                second: int
 
     def test_parametric_module_placeholders(self):
         with pytest.raises(PatternError):
