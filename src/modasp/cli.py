@@ -16,18 +16,23 @@ from .engine import (
     ENGINES,
     Interpretation,
     _require_engine,
-    _union_masks,
+    _solve,
     is_stable_in_parts,
 )
 from .errors import CapacityError, ModaspError, RequirementError
 from .grounding import Domain
-from .instantiation import collective_modular, collective_union, global_statement
+from .instantiation import (
+    Module,
+    ModularProgram,
+    collective_modular,
+    collective_union,
+    global_statement,
+)
 from .intensionality import IntensionalityStatement, pattern_str
 from .modular import (
     INCOHERENCE_NOTE,
     MODULAR_ENGINES,
     ComparisonReport,
-    _answer_masks,
     _theorem1_masks,
     is_coherent,
 )
@@ -135,12 +140,12 @@ def _load_plan(args) -> tuple[ClingoProgram, ControlPlan]:
 
 
 def _load_reading(args, mode: str, engines: tuple[str, ...]):
-    """The `mode` reading of the plan that a grounding command works on,
-    with its global statement and its domain.  Refuses a plan without a
-    domain, then an engine outside `engines`, before anything is built.
-    `union` reads the rule union, with the domain over it; `modular` the
-    modular program, with the domain over the module rules, which hold every
-    term of the union."""
+    """The `mode` reading of the plan that a grounding command works on, as
+    a modular program, with its domain over the module rules.  Refuses a
+    plan without a domain, then an engine outside `engines`, before
+    anything is built.  `union` reads the rule union under the global
+    statement as the one-module program; `modular` the modular program,
+    whose module rules hold every term of the union."""
     prog, plan = _load_plan(args)
     if plan.domain is None:
         raise _UsageError(
@@ -150,10 +155,10 @@ def _load_reading(args, mode: str, engines: tuple[str, ...]):
     if mode == "union":
         union = collective_union(prog, plan.specs)
         kappa = global_statement(plan, union.signature().predicates)
-        return union, kappa, Domain.build([union], *plan.domain)
-    modular = collective_modular(prog, plan)
-    dom = Domain.build([m.pi for m in modular.modules], *plan.domain)
-    return modular, modular.kappa, dom
+        reading = ModularProgram(kappa, (Module(kappa, union),))
+    else:
+        reading = collective_modular(prog, plan)
+    return reading, Domain.build([m.pi for m in reading.modules], *plan.domain)
 
 
 def _kappa_json(kappa: IntensionalityStatement) -> dict:
@@ -243,12 +248,9 @@ def _cmd_instantiate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.mode == "union":
-        union, kappa, dom = _load_reading(args, "union", ENGINES)
-        compiled, masks = _union_masks(kappa, union, dom, args.engine, args.cap)
-    else:
-        modular, _, dom = _load_reading(args, "modular", MODULAR_ENGINES)
-        compiled, masks = _answer_masks(modular, dom, args.engine, args.cap)
+    engines = ENGINES if args.mode == "union" else MODULAR_ENGINES
+    reading, dom = _load_reading(args, args.mode, engines)
+    compiled, masks = _solve(reading, dom, args.engine, args.cap)
     rows = list(compiled.rendered(masks).values())
     _emit(
         args,
@@ -283,7 +285,7 @@ def _cmd_check_coherence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    modular, _, dom = _load_reading(args, "modular", MODULAR_ENGINES)
+    modular, dom = _load_reading(args, "modular", MODULAR_ENGINES)
     # The incoherence note comes before a refusal of `topo`.
     if not modular.analysis.report.coherent:
         print(f"warning: {INCOHERENCE_NOTE}", file=sys.stderr)
@@ -316,14 +318,13 @@ def _cmd_check_model(args) -> int:
     # construction error (exit 1).
     atoms = [parse_ground_atom(part) for part in args.model.split()]
     candidate = Interpretation.of(atoms)
-    reading, kappa, dom = _load_reading(args, args.mode, CHECK_ENGINES)
+    reading, dom = _load_reading(args, args.mode, CHECK_ENGINES)
+    parts = [(m.pi, m.kappa) for m in reading.modules]
+    verdict = is_stable_in_parts(candidate, reading.kappa, parts, dom, args.engine)
     if args.mode == "union":
-        parts = [(reading, kappa)]
         yes, no = "kappa-stable model", "not a kappa-stable model"
     else:
-        parts = [(m.pi, m.kappa) for m in reading.modules]
         yes, no = "answer set", "not an answer set"
-    verdict = is_stable_in_parts(candidate, kappa, parts, dom, args.engine)
     _emit(
         args,
         lambda: [yes if verdict else no],

@@ -28,6 +28,7 @@ from .grounding import (
     ground,
     ground_reachable,
 )
+from .instantiation import Module, ModularProgram
 from .intensionality import IntensionalityStatement, PatternIndex, lambda_holds
 from .program import (
     Comparison,
@@ -354,8 +355,9 @@ class CompiledParts:
     under `kappa`, is the own region of every part under `kappa` and needs
     no lookup.  The own region of each other part is found through
     `patterns`, a `PatternIndex` of the parts' statements (statement i is
-    that of part i; None when every part is under `kappa`): each atom is
-    looked up once, and `lambda_holds` decides only the parts it returns.
+    that of part i), which is read only when some part is not under
+    `kappa`: each atom is looked up once, and `lambda_holds` decides only
+    the parts it returns.
     `allowed` holds every atom but the intensional ones that lie in no
     part's region, which the closure condition makes false.  Bit i stands
     for atom i of the universe; the solvers sort it by `atom_order_key`, so
@@ -368,7 +370,7 @@ class CompiledParts:
         kappa: IntensionalityStatement,
         parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
         region: Iterable[PredAtom],
-        patterns: Optional[PatternIndex],
+        patterns: PatternIndex,
     ):
         self.base = tuple(universe)
         index = {atom: 1 << i for i, atom in enumerate(self.base)}
@@ -380,7 +382,7 @@ class CompiledParts:
         statements = [st for _, st in parts]
         looked_up = [st != kappa for st in statements]
         regions = [0 if other else self.intensional for other in looked_up]
-        if patterns is not None and any(looked_up):
+        if any(looked_up):
             for atom, bit in index.items():
                 for s in dict.fromkeys(
                     s for s, _ in patterns.candidates(atom.pred, atom.args)
@@ -443,7 +445,12 @@ _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 def _members(items: Sequence, mask: int) -> Iterable:
     """The items of `items` at the set bits of `mask`, in order, picked by
-    `compress` from its binary digits, bit 0 first."""
+    `compress` from its binary digits, bit 0 first.  A bit at or above
+    `len(items)` raises `IndexError`, which `compress` alone would drop."""
+    if mask >> len(items):
+        raise IndexError(
+            f"mask bit {mask.bit_length() - 1} lies outside {len(items)} items"
+        )
     return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_SELECT))
 
 
@@ -610,10 +617,7 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
         m ^= bit
         root = find(bit.bit_length() - 1)
         members[root] = members.get(root, 0) | bit
-    if len(members) == 1 and mentioned == mask:
-        parts = [mask]  # one component, no rule-free atom: nothing to build
-    else:
-        parts = list(members.values()) or [0]
+    parts = list(members.values()) or [0]
     if len(parts) == 1:
         sliced = [checkers]
     else:
@@ -762,64 +766,64 @@ def enumerate_kappa_stable(
     engine: str = "reduct",
     cap: int = DEFAULT_CAP,
 ) -> frozenset[Interpretation]:
-    """All stable models over the relevant atom base (`_union_masks`)."""
-    compiled, masks = _union_masks(kappa, pi, dom, engine, cap)
+    """All stable models of `pi` under `kappa` over the relevant atom base:
+    the answer sets of the one-module program (`_solve`)."""
+    _require_engine(engine, ENGINES)
+    P = ModularProgram(kappa, (Module(kappa, pi),))
+    compiled, masks = _solve(P, dom, engine, cap)
     return compiled.interpretations(masks)
 
 
-def _union_masks(
-    kappa: IntensionalityStatement, pi: Program, dom: Domain, engine: str, cap: int
-) -> tuple[CompiledParts, list[int]]:
-    """`_solve` with the one part `(pi, kappa)` and no seeds but the
-    extensional region."""
-    _require_engine(engine, ENGINES)
-    preds = {*kappa.predicates(), *pi.signature().predicates}
-    return _solve(kappa, preds, [(pi, kappa)], dom, engine, cap, frozenset(), None)
-
-
 def _solve(
-    kappa: IntensionalityStatement,
-    preds: Iterable[tuple[str, int]],
-    parts: Sequence[tuple[Program, IntensionalityStatement]],
-    dom: Domain,
-    engine: str,
-    cap: int,
-    seeds: frozenset[PredAtom],
-    patterns: Optional[PatternIndex],
+    P: ModularProgram, dom: Domain, engine: str, cap: int
 ) -> tuple[CompiledParts, list[int]]:
-    """The parts `(program, statement)` compiled over their relevant base,
-    and as masks the subsets of the base that every part accepts with
-    `engine` and whose true `kappa`-intensional atoms lie in some part's
-    region.  Union solving is the one-part case under `kappa`.  `preds`
-    holds every predicate of `kappa` and of the parts, and `patterns`
-    indexes the parts' statements for `CompiledParts`.  The checkers of
-    `compiled` hold the only compiled form of the ground rules.
+    """The modules of `P` compiled over their relevant base, and as masks
+    the answer sets of `P`: the subsets of the base that every module
+    accepts with `engine` and whose true `P.kappa`-intensional atoms lie in
+    some module's region.  Every solving path calls this; a program `pi`
+    under `kappa` alone is the one-module program `ModularProgram(kappa,
+    (Module(kappa, pi),))`, whose closure condition always holds.  The
+    checkers of `compiled` hold the only compiled form of the ground rules.
+
+    Every engine's refusals sit here, in this order: `topo` refuses with
+    `P.analysis.topo_refusal` (an incoherent program, then a cyclic module
+    order) and otherwise searches as `reduct` does, which is exact;
+    `fixpoint` refuses a ground program with negation, then a non-empty
+    extensional region; then the base is refused past `cap`.
 
     One `ground_reachable` call, seeded with the extensional region of
-    `kappa` plus `seeds`, grounds every part, so all share one derived set
-    `R`.  The base holds the region and every ground head (a true atom
-    needs a deriving rule or a choice axiom) and is refused past `cap`.
-    A head lies in the domain and has a predicate of `preds`, so each base
-    atom outside the region is `kappa`-intensional: `CompiledParts` takes
-    `kappa`'s region from the region, with no lookup.
+    `kappa` plus the seeds, grounds every module, so all share one derived
+    set `R`.  The base holds the region and every ground head (a true atom
+    needs a deriving rule or a choice axiom).  A head lies in the domain
+    and has a predicate of `P`, so each base atom outside the region is
+    `kappa`-intensional: `CompiledParts` takes `kappa`'s region from the
+    region, with no lookup.  The seeds are every domain atom of the
+    predicates of the components of the dependency graph that span modules
+    (`P.analysis.spanning`); with one module none can, so a one-module
+    solve builds no `P.analysis`.
 
     Exactness: every atom of an answer `I` lies in `R`, so the instances
-    left out are vacuous.  With one part, a true intensional atom is
-    derived in the reduct from region atoms and atoms derived before it.
-    With modules, `seeds` must hold every domain atom of the predicates of
-    each strongly connected component of the dependency graph that spans
-    modules; induct over the DAG of components, dependencies first.  Let
-    `a` be true in `I` and in the region of module i, at vertex `(p, i)`
-    of component C.  If C spans modules, `a` is seeded.  Otherwise C lies
-    inside module i; induct over module i's reduct derivation of `I`.  A
-    rule of module i derives `a` from true positive body atoms `b`, and
-    each `b` is derived earlier in module i (in C, or in a lower component
-    through an edge), or globally extensional (seeded), or, by the closure
-    condition, in the region of a module j other than i, at a vertex an
-    edge reaches from `(p, i)` and outside C, so in a lower component.
+    left out are vacuous.  Induct over the DAG of components, dependencies
+    first.  Let `a` be true in `I` and in the region of module i, at vertex
+    `(p, i)` of component C.  If C spans modules, `a` is seeded.  Otherwise
+    C lies inside module i; induct over module i's reduct derivation of
+    `I`.  A rule of module i derives `a` from true positive body atoms `b`,
+    and each `b` is derived earlier in module i (in C, or in a lower
+    component through an edge), or globally extensional (seeded), or, by
+    the closure condition, in the region of a module j other than i, at a
+    vertex an edge reaches from `(p, i)` and outside C, so in a lower
+    component.
     """
-    region = extensional_region(kappa, preds, dom)
-    grounded = ground_reachable([pi for pi, _ in parts], dom, region | seeds)
+    if engine == "topo" and P.analysis.topo_refusal is not None:
+        raise EngineError(P.analysis.topo_refusal)
+    kappa = P.kappa
+    region = extensional_region(kappa, P._predicates, dom)
+    seeds = region
+    if len(P.modules) > 1 and P.analysis.spanning:
+        seeds = region | extensional_region(
+            IntensionalityStatement(), P.analysis.spanning, dom
+        )
+    grounded = ground_reachable([m.pi for m in P.modules], dom, seeds)
     if engine == "fixpoint":
         # Root propagation then decides every atom: the forward step derives
         # the least model and the unfounded step makes the rest false.
@@ -842,9 +846,9 @@ def _solve(
     compiled = CompiledParts(
         sorted(base, key=atom_order_key),
         kappa,
-        [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
+        [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
         region,
-        patterns,
+        P.patterns,
     )
     return compiled, _search(compiled.allowed, compiled.checkers, engine)
 

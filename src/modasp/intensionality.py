@@ -383,9 +383,13 @@ def check_requirement(
     subsumes it: any strictly more constrained pattern fixes finitely many
     values along a free axis and a finite union of those cannot cover it.
     Returns None on success, else the first violating (predicate, module
-    index, pattern) triple.
+    index, pattern) triple.  A module statement equal to `kappa` covers
+    itself and is skipped, so the one-module reading of a union costs no
+    walk over its patterns.
     """
     for index, module_kappa in enumerate(module_kappas):
+        if module_kappa == kappa:
+            continue
         for key, patterns in module_kappa.entries:
             global_patterns = kappa.patterns_for(key)
             for u in patterns:

@@ -15,10 +15,8 @@ from .engine import (
     _require_engine,
     _search,
     _solve,
-    extensional_region,
     is_kappa_stable,
 )
-from .errors import EngineError
 from .grounding import Domain
 from .instantiation import Module, ModularProgram
 from .intensionality import (
@@ -310,32 +308,11 @@ def modular_answer_sets(
 
     `brute` and `reduct` select the per-module stability engine over the
     shared relevant atom base.  `topo` first requires coherence and an
-    acyclic module order, then searches as `reduct` does.
-    """
-    compiled, masks = _answer_masks(P, dom, engine, cap)
-    return compiled.interpretations(masks)
-
-
-def _answer_masks(
-    P: ModularProgram, dom: Domain, engine: str, cap: int
-) -> tuple[CompiledParts, list[int]]:
-    """The compiled modules of `P` and its answer masks: `_solve` with one
-    part per module, seeded with every domain atom of the predicates of the
-    components of the dependency graph that span modules (no seeds when
-    none does).  `topo` first refuses, with the message kept in
-    `P.analysis`, an incoherent program and then a cyclic module order; its
-    search is the one of `reduct`, which is exact, so it finds what
-    splitting by module (Lifschitz & Turner, ICLP 1994) would.
+    acyclic module order, then searches as `reduct` does (`_solve`).
     """
     _require_engine(engine, MODULAR_ENGINES)
-    analysis = P.analysis
-    if engine == "topo" and analysis.topo_refusal is not None:
-        raise EngineError(analysis.topo_refusal)
-    seeds = frozenset()
-    if analysis.spanning:
-        seeds = extensional_region(IntensionalityStatement(), analysis.spanning, dom)
-    parts = [(m.pi, m.kappa) for m in P.modules]
-    return _solve(P.kappa, P._predicates, parts, dom, engine, cap, seeds, P.patterns)
+    compiled, masks = _solve(P, dom, engine, cap)
+    return compiled.interpretations(masks)
 
 
 def _module_order_refusal(P: ModularProgram, graph: DependencyGraph) -> Optional[str]:
@@ -477,8 +454,9 @@ def _theorem1_masks(
     Both readings share one grounding of each module and one atom base,
     the modular relevant base.  The union reading is the join of the module
     checkers (`StabilityChecker.joined`) under the global statement, so no
-    ground rule is compiled twice.  That is exact.
-    The modular seeds contain the union's (`enumerate_kappa_stable`): both
+    ground rule is compiled twice.  That is exact.  The modular seeds
+    contain those of the union solved alone as a one-module program
+    (`enumerate_kappa_stable`), which are its extensional region: both
     extensional regions range over the same predicates, because every
     predicate a module statement names has a global pattern.  Over the
     same rules, the modular derived set, instances and base contain the
@@ -489,7 +467,8 @@ def _theorem1_masks(
     alone, and the cap, checked on the larger modular base first, refuses
     as before.
     """
-    compiled, modular = _answer_masks(P, dom, engine, cap)
+    _require_engine(engine, MODULAR_ENGINES)
+    compiled, modular = _solve(P, dom, engine, cap)
     union = StabilityChecker.joined(
         compiled.checkers, compiled.full & ~compiled.intensional
     )

@@ -161,6 +161,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "spanning-components-not-seeded", "engine.py",
+        "if len(P.modules) > 1 and P.analysis.spanning:", "if False:",
+        (
+            "tests/test_modular.py::TestCoherence::test_repeated_variable_cycle",
+            "tests/test_modular.py::TestModularMembership::test_cross_module_cycle",
+        ),
+    ),
+    Mutant(
+        "one-module-solve-analyses", "engine.py",
+        "if len(P.modules) > 1 and P.analysis.spanning:",
+        "if P.analysis.spanning:",
+        (
+            "tests/test_modular.py::TestOneModuleReading::test_builds_no_analysis",
+            "tests/test_cli.py::TestOneSolvingCall::test_union_solve_analyses_nothing",
+        ),
+    ),
+    Mutant(
+        "topo-refusal-dropped", "engine.py",
+        'if engine == "topo" and P.analysis.topo_refusal is not None:',
+        "if False:",
+        (
+            "tests/test_modular.py::TestModularAnswerSets::test_topo_requires_coherence",
+            "tests/test_modular.py::TestModularAnswerSets::test_topo_refuses_negative_module_cycle",
+        ),
+    ),
+    Mutant(
         "engine-applies-everywhere", "engine.py",
         "if engine not in allowed:", "if False:",
         (
@@ -227,21 +253,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "spanning-components-not-seeded", "modular.py",
-        "    if analysis.spanning:\n        seeds =",
-        "    if False:\n        seeds =",
-        (
-            "tests/test_modular.py::TestCoherence::test_repeated_variable_cycle",
-            "tests/test_modular.py::TestModularMembership::test_cross_module_cycle",
-        ),
-    ),
-    Mutant(
         "tuples-unify-skips-last-predicate", "modular.py",
         "for key in sorted(P.signature().predicates):",
         "for key in sorted(P.signature().predicates)[:-1]:",
         (
             "tests/test_modular.py::TestCoherence::test_every_predicate_is_checked_for_unifying_tuples",
             "tests/test_modular.py::TestCoherence::test_identical_patterns_unify",
+        ),
+    ),
+    Mutant(
+        "requirement-skips-every-module", "intensionality.py",
+        "if module_kappa == kappa:", "if True:",
+        (
+            "tests/test_intensionality.py::TestCheckRequirement::test_uncovered_pattern_reported",
+            "tests/test_intensionality.py::TestCheckRequirement::test_other_modules_keep_their_index",
         ),
     ),
     Mutant(

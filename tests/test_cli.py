@@ -903,6 +903,42 @@ class TestOutputPass:
         assert child.stdout.count("\n") > 2 * 729
 
 
+class TestOneSolvingCall:
+    """Every solving command builds one reading and reaches `_solve` once;
+    the union reading is the one-module program, whose solve analyses no
+    modular program."""
+
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["solve", "--mode", "modular"], ["compare"]]
+    )
+    def test_each_command_solves_once(self, capsys, monkeypatch, command):
+        calls = []
+        solve = engine_mod._solve
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "_solve", counting)
+        monkeypatch.setattr(modular_mod, "_solve", counting)
+        files = fixture("p1.lp"), "--control", fixture("p1.ctl")
+        code, out, _ = run(capsys, command[0], *files, *command[1:])
+        assert code == 0 and "q(0,0) q(0,1) q(0,2) q(0,3) q(0,4)" in out
+        assert len(calls) == 1
+
+    def test_union_solve_analyses_nothing(self, capsys, monkeypatch):
+        def forbidden(P):
+            raise AssertionError("a union solve analyses no modular program")
+
+        monkeypatch.setattr(modular_mod, "_analyse", forbidden)
+        for engine in ("brute", "reduct"):
+            code, out, _ = run(
+                capsys, "solve", fixture("p1.lp"), "--control", fixture("p1.ctl"),
+                "--mode", "union", "--engine", engine,
+            )
+            assert (code, out) == (0, "q(0,0) q(0,1) q(0,2) q(0,3) q(0,4)\n")
+
+
 class _RecordingNamespace(argparse.Namespace):
     """A namespace that records each attribute read once `reads` is set."""
 

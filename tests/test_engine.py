@@ -13,6 +13,7 @@ from modasp.engine import (
     _compile,
     _output_order,
     _search,
+    _solve,
     check_support,
     classical_satisfies,
     enumerate_kappa_stable,
@@ -812,9 +813,6 @@ class TestKappaRegion:
     def test_region_masks_match_the_direct_scan(self, monkeypatch):
         import randprog
 
-        import modasp.engine as engine_mod
-        from modasp.modular import _answer_masks
-
         def forbidden(*args):
             raise AssertionError("union solving looks up no pattern")
 
@@ -823,14 +821,15 @@ class TestKappaRegion:
         for _ in range(60):
             P, dom = randprog.random_coherent_program(rng)
             pi = Program.of(rule for m in P.modules for rule in m.pi.rules)
+            one = ModularProgram(P.kappa, (Module(P.kappa, pi),))
             with monkeypatch.context() as patched:
-                patched.setattr(engine_mod, "PatternIndex", forbidden)
-                compiled, _ = engine_mod._union_masks(P.kappa, pi, dom, "reduct", 24)
+                patched.setattr(PatternIndex, "candidates", forbidden)
+                compiled, _ = _solve(one, dom, "reduct", 24)
             scanned = _compiled_parts(compiled.base, P.kappa, [((), P.kappa)])
             assert compiled.intensional == scanned.intensional
             assert compiled.allowed == scanned.allowed
             union += compiled.intensional != compiled.full
-            compiled, _ = _answer_masks(P, dom, "reduct", 24)
+            compiled, _ = _solve(P, dom, "reduct", 24)
             parts = [((), m.kappa) for m in P.modules]
             scanned = _compiled_parts(compiled.base, P.kappa, parts)
             assert compiled.intensional == scanned.intensional
@@ -993,7 +992,7 @@ class TestOutputOrder:
 
     def test_decoding_agrees_with_a_per_bit_walk(self):
         universe = [PredAtom("p", (Numeral(i),)) for i in range(320)]
-        compiled = CompiledParts(universe, IntensionalityStatement(), [], [], None)
+        compiled = _no_parts(universe)
         masks = _wide_masks(random.Random(101), 100)
         masks += [compiled.full, *masks[:20]]
         decoded = {m: [universe[i] for i in _set_bits(m)] for m in masks}
@@ -1005,6 +1004,22 @@ class TestOutputOrder:
         rendered = compiled.rendered(masks)
         assert list(rendered) == in_order
         assert all(rendered[m] == [str(a) for a in decoded[m]] for m in masks)
+
+    def test_a_bit_outside_the_base_raises(self):
+        universe = [PredAtom("p", (Numeral(i),)) for i in range(3)]
+        compiled = _no_parts(universe)
+        assert compiled.rendered([compiled.full]) == {7: ["p(0)", "p(1)", "p(2)"]}
+        for mask in (1 << 3, 0b101 | 1 << 3, 1 << 70):
+            for decode in (
+                compiled.ordered, compiled.rendered, compiled.interpretations
+            ):
+                with pytest.raises(IndexError):
+                    decode([0, mask])
+
+
+def _no_parts(universe):
+    """Compiled parts over `universe` with no part, for decoding only."""
+    return CompiledParts(universe, IntensionalityStatement(), [], [], PatternIndex([]))
 
 
 EVEN_LOOP = """

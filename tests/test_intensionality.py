@@ -228,6 +228,30 @@ class TestCheckRequirement:
         assert violation.module_index == 0
         assert violation.pattern == (var("X"), num(2))
 
+    def test_a_statement_covers_itself_without_a_walk(self, monkeypatch):
+        # The one-module reading of a union puts kappa under kappa; walking
+        # its patterns against themselves would cost their count squared.
+        import modasp.intensionality as intensionality_mod
+        from modasp.instantiation import Module, ModularProgram
+        from modasp.program import Program
+
+        def forbidden(*args):
+            raise AssertionError("a statement equal to kappa is not walked")
+
+        patterns = {("p", 1): [(num(i),) for i in range(1000)]}
+        kappa = IntensionalityStatement.of(patterns)
+        monkeypatch.setattr(intensionality_mod, "pattern_subsumes", forbidden)
+        ModularProgram(kappa, (Module(kappa, Program.of([])),))
+        assert check_requirement(kappa, [IntensionalityStatement.of(patterns)]) is None
+
+    def test_other_modules_keep_their_index(self):
+        kappa = IntensionalityStatement.of({Q: [(var("X"), num(1))]})
+        module = IntensionalityStatement.of({Q: [(var("X"), num(2))]})
+        violation = check_requirement(kappa, [kappa, module, kappa])
+        assert violation is not None
+        assert violation.module_index == 1
+        assert violation.pattern == (var("X"), num(2))
+
     def test_single_pattern_subsumption(self):
         kappa = kappa1()
         module = IntensionalityStatement.of({Q: [(num(0), num(1))]})

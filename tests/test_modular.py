@@ -346,6 +346,28 @@ def plan_program(program_text, control_text):
     return collective_modular(prog, plan), dom
 
 
+class TestOneModuleReading:
+    """A program under kappa alone is solved as the one-module program: no
+    component can span modules, so the solve builds no modular analysis."""
+
+    @pytest.mark.parametrize("engine", ["brute", "reduct", "fixpoint"])
+    def test_builds_no_analysis(self, engine, monkeypatch):
+        P, dom = plan_program(
+            (FIXTURES / "property.lp").read_text(encoding="utf-8"),
+            (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
+        )
+        expected = modular_answer_sets(P, dom, "reduct")
+
+        def forbidden(P):
+            raise AssertionError("a one-module solve analyses no program")
+
+        monkeypatch.setattr(modular_mod, "_analyse", forbidden)
+        union = union_program(P)
+        assert enumerate_kappa_stable(P.kappa, union, dom, engine) == expected
+        one = ModularProgram(P.kappa, (Module(P.kappa, union),))
+        assert modular_answer_sets(one, dom, "reduct") == expected
+
+
 class TestModularAnswerSets:
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_p1_unique_model(self, engine):
@@ -483,12 +505,11 @@ class TestModularAnswerSets:
         def forbidden(*args, **kwargs):
             raise AssertionError("the union side must reuse the module grounding")
 
-        for target in (engine_mod, modular_mod):
-            monkeypatch.setattr(
-                target,
-                "extensional_region",
-                _counted(calls, "extensional_region", target.extensional_region),
-            )
+        monkeypatch.setattr(
+            engine_mod,
+            "extensional_region",
+            _counted(calls, "extensional_region", engine_mod.extensional_region),
+        )
         monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
         monkeypatch.setattr(
             modular_mod,

@@ -14,7 +14,7 @@ import pytest
 
 import randprog
 from modasp.cli import main
-from modasp.engine import CompiledParts
+from modasp.engine import CompiledParts, _solve
 from modasp.errors import EngineError
 from modasp.grounding import Domain
 from modasp.instantiation import collective_modular, collective_union
@@ -29,7 +29,6 @@ from modasp.intensionality import (
 from modasp.modular import (
     CoherenceReport,
     Violation,
-    _answer_masks,
     _module_order_refusal,
     dependency_graph,
     is_coherent,
@@ -300,7 +299,7 @@ class TestAgainstFullScan:
         are those of a direct `lambda_holds` scan of its base."""
         several = 0
         for P, dom in solvable():
-            compiled, _ = _answer_masks(P, dom, "reduct", 64)
+            compiled, _ = _solve(P, dom, "reduct", 64)
             base, full = compiled.base, compiled.full
             assert compiled.intensional == scan_region(P.kappa, base)
             assert [c.ext_mask for c in compiled.checkers] == [
