@@ -15,8 +15,8 @@ from .engine import (
     enumerate_kappa_stable,
     extensional_region,
     ht_satisfies,
+    is_answer_set,
     is_kappa_stable,
-    is_stable_in_parts,
     least_model,
 )
 from .errors import (

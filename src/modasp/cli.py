@@ -17,7 +17,7 @@ from .engine import (
     Interpretation,
     _require_engine,
     _solve,
-    is_stable_in_parts,
+    is_answer_set,
 )
 from .errors import CapacityError, ModaspError, RequirementError
 from .grounding import Domain
@@ -319,8 +319,11 @@ def _cmd_check_model(args) -> int:
     atoms = [parse_ground_atom(part) for part in args.model.split()]
     candidate = Interpretation.of(atoms)
     reading, dom = _load_reading(args, args.mode, CHECK_ENGINES)
-    parts = [(m.pi, m.kappa) for m in reading.modules]
-    verdict = is_stable_in_parts(candidate, reading.kappa, parts, dom, args.engine)
+    # No answer set holds an atom of a predicate that the plan never names.
+    predicates = reading.signature().predicates
+    verdict = is_answer_set(candidate, reading, dom, args.engine) and all(
+        atom.pred in predicates for atom in candidate.atoms
+    )
     if args.mode == "union":
         yes, no = "kappa-stable model", "not a kappa-stable model"
     else:

@@ -29,7 +29,7 @@ from .grounding import (
     ground_reachable,
 )
 from .instantiation import Module, ModularProgram
-from .intensionality import IntensionalityStatement, PatternIndex, lambda_holds
+from .intensionality import IntensionalityStatement, lambda_holds
 from .program import (
     Comparison,
     Literal,
@@ -347,19 +347,19 @@ def _closure(
 
 
 class CompiledParts:
-    """The stability checkers of several parts over one atom universe.
+    """The stability checkers of the modules of a modular program `P` over
+    one atom universe.
 
-    Each part `(ground rules, statement)` gets a `StabilityChecker` over one
-    shared atom-to-bit index.  `region` holds the atoms of the universe
-    extensional under `kappa`, so `intensional`, the atoms intensional
-    under `kappa`, is the own region of every part under `kappa` and needs
-    no lookup.  The own region of each other part is found through
-    `patterns`, a `PatternIndex` of the parts' statements (statement i is
-    that of part i), which is read only when some part is not under
-    `kappa`: each atom is looked up once, and `lambda_holds` decides only
-    the parts it returns.
+    `rules[i]` holds the ground rules of module i, which gets a
+    `StabilityChecker` over one shared atom-to-bit index.  `region` holds
+    the atoms of the universe extensional under `P.kappa`, so
+    `intensional`, the atoms intensional under `P.kappa`, is the own region
+    of every module under `P.kappa` and needs no lookup.  The own region of
+    each other module is found through `P.patterns`, which is read only
+    when some module is not under `P.kappa`: each atom is looked up once,
+    and `lambda_holds` decides only the modules it returns.
     `allowed` holds every atom but the intensional ones that lie in no
-    part's region, which the closure condition makes false.  Bit i stands
+    module's region, which the closure condition makes false.  Bit i stands
     for atom i of the universe; the solvers sort it by `atom_order_key`, so
     that `ordered` comes out in output order.
     """
@@ -367,10 +367,9 @@ class CompiledParts:
     def __init__(
         self,
         universe: Sequence[PredAtom],
-        kappa: IntensionalityStatement,
-        parts: Sequence[tuple[Sequence[GroundRule], IntensionalityStatement]],
+        P: ModularProgram,
+        rules: Sequence[Sequence[GroundRule]],
         region: Iterable[PredAtom],
-        patterns: PatternIndex,
     ):
         self.base = tuple(universe)
         index = {atom: 1 << i for i, atom in enumerate(self.base)}
@@ -379,10 +378,11 @@ class CompiledParts:
         for atom in region:
             extensional |= index[atom]
         self.intensional = self.full & ~extensional
-        statements = [st for _, st in parts]
-        looked_up = [st != kappa for st in statements]
+        statements = [m.kappa for m in P.modules]
+        looked_up = [st != P.kappa for st in statements]
         regions = [0 if other else self.intensional for other in looked_up]
         if any(looked_up):
+            patterns = P.patterns
             for atom, bit in index.items():
                 for s in dict.fromkeys(
                     s for s, _ in patterns.candidates(atom.pred, atom.args)
@@ -390,8 +390,8 @@ class CompiledParts:
                     if looked_up[s] and lambda_holds(statements[s], atom):
                         regions[s] |= bit
         self.checkers = [
-            StabilityChecker(_compile(rules, index), self.full & ~own)
-            for (rules, _), own in zip(parts, regions)
+            StabilityChecker(_compile(table, index), self.full & ~own)
+            for table, own in zip(rules, regions)
         ]
         defined = 0
         for own in regions:
@@ -470,42 +470,39 @@ def is_kappa_stable(
     engine: str = "reduct",
 ) -> bool:
     """Is `I` a stable model of the program joined with the choice axioms?
+    It is an answer set of the one-module program (`is_answer_set`)."""
+    return is_answer_set(I, ModularProgram(kappa, (Module(kappa, pi),)), dom, engine)
+
+
+def is_answer_set(
+    I: Interpretation, P: ModularProgram, dom: Domain, engine: str
+) -> bool:
+    """Is `I` an answer set of the modular program `P`: stable in every
+    module under its own statement, with each true atom intensional under
+    `P.kappa` in some module's region?
 
     Classical satisfaction of the rules is checked first (the choice axioms
-    are classical tautologies), then minimality with the selected engine.
-    """
-    return is_stable_in_parts(I, kappa, [(pi, kappa)], dom, engine)
-
-
-def is_stable_in_parts(
-    I: Interpretation,
-    kappa: IntensionalityStatement,
-    parts: Sequence[tuple[Program, IntensionalityStatement]],
-    dom: Domain,
-    engine: str,
-) -> bool:
-    """Is `I` stable in every part `(program, statement)`, with each true
-    atom intensional under `kappa` in some part's region?  With one part
-    under `kappa` this is `is_kappa_stable`; with the modules of a modular
-    program, membership among its answer sets.
-
-    One `ground_reachable` call seeded with `I` grounds every part: an
-    instance left out has a positive body atom outside `I`.
-    `brute` refuses, before it walks any subsets, a part with more than
-    `DEFAULT_CAP` intensional atoms in `I`.
+    are classical tautologies), then minimality with `engine`.  One
+    `ground_reachable` call seeded with `I` grounds every module: an
+    instance left out has a positive body atom outside `I`.  `brute`
+    refuses, before it walks any subsets, a module with more than
+    `DEFAULT_CAP` intensional atoms in `I`.  An atom of a predicate that
+    `P` never mentions is read as any other, extensional under every
+    statement that has no pattern for it: `is_model_of_module` must read
+    the predicates of other modules that way, so the verdict does not check
+    the signature of `P`, and `check-model` rejects such atoms itself.
     """
     _require_engine(engine, CHECK_ENGINES)
     universe = I.sorted_atoms()
     for atom in universe:
         if not dom.contains_atom(atom):
             raise DomainError(f"atom {atom} lies outside the declared domain")
-    grounded = ground_reachable([pi for pi, _ in parts], dom, I.atoms)
+    grounded = ground_reachable([m.pi for m in P.modules], dom, I.atoms)
     compiled = CompiledParts(
         universe,
-        kappa,
-        [(gp.rules, st) for gp, (_, st) in zip(grounded, parts)],
-        [atom for atom in universe if not lambda_holds(kappa, atom)],
-        PatternIndex([st for _, st in parts]),
+        P,
+        [gp.rules for gp in grounded],
+        [atom for atom in universe if not lambda_holds(P.kappa, atom)],
     )
     T = compiled.full
     if engine == "brute":
@@ -792,12 +789,12 @@ def _solve(
     extensional region; then the base is refused past `cap`.
 
     One `ground_reachable` call, seeded with the extensional region of
-    `kappa` plus the seeds, grounds every module, so all share one derived
-    set `R`.  The base holds the region and every ground head (a true atom
-    needs a deriving rule or a choice axiom).  A head lies in the domain
-    and has a predicate of `P`, so each base atom outside the region is
-    `kappa`-intensional: `CompiledParts` takes `kappa`'s region from the
-    region, with no lookup.  The seeds are every domain atom of the
+    `P.kappa` plus the seeds, grounds every module, so all share one
+    derived set `R`.  The base holds the region and every ground head (a
+    true atom needs a deriving rule or a choice axiom).  A head lies in the
+    domain and has a predicate of `P`, so each base atom outside the region
+    is `P.kappa`-intensional: `CompiledParts` takes `P.kappa`'s region from
+    the region, with no lookup.  The seeds are every domain atom of the
     predicates of the components of the dependency graph that span modules
     (`P.analysis.spanning`); with one module none can, so a one-module
     solve builds no `P.analysis`.
@@ -816,8 +813,7 @@ def _solve(
     """
     if engine == "topo" and P.analysis.topo_refusal is not None:
         raise EngineError(P.analysis.topo_refusal)
-    kappa = P.kappa
-    region = extensional_region(kappa, P._predicates, dom)
+    region = extensional_region(P.kappa, P._predicates, dom)
     seeds = region
     if len(P.modules) > 1 and P.analysis.spanning:
         seeds = region | extensional_region(
@@ -844,11 +840,7 @@ def _solve(
             "the domain or raise the cap"
         )
     compiled = CompiledParts(
-        sorted(base, key=atom_order_key),
-        kappa,
-        [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)],
-        region,
-        P.patterns,
+        sorted(base, key=atom_order_key), P, [gp.rules for gp in grounded], region
     )
     return compiled, _search(compiled.allowed, compiled.checkers, engine)
 

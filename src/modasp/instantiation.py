@@ -187,9 +187,9 @@ class ModularProgram(Value):
 
     @cached_property
     def patterns(self) -> PatternIndex:
-        """The module patterns (statement i = module i), which the
-        dependency graph, the coherence check and the topo module order
-        look atoms up in."""
+        """The index of the module statements, the one the package
+        builds: the dependency graph, the coherence check, the topo module
+        order and the regions of modules not under `kappa` read it."""
         return PatternIndex([m.kappa for m in self.modules])
 
     @cached_property

@@ -161,6 +161,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "regions-read-patterns-under-kappa", "engine.py",
+        "if any(looked_up):\n            patterns = P.patterns",
+        "patterns = P.patterns\n        if any(looked_up):",
+        (
+            "tests/test_pattern_index.py::test_union_reading_builds_no_pattern_index",
+        ),
+    ),
+    Mutant(
+        "brute-rejects-without-intensional-atoms", "engine.py",
+        "if int_mask == 0:\n            return True",
+        "if int_mask == 0:\n            return False",
+        (
+            "tests/test_control_text.py::test_every_engine_agrees_with_brute",
+            "tests/test_control_text.py::test_check_model_accepts_each_printed_answer_set",
+        ),
+    ),
+    Mutant(
         "spanning-components-not-seeded", "engine.py",
         "if len(P.modules) > 1 and P.analysis.spanning:", "if False:",
         (
@@ -259,6 +276,7 @@ MUTANTS = (
         (
             "tests/test_modular.py::TestCoherence::test_every_predicate_is_checked_for_unifying_tuples",
             "tests/test_modular.py::TestCoherence::test_identical_patterns_unify",
+            "tests/test_control_text.py::test_renaming_predicates_renames_the_answer_sets",
         ),
     ),
     Mutant(
@@ -322,6 +340,15 @@ MUTANTS = (
         '"parse": (_cmd_parse, "list subprograms and their rules", _PLAN),',
         (
             "tests/test_cli.py::TestEveryOptionIsRead::test_every_option_is_read",
+        ),
+    ),
+    Mutant(
+        "check-model-skips-the-signature", "cli.py",
+        "atom.pred in predicates for atom in candidate.atoms",
+        "True for atom in candidate.atoms",
+        (
+            "tests/test_cli.py::TestCheckModel::test_atom_of_a_predicate_outside_the_plan_is_rejected",
+            "tests/test_control_text.py::test_check_model_accepts_each_printed_answer_set",
         ),
     ),
     Mutant(

@@ -91,8 +91,7 @@ def _patch_layers(spent: dict):
     wrapped call runs inside another."""
     from modasp import engine, modular
 
-    for module in (engine, modular):
-        module.extensional_region = _timed(spent, "region", module.extensional_region)
+    engine.extensional_region = _timed(spent, "region", engine.extensional_region)
     engine.ground_reachable = _timed(spent, "grounding", engine.ground_reachable)
     parts = engine.CompiledParts
     parts.__init__ = _timed(spent, "compile", parts.__init__)

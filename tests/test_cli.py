@@ -374,6 +374,38 @@ class TestCheckModel:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize(
+        "mode, yes, no",
+        [
+            ("union", "kappa-stable model\n", "not a kappa-stable model\n"),
+            ("modular", "answer set\n", "not an answer set\n"),
+        ],
+        ids=["union", "modular"],
+    )
+    def test_atom_of_a_predicate_outside_the_plan_is_rejected(
+        self, capsys, tmp_path, mode, yes, no
+    ):
+        # `solve` never prints `zzz(1)`, so no candidate holding it is an
+        # answer set; the domain check still comes first.
+        lp, ctl = tmp_path / "even.lp", tmp_path / "even.ctl"
+        lp.write_text(
+            "p(X) :- e(X), not q(X).\nq(X) :- e(X), not p(X).\n", encoding="utf-8"
+        )
+        ctl.write_text(
+            "use base. domain 0..1. intensional p(X). intensional q(X).\n",
+            encoding="utf-8",
+        )
+        files = str(lp), "--control", str(ctl), "--mode", mode
+        code, out, _ = run(capsys, "solve", *files)
+        assert (code, len(out.splitlines())) == (0, 9)
+        assert "zzz" not in out
+        for model, verdict in (("e(1) p(1)", (0, yes)), ("e(1) p(1) zzz(1)", (1, no))):
+            code, out, _ = run(capsys, "check-model", *files, "--model", model)
+            assert (code, out) == verdict, model
+        code, out, err = run(capsys, "check-model", *files, "--model", "zzz(7)")
+        assert (code, out) == (2, "")
+        assert "outside the declared domain" in err
+
     def test_property_n200_union_grounds_only_what_the_model_reaches(self, capsys):
         # The full grounding has 40,001 instances and took about 2 s; the
         # candidate reaches 201 of them.

@@ -1,14 +1,18 @@
 """Generated control files, checked end to end through in-process
 `cli.main` (`randctl.py` writes the program and control text).
 
-Four oracles, each comparing two runs that reach their answer by
+Five oracles, each comparing two runs that reach their answer by
 different paths:
 - a ranged `use` line gives the same stdout and exit code as one plain
   `use` line per value, for `instantiate` and `solve` in both modes;
 - `-c n=v` gives the same output as rewriting the `const` line;
 - when `check-coherence` exits 0, `compare` exits 0 (Theorem 1);
+- every engine's `solve` gives the stdout and exit code of `brute`'s,
+  where it applies;
 - `check-model` accepts every answer set that `solve` prints, in both
-  modes: it checks the one candidate, with no search.
+  modes and under both of its engines: it checks the one candidate, with
+  no search.  It rejects each with an atom of a predicate the plan never
+  names added.
 
 And three metamorphic cases, each changing the text of a case in a way
 that must not change `solve` (both modes) or `check-coherence`:
@@ -32,6 +36,8 @@ CAP = ("--cap", "40")
 SOLVES = (("solve", "--mode", "union", *CAP), ("solve", "--mode", "modular", *CAP))
 # A renaming of every predicate of `randctl` that reverses their order.
 RENAMING = {"e": "w", "p": "c", "q": "b", "r": "a"}
+# The engines each mode's `solve` compares with `brute`.
+ENGINES = {"union": ("reduct", "fixpoint"), "modular": ("reduct", "topo")}
 
 
 @pytest.fixture
@@ -85,20 +91,47 @@ def test_coherent_plans_compare_equal(cli, seed):
     assert code == 0 or not coherent, (out, case.program, case.control())
 
 
+def test_every_engine_agrees_with_brute(cli):
+    compared = dict.fromkeys(
+        ((mode, engine) for mode, engines in ENGINES.items() for engine in engines), 0
+    )
+    for seed in SEEDS:
+        case = random_case(random.Random(seed))
+        for mode, engines in ENGINES.items():
+            argv = ("solve", "--mode", mode, *CAP, "--engine")
+            brute = cli(case.program, case.control(), *argv, "brute")
+            for engine in engines:
+                got = cli(case.program, case.control(), *argv, engine)
+                if got[0] == 2:
+                    continue  # the engine does not apply to this reading
+                assert got == brute, (seed, mode, engine)
+                compared[mode, engine] += 1
+    assert min(compared.values()) >= 20, compared
+
+
 def test_check_model_accepts_each_printed_answer_set(cli):
-    verdicts = {"union": "kappa-stable model\n", "modular": "answer set\n"}
+    verdicts = {
+        "union": ("kappa-stable model\n", "not a kappa-stable model\n"),
+        "modular": ("answer set\n", "not an answer set\n"),
+    }
     checked = dict.fromkeys(verdicts, 0)
     for seed in SEEDS:
         case = random_case(random.Random(seed))
-        for mode, verdict in verdicts.items():
+        for mode, (yes, no) in verdicts.items():
             code, out = cli(case.program, case.control(), "solve", "--mode", mode, *CAP)
             if code:
                 continue  # no answer set, or a refused modular reading
             for line in out.splitlines():
-                argv = ("check-model", "--mode", mode, "--model", line)
-                assert cli(case.program, case.control(), *argv) == (0, verdict), (
-                    seed, mode, line
-                )
+                argv = ("check-model", "--mode", mode, "--engine")
+                for engine in ("reduct", "brute"):
+                    assert cli(
+                        case.program, case.control(), *argv, engine, "--model", line
+                    ) == (0, yes), (seed, mode, engine, line)
+                # `zzz` is no predicate of the plan, so no answer set holds it.
+                assert cli(
+                    case.program, case.control(), *argv, "reduct", "--model",
+                    f"{line} zzz(0)",
+                ) == (1, no), (seed, mode, line)
                 checked[mode] += 1
     assert min(checked.values()) >= len(SEEDS)
 
@@ -134,6 +167,15 @@ def _renamed(text, renaming):
     return re.sub(pattern, lambda m: renaming[m[1]] + "(", text)
 
 
+def _coherence_kinds(cli, program, control):
+    """The exit code of `check-coherence` and the sorted kinds of its
+    violations.  The report names modules by position and predicates by
+    name, which a reordering or a renaming changes: the verdict and the
+    kinds stay."""
+    code, out = cli(program, control, "check-coherence")
+    return code, sorted(line.split(":")[0] for line in out.splitlines())
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_use_line_order_changes_nothing(cli, seed):
     rng = random.Random(seed)
@@ -142,14 +184,9 @@ def test_use_line_order_changes_nothing(cli, seed):
     shuffled = _with_uses(control, lambda uses: rng.sample(uses, len(uses)))
     for argv in SOLVES:
         assert cli(case.program, control, *argv) == cli(case.program, shuffled, *argv)
-
-    def kinds(text):
-        # The report names modules by position, which the shuffle changes:
-        # the verdict and the kinds of the violations stay.
-        code, out = cli(case.program, text, "check-coherence")
-        return code, sorted(line.split(":")[0] for line in out.splitlines())
-
-    assert kinds(control) == kinds(shuffled), (control, shuffled)
+    assert _coherence_kinds(cli, case.program, control) == _coherence_kinds(
+        cli, case.program, shuffled
+    ), (control, shuffled)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -184,6 +221,6 @@ def test_renaming_predicates_renames_the_answer_sets(cli, seed):
         assert sorted(sorted(line.split()) for line in out.splitlines()) == sorted(
             sorted(_renamed(line, back).split()) for line in renamed_out.splitlines()
         ), argv
-    assert cli(program, renamed, "check-coherence")[0] == cli(
-        case.program, control, "check-coherence"
-    )[0]
+    assert _coherence_kinds(cli, program, renamed) == _coherence_kinds(
+        cli, case.program, control
+    ), (control, renamed)

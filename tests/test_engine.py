@@ -367,11 +367,12 @@ def _sweep(mask, checkers, engine):
 
 
 def _compiled_parts(universe, kappa, parts):
-    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`
-    and an index of the parts' statements."""
+    """`CompiledParts` of the program under `kappa` with one module per
+    part `(ground rules, statement)`, given `kappa`'s extensional atoms by
+    `lambda_holds`."""
+    P = ModularProgram(kappa, tuple(Module(st, Program.of(())) for _, st in parts))
     region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    patterns = PatternIndex([st for _, st in parts])
-    return CompiledParts(universe, kappa, parts, region, patterns)
+    return CompiledParts(universe, P, [rules for rules, _ in parts], region)
 
 
 def _full_base(grounded, region, cap=24):
@@ -1018,8 +1019,8 @@ class TestOutputOrder:
 
 
 def _no_parts(universe):
-    """Compiled parts over `universe` with no part, for decoding only."""
-    return CompiledParts(universe, IntensionalityStatement(), [], [], PatternIndex([]))
+    """Compiled parts over `universe` with no module, for decoding only."""
+    return CompiledParts(universe, ModularProgram(IntensionalityStatement(), ()), [], [])
 
 
 EVEN_LOOP = """

@@ -24,8 +24,13 @@ from modasp.grounding import (
     ground,
     ground_reachable,
 )
-from modasp.instantiation import collective_union, global_statement
-from modasp.intensionality import IntensionalityStatement, PatternIndex, lambda_holds
+from modasp.instantiation import (
+    Module,
+    ModularProgram,
+    collective_union,
+    global_statement,
+)
+from modasp.intensionality import IntensionalityStatement, lambda_holds
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Literal, PredAtom, Program, Rule, atom_order_key, make_rule
@@ -78,14 +83,6 @@ def assert_contract(pi, dom, seeds):
 def region_of(kappa, pi, dom):
     preds = set(pi.signature().predicates) | set(kappa.predicates())
     return extensional_region(kappa, preds, dom)
-
-
-def compiled_parts(universe, kappa, parts):
-    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`
-    and an index of the parts' statements."""
-    region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    patterns = PatternIndex([st for _, st in parts])
-    return CompiledParts(universe, kappa, parts, region, patterns)
 
 
 # --- random non-ground programs ------------------------------------------------
@@ -403,7 +400,9 @@ class TestUnionEngines:
             gp = ground(pi, dom)
             region = region_of(kappa, pi, dom)
             base = sorted(gp.heads() | region, key=atom_order_key)
-            compiled = compiled_parts(base, kappa, [(gp.rules, kappa)])
+            one = ModularProgram(kappa, (Module(kappa, pi),))
+            extensional = [atom for atom in base if not lambda_holds(kappa, atom)]
+            compiled = CompiledParts(base, one, [gp.rules], extensional)
             masks = _search(compiled.full, compiled.checkers, "brute")
             expected = set(compiled.ordered(masks).values())
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected

@@ -13,7 +13,7 @@ from modasp.engine import (
     DEFAULT_CAP,
     Interpretation,
     enumerate_kappa_stable,
-    is_stable_in_parts,
+    is_answer_set,
 )
 from modasp.errors import CapacityError, EngineError, SafetyError
 from modasp.grounding import Domain, ground, ground_reachable
@@ -475,14 +475,14 @@ class TestModularAnswerSets:
             _counted(calls, "dependency_graph", dependency_graph),
         )
         model = interp(q(0, 0), q(1, 1), q(2, 2), q(3, 3))
-        modules = [(m.pi, m.kappa) for m in P.modules]
         union = union_program(P)
+        one = ModularProgram(P.kappa, (Module(P.kappa, union),))
         check = "reduct" if engine == "topo" else engine
         runs = [
             lambda: modular_answer_sets(P, dom, engine) == {model},
             lambda: enumerate_kappa_stable(P.kappa, union, dom, check) == {model},
-            lambda: is_stable_in_parts(model, P.kappa, modules, dom, check),
-            lambda: is_stable_in_parts(model, P.kappa, [(union, P.kappa)], dom, check),
+            lambda: is_answer_set(model, P, dom, check),
+            lambda: is_answer_set(model, one, dom, check),
         ]
         for run in runs:
             calls.update(ground=0, ground_reachable=0)
@@ -673,7 +673,7 @@ class TestModularMembership:
     def assert_membership_matches(P, dom):
         import itertools
 
-        from modasp.engine import extensional_region, is_stable_in_parts
+        from modasp.engine import extensional_region
 
         base = extensional_region(P.kappa, P.signature().predicates, dom)
         for module in P.modules:
@@ -687,7 +687,6 @@ class TestModularMembership:
         ]
         atoms = sorted(base, key=str) + outside[:2]
         answer_sets = modular_answer_sets(P, dom, "brute")
-        parts = [(m.pi, m.kappa) for m in P.modules]
         members = 0
         for size in range(len(atoms) + 1):
             for combo in itertools.combinations(atoms, size):
@@ -695,7 +694,7 @@ class TestModularMembership:
                 expected = I in answer_sets
                 members += expected
                 for engine in ("brute", "reduct"):
-                    assert is_stable_in_parts(I, P.kappa, parts, dom, engine) == expected
+                    assert is_answer_set(I, P, dom, engine) == expected
         assert members == len(answer_sets)
 
     def test_random_coherent_programs(self):

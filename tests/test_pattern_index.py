@@ -14,7 +14,13 @@ import pytest
 
 import randprog
 from modasp.cli import main
-from modasp.engine import CompiledParts, _solve
+from modasp.engine import (
+    CompiledParts,
+    _solve,
+    enumerate_kappa_stable,
+    is_answer_set,
+    is_kappa_stable,
+)
 from modasp.errors import EngineError
 from modasp.grounding import Domain
 from modasp.instantiation import collective_modular, collective_union
@@ -36,6 +42,7 @@ from modasp.modular import (
     modular_answer_sets,
     strongly_connected_components,
     theorem1_check,
+    union_program,
 )
 from modasp.parsing import parse_control, parse_program
 from modasp.program import PredAtom, atom_order_key
@@ -149,14 +156,6 @@ def scan_report(P):
 
 def scan_region(statement, universe):
     return sum(1 << b for b, atom in enumerate(universe) if lambda_holds(statement, atom))
-
-
-def compiled_parts(universe, kappa, parts):
-    """`CompiledParts` given `kappa`'s extensional atoms by `lambda_holds`
-    and an index of the parts' statements."""
-    region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    patterns = PatternIndex([st for _, st in parts])
-    return CompiledParts(universe, kappa, parts, region, patterns)
 
 
 # --- random programs ---------------------------------------------------------------
@@ -283,7 +282,8 @@ class TestAgainstFullScan:
     def test_compiled_region_masks(self, corpus):
         for P, values in corpus:
             universe = universe_of(P, values)
-            compiled = compiled_parts(universe, P.kappa, [((), m.kappa) for m in P.modules])
+            region = [atom for atom in universe if not lambda_holds(P.kappa, atom)]
+            compiled = CompiledParts(universe, P, [()] * len(P.modules), region)
             full = (1 << len(universe)) - 1
             regions = [scan_region(m.kappa, universe) for m in P.modules]
             for checker, region in zip(compiled.checkers, regions):
@@ -309,12 +309,8 @@ class TestAgainstFullScan:
         assert several > 20
 
 
-def test_solving_builds_no_pattern_index(monkeypatch):
-    """Solving reads the index `P.patterns` of the module statements: once it
-    exists, `modular_answer_sets` and `theorem1_check` build no other."""
-    cases = list(solvable())
-    for P, _ in cases:
-        P.patterns
+def _built_indexes(monkeypatch):
+    """The statement lists of every `PatternIndex` built from now on."""
     built = []
     init = PatternIndex.__init__
 
@@ -323,16 +319,49 @@ def test_solving_builds_no_pattern_index(monkeypatch):
         init(self, statements)
 
     monkeypatch.setattr(PatternIndex, "__init__", counting)
+    return built
+
+
+def test_solving_builds_no_pattern_index(monkeypatch):
+    """Solving and membership read the index `P.patterns` of the module
+    statements: once it exists, `modular_answer_sets`, `theorem1_check` and
+    `is_answer_set` build no other."""
+    cases = list(solvable())
+    for P, _ in cases:
+        P.patterns
+    built = _built_indexes(monkeypatch)
+    checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the incoherent fixture warns
         for P, dom in cases:
-            modular_answer_sets(P, dom, "reduct", 64)
+            for I in modular_answer_sets(P, dom, "reduct", 64):
+                assert is_answer_set(I, P, dom, "reduct")
+                checked += len(P.modules) > 1
             theorem1_check(P, dom, "reduct", 64)
             try:
                 modular_answer_sets(P, dom, "topo", 64)
             except EngineError:
                 pass  # a cyclic module order
-    assert built == []
+    assert built == [] and checked > 20
+
+
+def test_union_reading_builds_no_pattern_index(monkeypatch, capsys):
+    """The one module of the union reading is under the global statement,
+    whose region needs no lookup: solving or checking it, in the API or in
+    the CLI, builds no pattern index."""
+    cases = [(P.kappa, union_program(P), dom) for P, dom in solvable()]
+    built = _built_indexes(monkeypatch)
+    checked = 0
+    for kappa, pi, dom in cases:
+        for I in enumerate_kappa_stable(kappa, pi, dom, "reduct", 64):
+            assert is_kappa_stable(I, kappa, pi, dom)
+            checked += 1
+    files = str(FIXTURES / "p1.lp"), "--control", str(FIXTURES / "p1.ctl")
+    model = "q(0,0) q(0,1) q(0,2) q(0,3) q(0,4)"
+    for argv in (("solve",), ("check-model", "--model", model)):
+        assert main([argv[0], *files, "--mode", "union", *argv[1:]]) == 0
+    assert model in capsys.readouterr().out
+    assert built == [] and checked > 20
 
 
 # --- call counts ---------------------------------------------------------------------
