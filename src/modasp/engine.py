@@ -15,6 +15,7 @@ every atom, so the search never branches.
 """
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, EngineError, NotIntensionalError
@@ -200,16 +201,20 @@ def extensional_region(
     predicates: Iterable[tuple[str, int]],
     dom: Domain,
 ) -> frozenset[PredAtom]:
-    """All atoms over the domain whose argument tuple no pattern matches."""
+    """All atoms over the domain whose argument tuple no pattern matches,
+    read off `kappa.table` as `lambda_holds` reads it."""
     out: set[PredAtom] = set()
     terms = dom.terms_sorted()
-    for name, arity in sorted(set(predicates)):
+    for name, arity in set(predicates):
         if kappa.is_purely_intensional((name, arity)):
             continue
+        shapes = kappa.table.get((name, arity), ())
         for combo in itertools.product(terms, repeat=arity):
-            atom = PredAtom(name, combo)
-            if not lambda_holds(kappa, atom):
-                out.add(atom)
+            for get, values in shapes:
+                if get(combo) in values:
+                    break
+            else:
+                out.add(PredAtom(name, combo))
     return frozenset(out)
 
 
@@ -242,11 +247,11 @@ class StabilityChecker:
         self.watch = watch
         self.negneg = negnegs
 
-    @classmethod
-    def joined(cls, checkers, ext_mask: int) -> "StabilityChecker":
-        """The checker of every rule of `checkers`, which share one index,
-        in order, with `ext_mask`: their rules are not compiled again."""
-        return cls([entry for c in checkers for entry in c.compiled], ext_mask)
+    def under(self, ext_mask: int) -> "StabilityChecker":
+        """This checker's rules and index, not built again, with `ext_mask`."""
+        other = object.__new__(StabilityChecker)
+        other.__dict__.update(vars(self), ext_mask=ext_mask)
+        return other
 
     def classical(self, T: int) -> bool:
         return all(head & T for _, head in self._live(T))
@@ -347,21 +352,23 @@ def _closure(
 
 
 class CompiledParts:
-    """The stability checkers of the modules of a modular program `P` over
-    one atom universe.
+    """The compiled rule tables of the modules of a modular program `P`
+    over one atom universe.
 
-    `rules[i]` holds the ground rules of module i, which gets a
-    `StabilityChecker` over one shared atom-to-bit index.  `region` holds
-    the atoms of the universe extensional under `P.kappa`, so
-    `intensional`, the atoms intensional under `P.kappa`, is the own region
-    of every module under `P.kappa` and needs no lookup.  The own region of
-    each other module is found through `P.patterns`, which is read only
-    when some module is not under `P.kappa`: each atom is looked up once,
-    and `lambda_holds` decides only the modules it returns.
-    `allowed` holds every atom but the intensional ones that lie in no
-    module's region, which the closure condition makes false.  Bit i stands
-    for atom i of the universe; the solvers sort it by `atom_order_key`, so
-    that `ordered` comes out in output order.
+    `rules[i]` holds the ground rules of module i, compiled into
+    `tables[i]` over one shared atom-to-bit index; `ext_masks[i]` holds the
+    atoms outside module i's own region.  `region` holds the atoms of the
+    universe extensional under `P.kappa`, so `intensional`, the atoms
+    intensional under `P.kappa`, is the own region of every module under
+    `P.kappa` and needs no lookup.  The own regions of the other modules
+    come from the exact lookup `P.patterns.holding`, which is read only
+    when some module is not under `P.kappa`, once per atom.  `allowed` holds every
+    atom but the intensional ones that lie in no module's region, which
+    the closure condition makes false.  Bit i stands for atom i of the
+    universe; the solvers sort it by `atom_order_key`, so that `ordered`
+    comes out in output order.  `checkers` (whole modules, for a given
+    candidate) and `split` (by component, for the search) are built on
+    first use.
     """
 
     def __init__(
@@ -378,25 +385,41 @@ class CompiledParts:
         for atom in region:
             extensional |= index[atom]
         self.intensional = self.full & ~extensional
-        statements = [m.kappa for m in P.modules]
-        looked_up = [st != P.kappa for st in statements]
-        regions = [0 if other else self.intensional for other in looked_up]
-        if any(looked_up):
-            patterns = P.patterns
-            for atom, bit in index.items():
-                for s in dict.fromkeys(
-                    s for s, _ in patterns.candidates(atom.pred, atom.args)
-                ):
-                    if looked_up[s] and lambda_holds(statements[s], atom):
-                        regions[s] |= bit
-        self.checkers = [
-            StabilityChecker(_compile(table, index), self.full & ~own)
-            for table, own in zip(rules, regions)
+        looked_up = 0  # bit i for module i not under `P.kappa`
+        for i, m in enumerate(P.modules):
+            looked_up |= (m.kappa != P.kappa) << i
+        regions = [
+            0 if looked_up >> i & 1 else self.intensional
+            for i in range(len(P.modules))
         ]
+        if looked_up:
+            holding = P.patterns.holding
+            for atom, bit in index.items():
+                found = holding(atom) & looked_up
+                while found:
+                    low = found & -found
+                    regions[low.bit_length() - 1] |= bit
+                    found ^= low
+        self.tables = [_compile(table, index) for table in rules]
+        self.ext_masks = [self.full & ~own for own in regions]
         defined = 0
         for own in regions:
             defined |= own
         self.allowed = self.full & ~(self.intensional & ~defined)
+
+    @cached_property
+    def checkers(self) -> list[StabilityChecker]:
+        """One `StabilityChecker` per module, over the whole universe."""
+        return [StabilityChecker(t, e) for t, e in zip(self.tables, self.ext_masks)]
+
+    @cached_property
+    def split(self) -> tuple[list, int]:
+        """The components of the module tables over the whole universe
+        (`_split`), each forward table under `P.kappa`'s extensional atoms:
+        the modular search and the union reading search the same parts."""
+        return _split(
+            self.full, self.tables, self.ext_masks, self.full & ~self.intensional
+        )
 
     def interpretations(self, masks: Iterable[int]) -> frozenset[Interpretation]:
         """The interpretation of each mask of `masks`, in no order."""
@@ -547,43 +570,31 @@ def least_model(rules: Iterable[GroundRule]) -> frozenset[PredAtom]:
     return frozenset(derived)
 
 
-def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
-    """Every subset of `mask` that all `checkers` accept (`check` with
-    `engine`); atoms outside `mask` stay false.
+def _split(
+    mask: int,
+    tables: Sequence[list[tuple[int, int, int, int]]],
+    ext_masks: Sequence[int],
+    ext_mask: int,
+) -> tuple[list[tuple[int, list[StabilityChecker], StabilityChecker]], int]:
+    """The connected components of the rule `tables` over the atoms of
+    `mask`, as `(parts, unmentioned)`, for `_search`.
 
-    Each independent part of the program is searched once, and the answers
-    are the product of the parts' answers (splitting: Lifschitz & Turner,
-    ICLP 1994; Oikarinen & Janhunen, TPLP 2008).  Two atoms of `mask` lie
-    in one component when a rule of some checker mentions both; a rule's
-    atoms outside `mask`, a constraint's head among them, are false in
-    every candidate and join nothing.  Let `T` be a candidate and `T_k`
-    its atoms in component k.  Every test of `check` decomposes:
-    * classical satisfaction is a conjunction over rules, and each rule
-      reads the atoms of one component, or none of `mask`;
-    * the least model of the reduct from `T`'s extensional atoms is the
-      union over components of the least model of its rules from `T_k`'s,
-      since a rule derives its head from atoms of its own component, and
-      an atom that no rule mentions lies in it exactly when it is
-      extensional (the unfounded step of `_propagate` splits the same way);
-    * under `minimal_brute`, a proper closed here-world of one `T_k`, with
-      the rest of a classical model `T` added, stays closed under the rules
-      of the other components live at `T`, whose heads lie in `T`; and a
-      proper closed here-world of `T` is proper in some component.
-    So `T` is accepted exactly when each `T_k` is accepted over the
-    checkers' rules of component k, and each atom of `T` that no rule
-    mentions is extensional in every checker.  Such atoms need no search:
-    each doubles the answers; the others are false.  The rules that touch
-    no atom of `mask` read only false atoms: they form the empty part,
-    which joins the first component, or is searched over mask 0 when there
-    is none, so that a constraint that always fires still removes every
-    answer.  Components are taken in the order of their lowest bit, so the
-    answers do not depend on the order of the rules; a lone component is
-    searched with the checkers themselves.  `_branch` searches each part,
-    so the refusal of `brute` at a leaf counts one component's atoms.
+    Two atoms of `mask` lie in one component when a rule of some table
+    mentions both; a rule's atoms outside `mask`, a constraint's head among
+    them, join nothing.  Each part is `(atoms, checkers, forward)`: the
+    component's atoms; a `StabilityChecker` for each table over its rules
+    in the component, with the table's mask of `ext_masks`, but none for a
+    table with no rule there and no own atom among `atoms`, which accepts
+    every candidate; and `forward`, the checker of all those rules, table
+    after table, under `ext_mask`, which shares the rules and index of the
+    one checker with rules when there is one.  The rules that touch no atom
+    of `mask` form the empty part, which joins the first component, or has
+    atoms 0 when there is none.  Parts come in the order of their lowest
+    atom, so they do not depend on the order of the rules.  `unmentioned`
+    holds the atoms of `mask` that no rule mentions.
     """
     # Union-find over the bit positions of `mask`: the atoms of a rule join
-    # the one at its highest position.  `mentioned` holds the atoms of some
-    # rule.
+    # the one at its highest position.
     parent = list(range(mask.bit_length()))
 
     def find(i: int) -> int:
@@ -592,21 +603,17 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
         return i
 
     mentioned = 0
-    for c in checkers:
-        for head, pos, neg, negneg in c.compiled:
+    for table in tables:
+        for head, pos, neg, negneg in table:
             m = (head | pos | neg | negneg) & mask
-            if m:
-                mentioned |= m
-                top = m.bit_length() - 1
-                root = find(top)
-                m ^= 1 << top
+            mentioned |= m
+            if m & (m - 1):  # two atoms or more
+                root = find(m.bit_length() - 1)
                 while m:
                     i = m.bit_length() - 1
                     m ^= 1 << i
-                    i = find(i)
-                    if i != root:
-                        parent[i] = root
-    # Each component's mask, under its root, in the order of its lowest bit.
+                    parent[find(i)] = root
+    # Each component's atoms, under its root, in the order of its lowest bit.
     members: dict[int, int] = {}
     m = mentioned
     while m:
@@ -614,31 +621,76 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
         m ^= bit
         root = find(bit.bit_length() - 1)
         members[root] = members.get(root, 0) | bit
-    parts = list(members.values()) or [0]
-    if len(parts) == 1:
-        sliced = [checkers]
+    atoms = list(members.values()) or [0]
+    if len(atoms) == 1:
+        rows = [tables]
     else:
-        # Each checker's rules by component, the empty part's in the first.
+        # Each table's rules by component, the empty part's in the first.
         part_of = {root: k for k, root in enumerate(members)}
-        tables = [[[] for _ in checkers] for _ in parts]
-        for j, c in enumerate(checkers):
-            for entry in c.compiled:
+        rows = [[[] for _ in tables] for _ in atoms]
+        for j, table in enumerate(tables):
+            for entry in table:
                 m = (entry[0] | entry[1] | entry[2] | entry[3]) & mask
                 k = part_of[find(m.bit_length() - 1)] if m else 0
-                tables[k][j].append(entry)
-        sliced = [
-            [StabilityChecker(t, c.ext_mask) for t, c in zip(row, checkers)]
-            for row in tables
+                rows[k][j].append(entry)
+    parts = []
+    for part, row in zip(atoms, rows):
+        checkers = [
+            StabilityChecker(t, e) for t, e in zip(row, ext_masks) if t or part & ~e
         ]
+        ruled = [c for c in checkers if c.compiled]
+        if len(ruled) == 1:
+            forward = ruled[0].under(ext_mask)
+        else:
+            forward = StabilityChecker([entry for t in row for entry in t], ext_mask)
+        parts.append((part, checkers, forward))
+    return parts, mask & ~mentioned
+
+
+def _search(
+    mask: int,
+    parts: Sequence[tuple[int, Sequence[StabilityChecker], StabilityChecker]],
+    free: int,
+    engine: str,
+) -> list[int]:
+    """Every subset of `mask` that all checkers of a part accept (`check`
+    with `engine`); atoms outside `mask` stay false.  `parts` is a `_split`
+    of tables over some superset of `mask`, or that split with each part's
+    checkers replaced by its forward table; `free` holds the atoms that no
+    rule mentions and that every table (or every forward table) holds
+    extensional.
+
+    Each part is searched once over its atoms in `mask`, and the answers
+    are the product of the parts' answers (splitting: Lifschitz & Turner,
+    ICLP 1994; Oikarinen & Janhunen, TPLP 2008).  Let `T` be a candidate
+    and `T_k` its atoms in part k.  Every test of `check` decomposes:
+    * classical satisfaction is a conjunction over rules, and each rule
+      reads the atoms of one part, or none of the split's mask;
+    * the least model of the reduct from `T`'s extensional atoms is the
+      union over parts of the least model of its rules from `T_k`'s, since
+      a rule derives its head from atoms of its own part, and an atom that
+      no rule mentions lies in it exactly when it is extensional (the
+      unfounded step of `_propagate` splits the same way);
+    * under `minimal_brute`, a proper closed here-world of one `T_k`, with
+      the rest of a classical model `T` added, stays closed under the rules
+      of the other parts live at `T`, whose heads lie in `T`; and a proper
+      closed here-world of `T` is proper in some part.
+    So `T` is accepted exactly when each `T_k` is accepted by the checkers
+    of part k, and each atom of `T` that no rule mentions is extensional in
+    every table: such atoms, `free`, need no search, each doubles the
+    answers, and the others are false.  A split over a superset of `mask`
+    is at most coarser than one over `mask`, which the argument allows.
+    The empty part reads only false atoms, so that a constraint that
+    always fires still removes every answer.  `_branch` searches each part,
+    so the refusal of `brute` at a leaf counts one part's atoms.
+    """
     found = [0]
-    for part, part_checkers in zip(parts, sliced):
-        answers = _branch(part, part_checkers, engine)
+    for part, checkers, forward in parts:
+        answers = _branch(part & mask, checkers, forward, engine)
         found = [a | b for a in found for b in answers]
         if not found:
             return found
-    free = mask & ~mentioned
-    for c in checkers:
-        free &= c.ext_mask
+    free &= mask
     while free:
         bit = free & -free
         free ^= bit
@@ -646,33 +698,36 @@ def _search(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> lis
     return found
 
 
-def _branch(mask: int, checkers: Sequence[StabilityChecker], engine: str) -> list[int]:
+def _branch(
+    mask: int,
+    checkers: Sequence[StabilityChecker],
+    forward: StabilityChecker,
+    engine: str,
+) -> list[int]:
     """Every subset of `mask` that all `checkers` accept (`check` with
     `engine`), found depth-first; atoms outside `mask` stay false.
+    `forward` holds the rules of all `checkers` (`_split`).
 
     The atoms of `mask` start open.  Each node runs `_propagate`, whose
-    forward step runs over the join of `checkers` (a lone checker is its
-    own), then branches on an open choice (an atom outside every checker's
-    own region) if there is one, else on the lowest open atom.  At a total
-    assignment propagation has made `T` a classical model of every checker,
-    so only the leaf minimality test is left: `minimal_brute` under
-    `brute`, which first refuses a walk past `DEFAULT_CAP` atoms, and
-    `minimal_reduct` under every other engine.  Classical satisfaction and
-    completeness rest on `_propagate`.  Under `brute` the leaf test is an
-    independent subset walk.  Under the other engines it repeats a call: the
-    last round of `_propagate` ran `_closure(T & ext_mask, compiled, watch,
-    T, T)`, which is `minimal_reduct(T)`, for each checker with an own atom,
-    and for the others the test holds trivially; no test run has seen it
-    reject a leaf.  It stays for when propagation is incremental and no
-    longer ends in that call.
+    forward step runs over `forward`, then branches on an open choice (an
+    atom outside every checker's own region) if there is one, else on the
+    lowest open atom.  At a total assignment propagation has made `T` a
+    classical model of every checker, so only the leaf minimality test is
+    left: `minimal_brute` under `brute`, which first refuses a walk past
+    `DEFAULT_CAP` atoms, and `minimal_reduct` under every other engine.
+    Classical satisfaction and completeness rest on `_propagate`.  Under
+    `brute` the leaf test is an independent subset walk.  Under the other
+    engines it repeats a call: the last round of `_propagate` ran
+    `_closure(T & ext_mask, compiled, watch, T, T)`, which is
+    `minimal_reduct(T)`, for each checker with an own atom, and for the
+    others the test holds trivially; no test run has seen it reject a
+    leaf.  It stays so that the answers do not rest on the propagator
+    alone, and for when propagation is incremental and no longer ends in
+    that call.
     """
     choices = mask
     for c in checkers:
         choices &= c.ext_mask
-    if len(checkers) == 1:
-        forward = checkers[0]  # `_propagate` reads only its rules and index
-    else:
-        forward = StabilityChecker.joined(checkers, choices)
     leaves = [
         c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
     ]
@@ -780,7 +835,12 @@ def _solve(
     some module's region.  Every solving path calls this; a program `pi`
     under `kappa` alone is the one-module program `ModularProgram(kappa,
     (Module(kappa, pi),))`, whose closure condition always holds.  The
-    checkers of `compiled` hold the only compiled form of the ground rules.
+    tables of `compiled` hold the only compiled form of the ground rules,
+    and `compiled.split`, made once over the whole base, serves this search
+    and the union reading of `theorem1_check`.  The search runs each part
+    over its atoms in `allowed`; the split is coarser than one over
+    `allowed` only where a base atom lies outside it, a head of a module
+    that is not simple, so only on an incoherent program.
 
     Every engine's refusals sit here, in this order: `topo` refuses with
     `P.analysis.topo_refusal` (an incoherent program, then a cyclic module
@@ -842,7 +902,10 @@ def _solve(
     compiled = CompiledParts(
         sorted(base, key=atom_order_key), P, [gp.rules for gp in grounded], region
     )
-    return compiled, _search(compiled.allowed, compiled.checkers, engine)
+    parts, free = compiled.split
+    for ext_mask in compiled.ext_masks:
+        free &= ext_mask
+    return compiled, _search(compiled.allowed, parts, free, engine)
 
 
 # --- support (derivability) -------------------------------------------------------

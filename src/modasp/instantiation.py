@@ -163,11 +163,13 @@ class ModularProgram(Value):
     """A global intensionality statement with a list of modules.
 
     Construction checks that every module pattern is subsumed by a global
-    pattern, so each atom defined in a module is intensional globally.  The
-    signature, the index of the module patterns and the analysis that
-    solving reads are built on first use and kept.  They are syntactic:
-    nothing kept depends on a domain, and each call that solves grounds,
-    compiles and searches afresh.
+    pattern, so each atom defined in a module is intensional globally.  A
+    program keeps what it builds on first use: its predicates, the index of
+    the module patterns with the exact lookup of their regions
+    (`patterns`) and the analysis that solving reads (`analysis`); a
+    statement keeps its own `table` once λ is read from it.  All of it is
+    syntactic: nothing kept depends on a domain, and each call that solves
+    grounds, compiles and searches afresh.
     """
 
     kappa: IntensionalityStatement

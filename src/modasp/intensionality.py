@@ -8,7 +8,9 @@ constraints at the non-variable positions; the extensional axioms turn
 every tuple outside that formula into an unconditional choice.
 """
 
+from bisect import bisect_left
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PatternError, RequirementError, UnboundPlaceholderError
@@ -96,6 +98,39 @@ def _canonical_entries(
     return tuple(sorted(out))
 
 
+def _shapes(patterns: Sequence[Pattern]) -> Optional[tuple]:
+    """None when some pattern has a variable at every position (arity 0
+    included): the predicate is open.  Otherwise, for each tuple of ground
+    positions some pattern has, `(get, values)`: `get` is the `itemgetter`
+    of those positions (`_getter`) and `values` the tuple of what the
+    patterns of that shape hold there (a term at one position, a tuple at
+    several).  An atom lies in the region exactly when the predicate is
+    open or `get(args) in values` for some shape."""
+    groups: dict[tuple[int, ...], dict] = {}  # values in order, once each
+    for u in patterns:
+        positions = tuple(k for k, e in enumerate(u) if not isinstance(e, Variable))
+        if not positions:
+            return None
+        value = tuple(u[k] for k in positions)
+        groups.setdefault(positions, {})[value[0] if len(value) == 1 else value] = 0
+    return tuple(
+        (_getter(positions), tuple(values)) for positions, values in groups.items()
+    )
+
+
+_GETTERS: dict[tuple[int, ...], itemgetter] = {}
+_PREDICATE = itemgetter(0)  # of an entry `(predicate, patterns)`
+
+
+def _getter(positions: tuple[int, ...]) -> itemgetter:
+    """The one `itemgetter` of `positions`, which every table shares, so
+    that a shape is known by its getter."""
+    get = _GETTERS.get(positions)
+    if get is None:
+        get = _GETTERS[positions] = itemgetter(*positions)
+    return get
+
+
 class _PatternTable:
     """Validation and lookups shared by plain and parametric statements over
     their `entries`, whose predicates are distinct (`_canonical_entries`)."""
@@ -107,12 +142,13 @@ class _PatternTable:
             for p in patterns:
                 validate_pattern(p, self.placeholders)
 
-    @cached_property
-    def _table(self) -> dict[PredKey, tuple[Pattern, ...]]:
-        return dict(self.entries)
-
     def patterns_for(self, key: PredKey) -> tuple[Pattern, ...]:
-        return self._table.get(key, ())
+        """The patterns of `key`, found by bisection: `entries` are sorted
+        by predicate (`_canonical_entries`)."""
+        i = bisect_left(self.entries, key, key=_PREDICATE)
+        if i < len(self.entries) and self.entries[i][0] == key:
+            return self.entries[i][1]
+        return ()
 
 
 class IntensionalityStatement(_PatternTable, Value):
@@ -138,10 +174,15 @@ class IntensionalityStatement(_PatternTable, Value):
     def predicates(self) -> tuple[PredKey, ...]:
         return tuple(k for k, _ in self.entries)
 
+    @cached_property
+    def table(self) -> dict[PredKey, Optional[tuple]]:
+        """Per predicate with patterns, its `_shapes`: None when it is open,
+        else its shapes.  `lambda_holds`, `is_purely_intensional` and
+        `engine.extensional_region` read it."""
+        return {pred: _shapes(patterns) for pred, patterns in self.entries}
+
     def is_purely_intensional(self, key: PredKey) -> bool:
-        return any(
-            all(isinstance(e, Variable) for e in p) for p in self.patterns_for(key)
-        )
+        return self.table.get(key, ()) is None
 
     def __str__(self):
         parts = []
@@ -252,15 +293,14 @@ def lambda_holds(kappa: IntensionalityStatement, atom: PredAtom) -> bool:
 
     Ground pattern positions must equal the argument exactly; variable
     positions are unconstrained.  Equals classical satisfaction of the
-    membership formula at the argument tuple.
+    membership formula at the argument tuple; read off `kappa.table`, one
+    membership test per shape.
     """
-    for pattern in kappa.patterns_for(atom.pred):
-        for elem, arg in zip(pattern, atom.args):
-            if not isinstance(elem, Variable) and elem != arg:
-                break
-        else:
-            return True
-    return False
+    shapes = kappa.table.get(atom.pred, ())
+    if shapes is None:
+        return True
+    args = atom.args
+    return any(get(args) in values for get, values in shapes)
 
 
 class ExtensionalAxiom(Value):
@@ -425,9 +465,12 @@ class PatternIndex:
     of the simplified `args[k]` when that is precomputed and every pattern
     filed at k when it is not, plus the all-variable patterns.  A pattern
     left out holds a precomputed value at k that differs from a precomputed
-    `args[k]`, so it fails `lambda_holds`, `may_share_instance` and
-    `patterns_unify` alike: the index is a prefilter only, and callers still
-    decide each candidate.
+    `args[k]`, so it fails `may_share_instance` and `patterns_unify` alike:
+    the index is a prefilter only, and callers still decide each candidate.
+
+    Ground atoms need no prefilter: `holding(atom)` decides their regions
+    exactly, from the statements' shapes merged into one lookup keyed by
+    predicate, shape (its getter) and value, built on first use.
     """
 
     def __init__(self, statements: Sequence[IntensionalityStatement]):
@@ -449,6 +492,31 @@ class PatternIndex:
         self._positions: dict[PredKey, list[int]] = {}
         for pred, k in sorted(self._at):
             self._positions.setdefault(pred, []).append(k)
+        self._statements = statements
+
+    @cached_property
+    def _held(self) -> dict[PredKey, tuple[int, tuple]]:
+        """The exact lookup behind `holding`, built on its first call: per
+        predicate, the mask of the statements open on it (bit s for
+        statement s) and, for each shape, its getter and the mask of the
+        statements holding each value there (`_shapes`, not kept on the
+        statements)."""
+        by_pred: dict[PredKey, list] = {}
+        for s, statement in enumerate(self._statements):
+            for pred, patterns in statement.entries:
+                entry = by_pred.setdefault(pred, [0, {}])
+                shapes = _shapes(patterns)
+                if shapes is None:
+                    entry[0] |= 1 << s
+                    continue
+                for get, values in shapes:
+                    at = entry[1].setdefault(get, {})
+                    for value in values:
+                        at[value] = at.get(value, 0) | 1 << s
+        return {
+            pred: (opened, tuple(shaped.items()))
+            for pred, (opened, shaped) in by_pred.items()
+        }
 
     def candidates(
         self, pred: PredKey, args: Sequence[Term]
@@ -464,6 +532,18 @@ class PatternIndex:
                 found += self._at[(pred, k)]
         found.sort()  # (statement, rank) is unique, so patterns never compare
         return [(s, u) for s, _, u in found]
+
+    def holding(self, atom: PredAtom) -> int:
+        """The mask of the statements whose region holds the ground `atom`
+        (`lambda_holds`), bit s for statement s."""
+        entry = self._held.get(atom.pred)
+        if entry is None:
+            return 0
+        found, shapes = entry
+        args = atom.args
+        for get, at in shapes:
+            found |= at.get(get(args), 0)
+        return found
 
 
 def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:

@@ -11,7 +11,6 @@ from .engine import (
     DEFAULT_CAP,
     CompiledParts,
     Interpretation,
-    StabilityChecker,
     _require_engine,
     _search,
     _solve,
@@ -451,10 +450,13 @@ def _theorem1_masks(
     answer sets and the stable models of the rule union under the global
     statement, with the refusals of `theorem1_check` but not its warning.
 
-    Both readings share one grounding of each module and one atom base,
-    the modular relevant base.  The union reading is the join of the module
-    checkers (`StabilityChecker.joined`) under the global statement, so no
-    ground rule is compiled twice.  That is exact.  The modular seeds
+    Both readings share one grounding of each module, one atom base, the
+    modular relevant base, and one split of the module tables into
+    components (`CompiledParts.split`).  The union reading searches each
+    part with one checker, the part's forward table: the rules of every
+    module in the part under the extensional atoms of the global
+    statement, so no ground rule is compiled twice and no component is
+    found twice.  That is exact.  The modular seeds
     contain those of the union solved alone as a one-module program
     (`enumerate_kappa_stable`), which are its extensional region: both
     extensional regions range over the same predicates, because every
@@ -469,7 +471,7 @@ def _theorem1_masks(
     """
     _require_engine(engine, MODULAR_ENGINES)
     compiled, modular = _solve(P, dom, engine, cap)
-    union = StabilityChecker.joined(
-        compiled.checkers, compiled.full & ~compiled.intensional
-    )
-    return compiled, modular, _search(compiled.full, [union], engine)
+    parts, unmentioned = compiled.split
+    union = [(atoms, [forward], forward) for atoms, _, forward in parts]
+    free = unmentioned & ~compiled.intensional
+    return compiled, modular, _search(compiled.full, union, free, engine)

@@ -39,7 +39,7 @@ MUTANTS = (
     # The search (`engine.py`).
     Mutant(
         "search-drops-empty-part", "engine.py",
-        "parts = list(members.values()) or [0]", "parts = list(members.values())",
+        "atoms = list(members.values()) or [0]", "atoms = list(members.values())",
         (
             "tests/test_engine.py::TestSearch::test_empty_block_mask_checks_the_partial",
             "tests/test_engine.py::TestSearch::test_modular_parts_match_sweep",
@@ -47,7 +47,7 @@ MUTANTS = (
     ),
     Mutant(
         "search-lets-rule-free-own-atoms-be-true", "engine.py",
-        "free &= c.ext_mask", "free &= free",
+        "        free &= ext_mask\n", "        free &= free\n",
         (
             "tests/test_engine.py::TestSearch::test_blocks_match_plain_sweep",
             "tests/test_control_text.py::test_check_model_accepts_each_printed_answer_set",
@@ -155,17 +155,27 @@ MUTANTS = (
     ),
     Mutant(
         "module-regions-shifted-by-one", "engine.py",
-        "regions[s] |= bit", "regions[s - 1] |= bit",
+        "regions[low.bit_length() - 1] |= bit",
+        "regions[low.bit_length() - 2] |= bit",
         (
             "tests/test_pattern_index.py::TestAgainstFullScan::test_solved_region_masks",
         ),
     ),
     Mutant(
-        "regions-read-patterns-under-kappa", "engine.py",
-        "if any(looked_up):\n            patterns = P.patterns",
-        "patterns = P.patterns\n        if any(looked_up):",
+        "regions-looked-up-under-kappa", "engine.py",
+        "if looked_up:\n            holding = P.patterns.holding",
+        "holding = P.patterns.holding\n        if looked_up:",
         (
             "tests/test_pattern_index.py::test_union_reading_builds_no_pattern_index",
+        ),
+    ),
+    Mutant(
+        "union-reading-under-a-module-mask", "engine.py",
+        "self.full, self.tables, self.ext_masks, self.full & ~self.intensional",
+        "self.full, self.tables, self.ext_masks, self.ext_masks[-1]",
+        (
+            "tests/test_engine.py::TestForwardTables::test_forward_tables_partition_the_concatenated_rules",
+            "tests/test_modular.py::TestOneCompile::test_random_coherent_programs",
         ),
     ),
     Mutant(
@@ -285,6 +295,23 @@ MUTANTS = (
         (
             "tests/test_intensionality.py::TestCheckRequirement::test_uncovered_pattern_reported",
             "tests/test_intensionality.py::TestCheckRequirement::test_other_modules_keep_their_index",
+        ),
+    ),
+    Mutant(
+        "table-drops-a-shape-group", "intensionality.py",
+        "for positions, values in groups.items()\n",
+        "for positions, values in list(groups.items())[1:]\n",
+        (
+            "tests/test_intensionality.py::TestTableLookup::test_lambda_holds_is_the_formula",
+            "tests/test_intensionality.py::TestTableLookup::test_extensional_region_is_a_product_scan",
+        ),
+    ),
+    Mutant(
+        "region-lookup-skips-open-predicates", "intensionality.py",
+        "entry[0] |= 1 << s", "pass",
+        (
+            "tests/test_pattern_index.py::TestAgainstFullScan::test_compiled_region_masks",
+            "tests/test_pattern_index.py::TestAgainstFullScan::test_solved_region_masks",
         ),
     ),
     Mutant(

@@ -14,6 +14,7 @@ from modasp.engine import (
     _output_order,
     _search,
     _solve,
+    _split,
     check_support,
     classical_satisfies,
     enumerate_kappa_stable,
@@ -356,6 +357,18 @@ class TestReferenceAgreement:
         assert compared > 200
 
 
+def _search_checkers(mask, checkers, engine):
+    """The search of `checkers` over `mask` as `_solve` runs it: one
+    `_split` of their tables over `mask`, then `_search` with the atoms
+    that no rule mentions and every checker holds extensional."""
+    tables = [c.compiled for c in checkers]
+    ext_masks = [c.ext_mask for c in checkers]
+    parts, free = _split(mask, tables, ext_masks, mask)
+    for ext_mask in ext_masks:
+        free &= ext_mask
+    return _search(mask, parts, free, engine)
+
+
 def _sweep(mask, checkers, engine):
     """The reference for `_search`: every subset of `mask` that all
     `checkers` accept (`check`), found by trying all of `range(1 << n)`."""
@@ -561,7 +574,7 @@ class TestSearch:
                 sweep = {
                     T for T in range(1 << len(base)) if checker.check(T, engine)
                 }
-                one_block = _search(full, [checker], engine)
+                one_block = _search_checkers(full, [checker], engine)
                 assert sorted(one_block) == sorted(sweep)
 
     def test_modular_parts_match_sweep(self):
@@ -577,10 +590,19 @@ class TestSearch:
         for compiled in parts:
             block = compiled.allowed, compiled.checkers
             multi += len(compiled.checkers) > 1
+            # As `_solve` searches: split over the whole base, searched over
+            # `allowed`.
+            split, free = compiled.split
+            for ext_mask in compiled.ext_masks:
+                free &= ext_mask
             for engine in self.ENGINES:
-                found = _search(*block, engine)
-                assert len(found) == len(set(found))
-                assert set(found) == _sweep(*block, engine)
+                swept = _sweep(*block, engine)
+                for found in (
+                    _search_checkers(*block, engine),
+                    _search(compiled.allowed, split, free, engine),
+                ):
+                    assert len(found) == len(set(found))
+                    assert set(found) == swept
         assert multi >= 20
 
     def test_rule_order_changes_nothing(self):
@@ -610,7 +632,7 @@ class TestSearch:
             multi += len(P.modules) > 1
             for engine in self.ENGINES:
                 forward, backward = (
-                    _search(c.allowed, c.checkers, engine) for c in orders
+                    _search_checkers(c.allowed, c.checkers, engine) for c in orders
                 )
                 assert forward == backward
                 several += len(forward) > 1
@@ -653,7 +675,8 @@ class TestSearch:
             block = compiled.allowed, compiled.checkers
             multi += len(compiled.checkers) > 1
             for engine in self.ENGINES:
-                assert sorted(_search(*block, engine)) == sorted(_sweep(*block, engine))
+                found = _search_checkers(*block, engine)
+                assert sorted(found) == sorted(_sweep(*block, engine))
         assert multi >= 10
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -661,13 +684,13 @@ class TestSearch:
         # p :- p.  {p} is a classical model; only minimality rejects it.
         checker = _hand_checker([GroundRule(P0, (P0,))], [P0], [P0])
         assert checker.classical(1) and not checker.check(1, engine)
-        assert _search(1, [checker], engine) == [0]
+        assert _search_checkers(1, [checker], engine) == [0]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_double_negation_keeps_both(self, engine):
         # p :- not not p.  Both {} and {p} are stable.
         checker = _hand_checker([GroundRule(P0, negneg=(P0,))], [P0], [P0])
-        assert sorted(_search(1, [checker], engine)) == [0, 1]
+        assert sorted(_search_checkers(1, [checker], engine)) == [0, 1]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_derived_atom_fires_its_double_negation(self, engine):
@@ -680,7 +703,7 @@ class TestSearch:
             GroundRule(a, (b,)), GroundRule(h, negneg=(a,)), GroundRule(b, negneg=(b,))
         ]
         checker = _hand_checker(rules, [h, b, a], [h, b, a])
-        assert sorted(_search(0b111, [checker], engine)) == [0, 0b111]
+        assert sorted(_search_checkers(0b111, [checker], engine)) == [0, 0b111]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_head_outside_index_is_a_constraint(self, engine):
@@ -689,18 +712,18 @@ class TestSearch:
         # bit above the one atom of the index.
         checker = _hand_checker([GroundRule(Q0, (P0,))], [P0], [])
         assert checker.compiled == [(2, 1, 0, 0)]
-        assert _search(1, [checker], engine) == [0]
+        assert _search_checkers(1, [checker], engine) == [0]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_block_mask_checks_the_partial(self, engine):
         # p.  over {p}: with an empty mask only the empty candidate is
         # checked, and it fails.
         checker = _hand_checker([GroundRule(P0)], [P0], [P0])
-        assert _search(0, [checker], engine) == []
+        assert _search_checkers(0, [checker], engine) == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_block_without_checkers_keeps_every_subset(self, engine):
-        assert sorted(_search(0b1011, [], engine)) == [
+        assert sorted(_search_checkers(0b1011, [], engine)) == [
             0, 1, 2, 3, 8, 9, 10, 11,
         ]
 
@@ -745,7 +768,7 @@ class TestSplit:
             checkers = compiled.checkers
             swept = _sweep(mask, checkers, "brute")
             for engine in self.ENGINES:
-                found = _search(mask, checkers, engine)
+                found = _search_checkers(mask, checkers, engine)
                 assert len(found) == len(set(found))
                 assert set(found) == swept
             components = _components(mask, checkers)
@@ -779,7 +802,7 @@ class TestSplit:
         ]:
             for rules in (choose + list(empty), list(empty) + choose):
                 checker = _hand_checker(rules, [p, q, r], [p, q, r])
-                assert sorted(_search(0b011, [checker], engine)) == answers
+                assert sorted(_search_checkers(0b011, [checker], engine)) == answers
 
     def test_split_unsat_propagations_grow_linearly(self, monkeypatch):
         # The core a, b has no answer set; each p(X), s(X) is a component of
@@ -842,11 +865,13 @@ class TestKappaRegion:
         assert union >= 20 and modular >= 20
 
 
-class TestJoin:
-    """The join of the module checkers is the checker of the concatenated
-    module ground rules, so the union reading compiles no rule again."""
+class TestForwardTables:
+    """The forward tables of the split of the module tables hold every
+    compiled module rule once, in module order within each part, under the
+    global statement's extensional atoms: the union reading searches them
+    and compiles no rule again."""
 
-    def test_join_equals_checker_of_concatenated_rules(self):
+    def test_forward_tables_partition_the_concatenated_rules(self):
         import randprog
 
         rng = random.Random(37)
@@ -854,7 +879,7 @@ class TestJoin:
         while len(cases) < 60:
             P = randprog.random_pattern_program(rng)
             cases.append((P, Domain.build([m.pi for m in P.modules], 0, 1)))
-        checked = multi = constraints = 0
+        checked = multi = constraints = several = 0
         for P, dom in cases:
             try:
                 grounded = [ground(m.pi, dom) for m in P.modules]
@@ -865,17 +890,25 @@ class TestJoin:
             parts = [(gp.rules, m.kappa) for gp, m in zip(grounded, P.modules)]
             compiled = _compiled_parts(base, P.kappa, parts)
             ext_mask = compiled.full & ~compiled.intensional
-            joined = StabilityChecker.joined(compiled.checkers, ext_mask)
             index = {atom: 1 << i for i, atom in enumerate(base)}
             rules = [rule for gp in grounded for rule in gp.rules]
-            alone = StabilityChecker(_compile(rules, index), ext_mask)
-            assert joined.compiled == alone.compiled
-            assert joined.watch == alone.watch
-            assert joined.ext_mask == ext_mask
+            alone = _compile(rules, index)
+            split, _ = compiled.split
+
+            def part_of(entry):
+                m = (entry[0] | entry[1] | entry[2] | entry[3]) & compiled.full
+                parts = (k for k, (atoms, _, _) in enumerate(split) if atoms & m)
+                return next(parts, 0)
+
+            for k, (_, _, forward) in enumerate(split):
+                assert forward.compiled == [e for e in alone if part_of(e) == k]
+                assert forward.ext_mask == ext_mask
+                assert (forward.watch, forward.negneg) == _scanned_index(forward)
             checked += 1
             multi += len(compiled.checkers) > 1
-            constraints += any(e[0] == 1 << len(base) for e in joined.compiled)
-        assert checked >= 30 and multi >= 20 and constraints >= 10
+            several += len(split) > 1
+            constraints += any(e[0] == 1 << len(base) for e in alone)
+        assert checked >= 30 and multi >= 20 and constraints >= 10 and several >= 5
 
 
 def _scanned_index(checker):
@@ -910,8 +943,10 @@ class TestIndex:
         parts += [_loop_parts(rng) for _ in range(20)]
         watched = negnegs = 0
         for compiled in parts:
-            union = StabilityChecker.joined(compiled.checkers, compiled.allowed)
-            for checker in [*compiled.checkers, union]:
+            split, _ = compiled.split
+            forward = [f for _, _, f in split]
+            sliced = [c for _, checkers, _ in split for c in checkers]
+            for checker in [*compiled.checkers, *forward, *sliced]:
                 watch, negneg = _scanned_index(checker)
                 assert checker.watch == watch and checker.negneg == negneg
                 watched += bool(watch)
@@ -919,15 +954,16 @@ class TestIndex:
         assert watched >= 60 and negnegs >= 10
 
     def test_sliced_checkers_index_their_tables(self, monkeypatch):
-        # `_search` hands each component's checkers to `_branch`.
+        # `_search` hands each component's checkers and forward table to
+        # `_branch`.
         import modasp.engine as engine_mod
 
         branch = engine_mod._branch
         seen = []
 
-        def recording(mask, checkers, engine):
-            seen.append(checkers)
-            return branch(mask, checkers, engine)
+        def recording(mask, checkers, forward, engine):
+            seen.append([*checkers, forward])
+            return branch(mask, checkers, forward, engine)
 
         monkeypatch.setattr(engine_mod, "_branch", recording)
         rng = random.Random(47)
@@ -935,7 +971,7 @@ class TestIndex:
         for _ in range(100):
             compiled, mask, _ = _split_parts(rng)
             seen.clear()
-            _search(mask, compiled.checkers, "reduct")
+            _search_checkers(mask, compiled.checkers, "reduct")
             several += len(seen) > 1
             for checkers in seen:
                 for checker in checkers:

@@ -403,7 +403,8 @@ class TestUnionEngines:
             one = ModularProgram(kappa, (Module(kappa, pi),))
             extensional = [atom for atom in base if not lambda_holds(kappa, atom)]
             compiled = CompiledParts(base, one, [gp.rules], extensional)
-            masks = _search(compiled.full, compiled.checkers, "brute")
+            parts, free = compiled.split
+            masks = _search(compiled.full, parts, free & compiled.ext_masks[0], "brute")
             expected = set(compiled.ordered(masks).values())
             assert enumerate_kappa_stable(kappa, pi, dom, "brute") == expected
 

@@ -2,8 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
+
+import randprog
+from modasp.engine import extensional_region
+from modasp.grounding import Domain
 
 from modasp.errors import PatternError, UnboundPlaceholderError
 from modasp.intensionality import (
@@ -112,6 +117,90 @@ class TestLambdaHolds:
                 assert lambda_holds(statement, atom) == formula_holds_classically(
                     statement, key, args
                 )
+
+
+# Predicates of the table tests: `PATTERN_PREDS` (arities 0 to 2) and one of
+# arity 3, for patterns with several ground positions.
+TABLE_PREDS = randprog.PATTERN_PREDS + (("s", 3),)
+
+
+def _random_statement(rng):
+    """A statement over some of `TABLE_PREDS`, each with one to four
+    patterns of one ground share: all-variable, mixed or ground."""
+    mapping = {}
+    for key in rng.sample(TABLE_PREDS, rng.randint(0, 4)):
+        share = rng.choice((0.0, 0.4, 0.7, 1.0))
+        mapping[key] = [
+            tuple(
+                rng.choice(randprog.PATTERN_VALUES)
+                if rng.random() < share
+                else var(f"X{k + 1}")
+                for k in range(key[1])
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+    return IntensionalityStatement.of(mapping)
+
+
+def _random_atom(rng):
+    """An atom of `TABLE_PREDS` over pattern values, or, half the time, one
+    whose arguments may be variables or arithmetic (`random_pattern_atom`)."""
+    if rng.random() < 0.5:
+        return randprog.random_pattern_atom(rng)
+    name, arity = rng.choice(TABLE_PREDS)
+    return PredAtom(
+        name, tuple(rng.choice(randprog.PATTERN_VALUES) for _ in range(arity))
+    )
+
+
+class TestTableLookup:
+    """`lambda_holds` and `extensional_region` read each statement's table
+    of shapes; they must say what the membership formula says."""
+
+    def test_lambda_holds_is_the_formula(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for _ in range(400):
+            statement = _random_statement(rng)
+            for _ in range(25):
+                atom = _random_atom(rng)
+                expected = lambda_formula(statement, atom.pred).holds(atom.args)
+                assert lambda_holds(statement, atom) == expected
+                shapes = statement.table.get(atom.pred, ())
+                seen["held" if expected else "not held"] += 1
+                if atom.pred not in statement.table:
+                    seen["no entry"] += 1
+                elif shapes is None:
+                    seen["open"] += 1
+                else:
+                    seen["shaped"] += 1
+                    seen["held by a shape"] += expected
+                    seen["several shapes"] += len(shapes) > 1
+                    seen["several positions"] += any(
+                        sum(not isinstance(e, Variable) for e in u) > 1
+                        for u in statement.patterns_for(atom.pred)
+                    )
+                seen["arity 0"] += not atom.args
+                seen["not precomputed"] += not all(map(is_precomputed, atom.args))
+        assert min(seen.values()) >= 100 and len(seen) == 10, seen
+
+    def test_extensional_region_is_a_product_scan(self):
+        rng = random.Random(2025)
+        regions = Counter()
+        for _ in range(300):
+            statement = _random_statement(rng)
+            preds = rng.sample(TABLE_PREDS, rng.randint(0, len(TABLE_PREDS)))
+            dom = Domain(0, rng.randint(0, 2), frozenset(randprog.PATTERN_VALUES[3:]))
+            expected = {
+                PredAtom(name, args)
+                for name, arity in preds
+                for args in itertools.product(dom.terms_sorted(), repeat=arity)
+                if not lambda_formula(statement, (name, arity)).holds(args)
+            }
+            assert extensional_region(statement, preds, dom) == expected
+            regions["empty" if not expected else "some"] += 1
+            regions["cut"] += any(statement.table.get(key) for key in preds)
+        assert min(regions.values()) >= 50, regions
 
 
 class TestExtensionalAxioms:

@@ -12,10 +12,11 @@ import modasp.modular as modular_mod
 from modasp.engine import (
     DEFAULT_CAP,
     Interpretation,
+    _solve,
     enumerate_kappa_stable,
     is_answer_set,
 )
-from modasp.errors import CapacityError, EngineError, SafetyError
+from modasp.errors import CapacityError, EngineError, ModaspError, SafetyError
 from modasp.grounding import Domain, ground, ground_reachable
 from modasp.instantiation import (
     Module,
@@ -556,30 +557,43 @@ class TestModularAnswerSets:
         assert counts["compiled"] == counts["grounded"]
 
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
-    def test_joins_only_what_holds_several_checkers(self, engine, monkeypatch):
-        # Modular solving joins its module checkers for the forward step, and
-        # the union reading joins them once more under the global statement;
-        # a lone checker, as in union solving, is its own join.
+    def test_one_split_serves_both_readings(self, engine, monkeypatch):
+        # The comparison splits the module tables into components once; the
+        # union reading searches the same parts, each with its forward
+        # table, and no search builds a checker.
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
         )
         assert len(P.modules) >= 2 and is_coherent(P).coherent
-        joins = []
-        joined = engine_mod.StabilityChecker.joined.__func__
+        splits, searching, built = [], [], []
+        split, search = engine_mod._split, engine_mod._search
+        init = engine_mod.StabilityChecker.__init__
 
-        def counting(cls, checkers, ext_mask):
-            joins.append(len(checkers))
-            return joined(cls, checkers, ext_mask)
+        def splitting(*args):
+            splits.append(split(*args))
+            return splits[-1]
 
-        monkeypatch.setattr(
-            engine_mod.StabilityChecker, "joined", classmethod(counting)
-        )
-        check = "reduct" if engine == "topo" else engine
-        assert enumerate_kappa_stable(P.kappa, union_program(P), dom, check)
-        assert joins == []
+        def recording(mask, parts, free, leaf_engine):
+            searching.append(parts)
+            try:
+                return search(mask, parts, free, leaf_engine)
+            finally:
+                searching.append(None)
+
+        def building(self, *args):
+            built.append(bool(searching) and searching[-1] is not None)
+            init(self, *args)
+
+        monkeypatch.setattr(engine_mod, "_split", splitting)
+        monkeypatch.setattr(engine_mod, "_search", recording)
+        monkeypatch.setattr(modular_mod, "_search", recording)
+        monkeypatch.setattr(engine_mod.StabilityChecker, "__init__", building)
         assert theorem1_check(P, dom, engine).equal
-        assert joins == [len(P.modules)] * 2
+        assert len(splits) == 1 and built and not any(built)
+        (parts, _), (modular, union) = splits[0], searching[::2]
+        assert modular is parts
+        assert [(atoms, [forward], forward) for atoms, _, forward in parts] == union
 
 
 class TestTopoSearch:
@@ -615,18 +629,19 @@ class TestTopoSearch:
         blocks = []
         search = engine_mod._search
 
-        def recording(mask, checkers, leaf_engine):
-            blocks.append((type(mask), len(checkers)))
-            return search(mask, checkers, leaf_engine)
+        def recording(mask, parts, free, leaf_engine):
+            blocks.append([len(checkers) for _, checkers, _ in parts])
+            return search(mask, parts, free, leaf_engine)
 
         # `_solve` searches the modules, `theorem1_check` the union checker.
         monkeypatch.setattr(engine_mod, "_search", recording)
         monkeypatch.setattr(modular_mod, "_search", recording)
         modular_answer_sets(P, dom, engine)
         assert theorem1_check(P, dom, engine).equal
-        # One block a call: the four modules, in `solve` and `compare`, then
-        # the union checker of `compare`.
-        assert blocks == [(int, 4), (int, 4), (int, 1)]
+        # One search a call over one component: the modules with rules or
+        # own atoms in it, in `solve` and `compare`, then the union checker
+        # of `compare`.
+        assert blocks == [[4], [4], [1]]
 
 
 class TestDefinitionalReference:
@@ -959,6 +974,13 @@ class TestKeptAnalysis:
         )
 
 
+def _has_atom_outside_allowed(P, dom, cap):
+    """Does the modular relevant base of `P` hold an atom outside
+    `allowed`, one that the closure condition makes false?"""
+    compiled, _ = _solve(P, dom, "reduct", cap)
+    return compiled.allowed != compiled.full
+
+
 def _two_pipelines(P, dom, engine, cap=DEFAULT_CAP):
     """The comparison as two separate solves: the modular answer sets, and
     the stable models of the union program on its own reachable base."""
@@ -1034,7 +1056,7 @@ class TestOneCompile:
         import randprog
 
         rng = random.Random(6262)
-        checked = incoherent = unequal = 0
+        checked = incoherent = unequal = coarser = 0
         while checked < 25:
             P = randprog.random_pattern_program(rng)
             dom = Domain.build([m.pi for m in P.modules], 0, 1)
@@ -1048,8 +1070,46 @@ class TestOneCompile:
             checked += 1
             incoherent += not is_coherent(P).coherent
             unequal += not report.equal
+            coarser += _has_atom_outside_allowed(P, dom, 12)
         assert incoherent >= 12
         assert unequal >= 3
+        assert coarser >= 1
+
+    # sha256 of the `brute` outcomes below, as the search split over
+    # `allowed` alone gave them; 2,840 answer-set lines, no refusal.
+    COARSER_BRUTE = "98f34701aa00a81b639804395e4935c20e4acd39338d9f19f3f46ab0daa3d5e4"
+
+    def test_random_pattern_programs_with_atoms_outside_allowed(self):
+        # The search splits the whole base, which is coarser than a split
+        # over `allowed` only where a base atom lies outside `allowed`: a
+        # head of a module that is not simple.  On ten such programs the
+        # reports and refusals of `brute` are pinned, and both engines
+        # match the two separate solves.
+        import hashlib
+        import random
+
+        import randprog
+
+        rng = random.Random(6262)
+        outcomes = []
+        while len(outcomes) < 10:
+            P = randprog.random_pattern_program(rng)
+            dom = Domain.build([m.pi for m in P.modules], 0, 1)
+            try:
+                if not _has_atom_outside_allowed(P, dom, 12):
+                    continue
+            except (CapacityError, SafetyError):
+                continue
+            assert not is_coherent(P).coherent
+            self.assert_matches_two_pipelines(P, dom, ("brute", "reduct"), cap=12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    outcomes.append(str(theorem1_check(P, dom, "brute", 12)))
+                except ModaspError as refused:
+                    outcomes.append(f"{type(refused).__name__}: {refused}")
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.COARSER_BRUTE
 
     def test_tangle(self):
         P, dom = plan_program(

@@ -294,12 +294,23 @@ class TestAgainstFullScan:
                 defined |= region
             assert compiled.allowed == full & ~(intensional & ~defined)
 
-    def test_solved_region_masks(self):
+    def test_solved_region_masks(self, monkeypatch):
         """The module regions of a modular solve, looked up in `P.patterns`,
-        are those of a direct `lambda_holds` scan of its base."""
+        are those of a direct `lambda_holds` scan of its base; the solve
+        calls neither `PatternIndex.candidates` nor `lambda_holds` once the
+        analysis exists."""
+        import modasp.engine as engine_mod
+
+        def forbidden(*args):
+            raise AssertionError("regions are looked up exactly")
+
         several = 0
         for P, dom in solvable():
-            compiled, _ = _solve(P, dom, "reduct", 64)
+            P.analysis
+            with monkeypatch.context() as patched:
+                patched.setattr(PatternIndex, "candidates", forbidden)
+                patched.setattr(engine_mod, "lambda_holds", forbidden)
+                compiled, _ = _solve(P, dom, "reduct", 64)
             base, full = compiled.base, compiled.full
             assert compiled.intensional == scan_region(P.kappa, base)
             assert [c.ext_mask for c in compiled.checkers] == [
@@ -348,7 +359,7 @@ def test_solving_builds_no_pattern_index(monkeypatch):
 def test_union_reading_builds_no_pattern_index(monkeypatch, capsys):
     """The one module of the union reading is under the global statement,
     whose region needs no lookup: solving or checking it, in the API or in
-    the CLI, builds no pattern index."""
+    the CLI, builds no pattern index, so no region lookup either."""
     cases = [(P.kappa, union_program(P), dom) for P, dom in solvable()]
     built = _built_indexes(monkeypatch)
     checked = 0
@@ -390,6 +401,15 @@ def calls(monkeypatch):
         (engine_mod, "lambda_holds"),
     ):
         monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
+    holding = PatternIndex.holding
+
+    def looking_up(self, atom):
+        found = holding(self, atom)
+        counts["holding"] += 1
+        counts["held"] += found.bit_count()
+        return found
+
+    monkeypatch.setattr(PatternIndex, "holding", looking_up)
     return counts
 
 
@@ -402,7 +422,11 @@ def run_counted(calls, argv):
 
 
 class TestLinearity:
-    CHECKS = ("may_share_instance", "patterns_unify", "lambda_holds")
+    # The pattern checks, and the exact region lookups with the statements
+    # they return.
+    CHECKS = (
+        "may_share_instance", "patterns_unify", "lambda_holds", "holding", "held"
+    )
 
     @pytest.mark.parametrize(
         "command",
@@ -427,7 +451,7 @@ class TestLinearity:
             assert counts[400].get(name, 0) <= 4.5 * counts[100].get(name, 0), name
         assert counts[100]["may_share_instance"] > 0
         if command[0] == "solve":
-            assert counts[100]["lambda_holds"] > 0
+            assert counts[100]["holding"] > counts[100]["held"] / 2 > 0
 
     def test_modular_check_model_region_checks(self, calls):
         # The n=200 property model: 201 atoms q(i,i), 201 modules with one

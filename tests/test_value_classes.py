@@ -452,7 +452,7 @@ def test_pickle_keeps_membership_under_another_hash_seed(tmp_path):
 CACHED = [
     (Domain(0, 2, frozenset({A})), lambda d: d.integers(), "_pools"),
     (TANGLE, lambda p: p.signature(), "_predicates"),
-    (KAPPA, lambda k: k.patterns_for(("p", 1)), "_table"),
+    (KAPPA, lambda k: k.is_purely_intensional(("p", 1)), "table"),
     (dependency_graph(TANGLE), lambda g: g.spanning, "spanning"),
     (TANGLE, lambda p: p.patterns.candidates(("p", 1), (ONE,)), "patterns"),
     (TANGLE, lambda p: p.analysis, "analysis"),
