@@ -189,9 +189,10 @@ class ModularProgram(Value):
 
     @cached_property
     def patterns(self) -> PatternIndex:
-        """The index of the module statements, the one the package
-        builds: the dependency graph, the coherence check, the topo module
-        order and the regions of modules not under `kappa` read it."""
+        """The one lookup of the module statements' patterns (`PatternIndex`):
+        the dependency graph, the coherence check and the topo module order
+        read `sharing`, the regions of modules not under `kappa` read
+        `holding`."""
         return PatternIndex([m.kappa for m in self.modules])
 
     @cached_property

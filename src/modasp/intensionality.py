@@ -106,19 +106,18 @@ def _shapes(patterns: Sequence[Pattern]) -> Optional[tuple]:
     patterns of that shape hold there (a term at one position, a tuple at
     several).  An atom lies in the region exactly when the predicate is
     open or `get(args) in values` for some shape."""
-    groups: dict[tuple[int, ...], dict] = {}  # values in order, once each
+    groups: dict[itemgetter, dict] = {}  # values in order, once each
     for u in patterns:
-        positions = tuple(k for k, e in enumerate(u) if not isinstance(e, Variable))
+        positions = tuple([k for k, e in enumerate(u) if not isinstance(e, Variable)])
         if not positions:
             return None
-        value = tuple(u[k] for k in positions)
-        groups.setdefault(positions, {})[value[0] if len(value) == 1 else value] = 0
-    return tuple(
-        (_getter(positions), tuple(values)) for positions, values in groups.items()
-    )
+        get = _getter(positions)
+        groups.setdefault(get, {})[get(u)] = 0
+    return tuple((get, tuple(values)) for get, values in groups.items())
 
 
 _GETTERS: dict[tuple[int, ...], itemgetter] = {}
+_POSITIONS: dict[itemgetter, tuple[int, ...]] = {}  # `_GETTERS` inverted
 _PREDICATE = itemgetter(0)  # of an entry `(predicate, patterns)`
 
 
@@ -128,6 +127,7 @@ def _getter(positions: tuple[int, ...]) -> itemgetter:
     get = _GETTERS.get(positions)
     if get is None:
         get = _GETTERS[positions] = itemgetter(*positions)
+        _POSITIONS[get] = positions
     return get
 
 
@@ -456,53 +456,20 @@ def require_coverage(
 
 
 class PatternIndex:
-    """The patterns of a list of statements, bucketed so that a lookup by
-    argument tuple skips the patterns that cannot match it.
+    """The patterns of a list of statements, merged into one lookup: per
+    predicate, the mask of the statements open on it (bit s for statement
+    s) and, for each shape, its getter, its ground positions and the mask
+    of the statements holding each value there (`_shapes`, not kept on the
+    statements).
 
-    A pattern is filed under its predicate, its first ground position k and
-    the value there, or under its predicate alone when every position is a
-    variable.  `candidates(pred, args)` reads, for each such k, the bucket
-    of the simplified `args[k]` when that is precomputed and every pattern
-    filed at k when it is not, plus the all-variable patterns.  A pattern
-    left out holds a precomputed value at k that differs from a precomputed
-    `args[k]`, so it fails `may_share_instance` and `patterns_unify` alike:
-    the index is a prefilter only, and callers still decide each candidate.
-
-    Ground atoms need no prefilter: `holding(atom)` decides their regions
-    exactly, from the statements' shapes merged into one lookup keyed by
-    predicate, shape (its getter) and value, built on first use.
+    `holding(atom)` decides the regions of a ground atom exactly, and
+    `sharing(pred, args)` the statements with a pattern that may share an
+    instance with `args`, whose terms may hold variables and arithmetic.
     """
 
     def __init__(self, statements: Sequence[IntensionalityStatement]):
-        self._open: dict[PredKey, list] = {}
-        self._at: dict[tuple, list] = {}
-        self._valued: dict[tuple, list] = {}
-        for s, statement in enumerate(statements):
-            for pred, patterns in statement.entries:
-                for rank, u in enumerate(patterns):
-                    entry = (s, rank, u)
-                    k = next(
-                        (k for k, e in enumerate(u) if not isinstance(e, Variable)), None
-                    )
-                    if k is None:
-                        self._open.setdefault(pred, []).append(entry)
-                    else:
-                        self._at.setdefault((pred, k), []).append(entry)
-                        self._valued.setdefault((pred, k, u[k]), []).append(entry)
-        self._positions: dict[PredKey, list[int]] = {}
-        for pred, k in sorted(self._at):
-            self._positions.setdefault(pred, []).append(k)
-        self._statements = statements
-
-    @cached_property
-    def _held(self) -> dict[PredKey, tuple[int, tuple]]:
-        """The exact lookup behind `holding`, built on its first call: per
-        predicate, the mask of the statements open on it (bit s for
-        statement s) and, for each shape, its getter and the mask of the
-        statements holding each value there (`_shapes`, not kept on the
-        statements)."""
         by_pred: dict[PredKey, list] = {}
-        for s, statement in enumerate(self._statements):
+        for s, statement in enumerate(statements):
             for pred, patterns in statement.entries:
                 entry = by_pred.setdefault(pred, [0, {}])
                 shapes = _shapes(patterns)
@@ -513,37 +480,54 @@ class PatternIndex:
                     at = entry[1].setdefault(get, {})
                     for value in values:
                         at[value] = at.get(value, 0) | 1 << s
-        return {
-            pred: (opened, tuple(shaped.items()))
+        self._lookup: dict[PredKey, tuple[int, tuple]] = {
+            pred: (opened, tuple((g, _POSITIONS[g], at) for g, at in shaped.items()))
             for pred, (opened, shaped) in by_pred.items()
         }
-
-    def candidates(
-        self, pred: PredKey, args: Sequence[Term]
-    ) -> list[tuple[int, Pattern]]:
-        """`(statement index, pattern)` pairs that may match `args`, in the
-        order of a scan over the statements and their patterns."""
-        found = list(self._open.get(pred, ()))
-        for k in self._positions.get(pred, ()):
-            arg = simplify(args[k])
-            if is_precomputed(arg):
-                found += self._valued.get((pred, k, arg), ())
-            else:
-                found += self._at[(pred, k)]
-        found.sort()  # (statement, rank) is unique, so patterns never compare
-        return [(s, u) for s, _, u in found]
 
     def holding(self, atom: PredAtom) -> int:
         """The mask of the statements whose region holds the ground `atom`
         (`lambda_holds`), bit s for statement s."""
-        entry = self._held.get(atom.pred)
+        entry = self._lookup.get(atom.pred)
         if entry is None:
             return 0
         found, shapes = entry
         args = atom.args
-        for get, at in shapes:
+        for get, _, at in shapes:
             found |= at.get(get(args), 0)
         return found
+
+    def sharing(self, pred: PredKey, args: Sequence[Term]) -> int:
+        """The mask of the statements with a pattern of `pred` that may
+        share an instance with `args` (`may_share_instance`), bit s for
+        statement s.  A shape whose positions hold precomputed simplified
+        arguments is one dict lookup; at any other, each value whose mask
+        adds a statement is tried with `_shares`."""
+        entry = self._lookup.get(pred)
+        if entry is None:
+            return 0
+        found, shapes = entry
+        args = tuple(map(simplify, args))
+        loose = {k for k, t in enumerate(args) if not is_precomputed(t)}
+        for get, positions, at in shapes:
+            if loose.isdisjoint(positions):
+                found |= at.get(get(args), 0)
+                continue
+            terms = [args[k] for k in positions]
+            for value, statements in at.items():
+                if statements & ~found and _shares(
+                    terms, value if len(positions) > 1 else (value,)
+                ):
+                    found |= statements
+        return found
+
+
+def _shares(terms: Sequence[Term], values: Sequence[Term]) -> bool:
+    """Could some assignment of the variables of the simplified `terms`
+    make them equal the precomputed `values`?  One `_match` per position,
+    all under one substitution."""
+    theta: dict[str, Term] = {}
+    return all(_match(t, v, theta, None) for t, v in zip(terms, values))
 
 
 def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
@@ -561,8 +545,5 @@ def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
     """
     if len(pattern) != len(terms):
         return False
-    theta: dict[str, Term] = {}
-    for p, t in zip(pattern, terms):
-        if not isinstance(p, Variable) and not _match(simplify(t), p, theta, None):
-            return False
-    return True
+    ground = [k for k, e in enumerate(pattern) if not isinstance(e, Variable)]
+    return _shares([simplify(terms[k]) for k in ground], [pattern[k] for k in ground])

@@ -23,13 +23,12 @@ from .intensionality import (
     PatternIndex,
     PredKey,
     lambda_holds,
-    may_share_instance,
     pattern_match,
     pattern_str,
     patterns_unify,
 )
 from .program import PredAtom, Program, Rule
-from .terms import Value
+from .terms import Value, Variable
 
 MODULAR_ENGINES = CHECK_ENGINES + ("topo",)
 
@@ -99,12 +98,17 @@ class DependencyGraph(Value):
 
 def _matching_modules(patterns: PatternIndex, atom: PredAtom) -> list[int]:
     """Indices of the modules with a pattern for `atom` that may share an
-    instance with its arguments, ascending; only the patterns the index
-    returns for `atom` are tried."""
+    instance with its arguments (`PatternIndex.sharing`), ascending."""
+    return _bits(patterns.sharing(atom.pred, atom.args))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
     found: list[int] = []
-    for i, u in patterns.candidates(atom.pred, atom.args):
-        if (not found or found[-1] != i) and may_share_instance(u, atom.args):
-            found.append(i)
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
     return found
 
 
@@ -120,10 +124,10 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
     arity share a vertex, which can only merge components (a stricter
     containment check).
 
-    Each atom is tested with `may_share_instance` only against the module
-    patterns `P.patterns` returns for it, so when module patterns differ
-    in a ground value, as under collective control, the cost is linear in
-    the rules (see `is_coherent`).
+    The modules of each atom come from one lookup in `P.patterns`
+    (`PatternIndex.sharing`), so when module patterns differ in a ground
+    value, as under collective control, the cost is linear in the rules
+    (see `is_coherent`).
     """
     patterns = P.patterns
     preds = sorted(P.signature().predicates)
@@ -230,14 +234,16 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
     Checks that every module is simple, that no pair of patterns of one
     predicate across distinct modules unifies, and that every strongly
     connected component of the dependency graph stays inside one module.
-    No interpretation is ever constructed.  Every rule atom and every
-    pattern is checked only against the module patterns one `PatternIndex`
-    returns for it.  When the patterns of a predicate differ in a ground
-    value, as the instances of one parametric module under collective
-    control do, each lookup returns a bounded number of them and the cost is
-    linear in rules plus patterns; a pattern with a variable at every
-    position still meets every module's patterns of its predicate.  The
-    report is made once per program and kept (`ModularProgram.analysis`).
+    No interpretation is ever constructed.  The modules that a rule atom or
+    a pattern may meet come from one lookup in `P.patterns`
+    (`PatternIndex.sharing`), and only the patterns of those modules are
+    unified with a pattern.  When the patterns of a predicate differ in a
+    ground value, as the instances of one parametric module under
+    collective control do, each lookup of a precomputed argument tuple is
+    one dict lookup per shape and the cost is linear in rules plus
+    patterns; a pattern with a variable at every position still meets
+    every module's patterns of its predicate.  The report is made once per
+    program and kept (`ModularProgram.analysis`).
     """
     return P.analysis.report
 
@@ -258,23 +264,26 @@ def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
     for key in sorted(P.signature().predicates):
         for i, module in enumerate(P.modules):
             # Pairs (u_i, u_j) with j > i, listed by j, then u_i, then u_j.
+            # `patterns_unify` ignores sorts, so the lookup reads u_i's
+            # variables as general ones.
             pairs = []
             for a, u_i in enumerate(module.kappa.patterns_for(key)):
-                pairs += [
-                    (j, a, b, u_i, u_j)
-                    for b, (j, u_j) in enumerate(index.candidates(key, u_i))
-                    if j > i
-                ]
-            for j, _, _, u_i, u_j in sorted(pairs, key=lambda pair: pair[:3]):
-                if patterns_unify(u_i, u_j) is not None:
-                    violations.append(
-                        Violation(
-                            "tuples-unify",
-                            f"{key[0]}{pattern_str(u_i)} of module {i} "
-                            f"unifies with {key[0]}{pattern_str(u_j)} "
-                            f"of module {j}",
+                general = tuple(
+                    [Variable(e.name) if isinstance(e, Variable) else e for e in u_i]
+                )
+                later = index.sharing(key, general) >> i + 1
+                pairs += [(i + 1 + k, a, u_i) for k in _bits(later)]
+            for j, _, u_i in sorted(pairs, key=lambda pair: pair[:2]):
+                for u_j in P.modules[j].kappa.patterns_for(key):
+                    if patterns_unify(u_i, u_j) is not None:
+                        violations.append(
+                            Violation(
+                                "tuples-unify",
+                                f"{key[0]}{pattern_str(u_i)} of module {i} "
+                                f"unifies with {key[0]}{pattern_str(u_j)} "
+                                f"of module {j}",
+                            )
                         )
-                    )
     for component in graph.spanning:
         names = ", ".join(f"({p},{i})" for p, i in component)
         violations.append(

@@ -223,6 +223,13 @@ MUTANTS = (
     ),
     # Grounding (`grounding.py`).
     Mutant(
+        "match-reads-undecided-arithmetic-as-false", "grounding.py",
+        "return True  # as in `N+N`", "return False  # as in `N+N`",
+        (
+            "tests/test_ground_graph.py::test_every_ground_edge_is_an_analysis_edge",
+        ),
+    ),
+    Mutant(
         "match-drops-interval-check", "grounding.py",
         "dom is not None and not dom.int_lo <= value.value <= dom.int_hi",
         "False",
@@ -290,6 +297,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "matching-modules-drops-its-last-module", "modular.py",
+        "return _bits(patterns.sharing(atom.pred, atom.args))",
+        "return _bits(patterns.sharing(atom.pred, atom.args))[:-1]",
+        (
+            "tests/test_ground_graph.py::test_every_ground_edge_is_an_analysis_edge",
+        ),
+    ),
+    Mutant(
+        "coherence-lookup-keeps-integer-sorts", "modular.py",
+        "[Variable(e.name) if isinstance(e, Variable) else e for e in u_i]",
+        "[e for e in u_i]",
+        (
+            "tests/test_modular.py::TestCoherence::test_integer_sorted_pattern_variable_unifies_with_a_symbol",
+        ),
+    ),
+    Mutant(
         "requirement-skips-every-module", "intensionality.py",
         "if module_kappa == kappa:", "if True:",
         (
@@ -299,8 +322,8 @@ MUTANTS = (
     ),
     Mutant(
         "table-drops-a-shape-group", "intensionality.py",
-        "for positions, values in groups.items()\n",
-        "for positions, values in list(groups.items())[1:]\n",
+        "for get, values in groups.items())",
+        "for get, values in list(groups.items())[1:])",
         (
             "tests/test_intensionality.py::TestTableLookup::test_lambda_holds_is_the_formula",
             "tests/test_intensionality.py::TestTableLookup::test_extensional_region_is_a_product_scan",
@@ -312,6 +335,13 @@ MUTANTS = (
         (
             "tests/test_pattern_index.py::TestAgainstFullScan::test_compiled_region_masks",
             "tests/test_pattern_index.py::TestAgainstFullScan::test_solved_region_masks",
+        ),
+    ),
+    Mutant(
+        "sharing-skips-the-match-scan", "intensionality.py",
+        "if statements & ~found and _shares(", "if False and _shares(",
+        (
+            "tests/test_pattern_index.py::TestPatternIndex::test_sharing_is_every_statement_with_a_pattern_that_may_share",
         ),
     ),
     Mutant(

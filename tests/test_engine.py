@@ -847,7 +847,7 @@ class TestKappaRegion:
             pi = Program.of(rule for m in P.modules for rule in m.pi.rules)
             one = ModularProgram(P.kappa, (Module(P.kappa, pi),))
             with monkeypatch.context() as patched:
-                patched.setattr(PatternIndex, "candidates", forbidden)
+                patched.setattr(PatternIndex, "sharing", forbidden)
                 compiled, _ = _solve(one, dom, "reduct", 24)
             scanned = _compiled_parts(compiled.base, P.kappa, [((), P.kappa)])
             assert compiled.intensional == scanned.intensional

@@ -41,7 +41,7 @@ from modasp.modular import (
 )
 from modasp.parsing import parse_control, parse_program
 from modasp.program import PredAtom, Program, atom_order_key
-from modasp.terms import Numeral, Variable
+from modasp.terms import Numeral, Sort, SymbolicConstant, Variable
 
 Q = ("q", 2)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -238,6 +238,21 @@ class TestCoherence:
         assert [(v.kind, v.detail) for v in is_coherent(P).violations] == [
             ("tuples-unify", "q(X) of module 0 unifies with q(X) of module 1")
         ]
+
+    def test_integer_sorted_pattern_variable_unifies_with_a_symbol(self):
+        # `patterns_unify` ignores sorts, so p(X) with X integer-sorted
+        # unifies with p(a); a lookup that kept X's sort would never match
+        # it against the symbol.
+        p = ("p", 1)
+        integer = IntensionalityStatement.of({p: [(Variable("X", Sort.INTEGER),)]})
+        symbol = IntensionalityStatement.of({p: [(SymbolicConstant("a"),)]})
+        P = ModularProgram(
+            IntensionalityStatement.of({p: [(var("Y"),)]}),
+            (Module(integer, Program()), Module(symbol, Program())),
+        )
+        assert str(is_coherent(P)) == (
+            "incoherent\n  tuples-unify: p(X) of module 0 unifies with p(a) of module 1"
+        )
 
     def test_cross_module_cycle(self):
         module_a = Module(

@@ -46,7 +46,7 @@ from modasp.modular import (
 )
 from modasp.parsing import parse_control, parse_program
 from modasp.program import PredAtom, atom_order_key
-from modasp.terms import Arith, Numeral, Sort, Variable
+from modasp.terms import Arith, Numeral, Sort, Variable, is_precomputed, simplify
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -213,27 +213,29 @@ def solvable():
 
 
 class TestPatternIndex:
-    def test_candidates_cover_every_match_in_scan_order(self):
+    def test_sharing_is_every_statement_with_a_pattern_that_may_share(self):
         rng = random.Random(99)
-        queries = 0
+        queries = matched = 0
         for _ in range(200):
             P = randprog.random_pattern_program(rng)
             statements = [m.kappa for m in P.modules]
             index = PatternIndex(statements)
             for _ in range(20):
                 atom = randprog.random_pattern_atom(rng)
-                scan = [
-                    (s, u)
-                    for s, st in enumerate(statements)
-                    for u in st.patterns_for(atom.pred)
-                ]
-                found = index.candidates(atom.pred, atom.args)
-                # A subsequence of the scan holding every pattern that may
-                # share an instance with the atom.
-                assert found == [c for c in scan if c in found]
-                assert {c for c in scan if may_share_instance(c[1], atom.args)} <= set(found)
+                expected = sum(
+                    1 << s
+                    for s, statement in enumerate(statements)
+                    if any(
+                        may_share_instance(u, atom.args)
+                        for u in statement.patterns_for(atom.pred)
+                    )
+                )
+                assert index.sharing(atom.pred, atom.args) == expected
                 queries += 1
-        assert queries == 4000
+                # A variable or arithmetic left after simplifying: the
+                # lookup tries values with `_match` at some shapes.
+                matched += not all(is_precomputed(simplify(a)) for a in atom.args)
+        assert queries == 4000 and 1000 < matched < 3000
 
     def test_variable_and_arithmetic_arguments_read_the_whole_position(self):
         index = PatternIndex(
@@ -243,15 +245,16 @@ class TestPatternIndex:
                 IntensionalityStatement.of({("q", 2): [(Variable("X1"), Numeral(0))]}),
             ]
         )
+
         def statements(*args):
-            return [s for s, _ in index.candidates(("q", 2), args)]
+            return index.sharing(("q", 2), args)
 
         n_plus_1 = Arith("+", Variable("N", Sort.INTEGER), Numeral(1))
-        assert statements(n_plus_1, Numeral(0)) == [0, 1, 2]
-        assert statements(n_plus_1, Numeral(5)) == [0, 1]
-        assert statements(Numeral(2), Variable("Y")) == [1, 2]
-        assert statements(Arith("+", Numeral(1), Numeral(1)), Numeral(5)) == [1]
-        assert index.candidates(("q", 1), (Numeral(1),)) == []
+        assert statements(n_plus_1, Numeral(0)) == 0b111
+        assert statements(n_plus_1, Numeral(5)) == 0b011
+        assert statements(Numeral(2), Variable("Y")) == 0b110
+        assert statements(Arith("+", Numeral(1), Numeral(1)), Numeral(5)) == 0b010
+        assert index.sharing(("q", 1), (Numeral(1),)) == 0
 
 
 class TestAgainstFullScan:
@@ -297,7 +300,7 @@ class TestAgainstFullScan:
     def test_solved_region_masks(self, monkeypatch):
         """The module regions of a modular solve, looked up in `P.patterns`,
         are those of a direct `lambda_holds` scan of its base; the solve
-        calls neither `PatternIndex.candidates` nor `lambda_holds` once the
+        calls neither `PatternIndex.sharing` nor `lambda_holds` once the
         analysis exists."""
         import modasp.engine as engine_mod
 
@@ -308,7 +311,7 @@ class TestAgainstFullScan:
         for P, dom in solvable():
             P.analysis
             with monkeypatch.context() as patched:
-                patched.setattr(PatternIndex, "candidates", forbidden)
+                patched.setattr(PatternIndex, "sharing", forbidden)
                 patched.setattr(engine_mod, "lambda_holds", forbidden)
                 compiled, _ = _solve(P, dom, "reduct", 64)
             base, full = compiled.base, compiled.full
@@ -383,6 +386,7 @@ def calls(monkeypatch):
     """Counts of the pattern checks made through the modular layer and the
     compile step."""
     import modasp.engine as engine_mod
+    import modasp.intensionality as intensionality_mod
     import modasp.modular as modular_mod
 
     counts = Counter()
@@ -395,12 +399,15 @@ def calls(monkeypatch):
         return wrapper
 
     for target, name in (
-        (modular_mod, "may_share_instance"),
+        (intensionality_mod, "_match"),
         (modular_mod, "patterns_unify"),
         (modular_mod, "lambda_holds"),
         (engine_mod, "lambda_holds"),
     ):
         monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
+    monkeypatch.setattr(
+        PatternIndex, "sharing", counting("sharing", PatternIndex.sharing)
+    )
     holding = PatternIndex.holding
 
     def looking_up(self, atom):
@@ -422,10 +429,10 @@ def run_counted(calls, argv):
 
 
 class TestLinearity:
-    # The pattern checks, and the exact region lookups with the statements
-    # they return.
+    # The pattern lookups and checks, and the exact region lookups with the
+    # statements they return.
     CHECKS = (
-        "may_share_instance", "patterns_unify", "lambda_holds", "holding", "held"
+        "sharing", "_match", "patterns_unify", "lambda_holds", "holding", "held"
     )
 
     @pytest.mark.parametrize(
@@ -449,7 +456,7 @@ class TestLinearity:
         # scan of every module per lookup makes it sixteen).
         for name in self.CHECKS:
             assert counts[400].get(name, 0) <= 4.5 * counts[100].get(name, 0), name
-        assert counts[100]["may_share_instance"] > 0
+        assert counts[100]["sharing"] > 0
         if command[0] == "solve":
             assert counts[100]["holding"] > counts[100]["held"] / 2 > 0
 

@@ -454,7 +454,7 @@ CACHED = [
     (TANGLE, lambda p: p.signature(), "_predicates"),
     (KAPPA, lambda k: k.is_purely_intensional(("p", 1)), "table"),
     (dependency_graph(TANGLE), lambda g: g.spanning, "spanning"),
-    (TANGLE, lambda p: p.patterns.candidates(("p", 1), (ONE,)), "patterns"),
+    (TANGLE, lambda p: p.patterns.holding(P1), "patterns"),
     (TANGLE, lambda p: p.analysis, "analysis"),
 ]
 
