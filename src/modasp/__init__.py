@@ -50,7 +50,6 @@ from .intensionality import (
     instantiate_chi,
     lambda_formula,
     lambda_holds,
-    may_share_instance,
     pattern_match,
     patterns_unify,
 )

@@ -458,9 +458,8 @@ def require_coverage(
 class PatternIndex:
     """The patterns of a list of statements, merged into one lookup: per
     predicate, the mask of the statements open on it (bit s for statement
-    s) and, for each shape, its getter, its ground positions and the mask
-    of the statements holding each value there (`_shapes`, not kept on the
-    statements).
+    s) and, for each shape, its getter and the mask of the statements
+    holding each value there (`_shapes`, not kept on the statements).
 
     `holding(atom)` decides the regions of a ground atom exactly, and
     `sharing(pred, args)` the statements with a pattern that may share an
@@ -481,7 +480,7 @@ class PatternIndex:
                     for value in values:
                         at[value] = at.get(value, 0) | 1 << s
         self._lookup: dict[PredKey, tuple[int, tuple]] = {
-            pred: (opened, tuple((g, _POSITIONS[g], at) for g, at in shaped.items()))
+            pred: (opened, tuple(shaped.items()))
             for pred, (opened, shaped) in by_pred.items()
         }
 
@@ -493,7 +492,7 @@ class PatternIndex:
             return 0
         found, shapes = entry
         args = atom.args
-        for get, _, at in shapes:
+        for get, at in shapes:
             found |= at.get(get(args), 0)
         return found
 
@@ -502,32 +501,25 @@ class PatternIndex:
         share an instance with `args` (`may_share_instance`), bit s for
         statement s.  A shape whose positions hold precomputed simplified
         arguments is one dict lookup; at any other, each value whose mask
-        adds a statement is tried with `_shares`."""
+        adds a statement is tried with `may_share_instance`."""
         entry = self._lookup.get(pred)
         if entry is None:
             return 0
         found, shapes = entry
         args = tuple(map(simplify, args))
         loose = {k for k, t in enumerate(args) if not is_precomputed(t)}
-        for get, positions, at in shapes:
+        for get, at in shapes:
+            positions = _POSITIONS[get]
             if loose.isdisjoint(positions):
                 found |= at.get(get(args), 0)
                 continue
             terms = [args[k] for k in positions]
             for value, statements in at.items():
-                if statements & ~found and _shares(
-                    terms, value if len(positions) > 1 else (value,)
+                if statements & ~found and may_share_instance(
+                    value if len(positions) > 1 else (value,), terms
                 ):
                     found |= statements
         return found
-
-
-def _shares(terms: Sequence[Term], values: Sequence[Term]) -> bool:
-    """Could some assignment of the variables of the simplified `terms`
-    make them equal the precomputed `values`?  One `_match` per position,
-    all under one substitution."""
-    theta: dict[str, Term] = {}
-    return all(_match(t, v, theta, None) for t, v in zip(terms, values))
 
 
 def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
@@ -545,5 +537,8 @@ def may_share_instance(pattern: Pattern, terms: Sequence[Term]) -> bool:
     """
     if len(pattern) != len(terms):
         return False
-    ground = [k for k, e in enumerate(pattern) if not isinstance(e, Variable)]
-    return _shares([simplify(terms[k]) for k in ground], [pattern[k] for k in ground])
+    theta: dict[str, Term] = {}
+    return all(
+        isinstance(p, Variable) or _match(simplify(t), p, theta, None)
+        for p, t in zip(pattern, terms)
+    )

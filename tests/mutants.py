@@ -339,7 +339,8 @@ MUTANTS = (
     ),
     Mutant(
         "sharing-skips-the-match-scan", "intensionality.py",
-        "if statements & ~found and _shares(", "if False and _shares(",
+        "if statements & ~found and may_share_instance(",
+        "if False and may_share_instance(",
         (
             "tests/test_pattern_index.py::TestPatternIndex::test_sharing_is_every_statement_with_a_pattern_that_may_share",
         ),
