@@ -30,7 +30,7 @@ from .grounding import (
     ground_reachable,
 )
 from .instantiation import Module, ModularProgram
-from .intensionality import IntensionalityStatement, lambda_holds
+from .intensionality import IntensionalityStatement, PatternIndex, lambda_holds
 from .program import (
     Comparison,
     Literal,
@@ -201,21 +201,10 @@ def extensional_region(
     predicates: Iterable[tuple[str, int]],
     dom: Domain,
 ) -> frozenset[PredAtom]:
-    """All atoms over the domain whose argument tuple no pattern matches,
-    read off `kappa.table` as `lambda_holds` reads it."""
-    out: set[PredAtom] = set()
-    terms = dom.terms_sorted()
-    for name, arity in set(predicates):
-        if kappa.is_purely_intensional((name, arity)):
-            continue
-        shapes = kappa.table.get((name, arity), ())
-        for combo in itertools.product(terms, repeat=arity):
-            for get, values in shapes:
-                if get(combo) in values:
-                    break
-            else:
-                out.add(PredAtom(name, combo))
-    return frozenset(out)
+    """All atoms over the domain whose argument tuple no pattern matches:
+    those outside the region of `kappa` in its own `PatternIndex`
+    (`PatternIndex.outside`), as `_solve` reads them from `P.patterns`."""
+    return PatternIndex([kappa]).outside(1, predicates, dom)
 
 
 # --- compiled stability checking -------------------------------------------------
@@ -356,19 +345,15 @@ class CompiledParts:
     over one atom universe.
 
     `rules[i]` holds the ground rules of module i, compiled into
-    `tables[i]` over one shared atom-to-bit index; `ext_masks[i]` holds the
-    atoms outside module i's own region.  `region` holds the atoms of the
-    universe extensional under `P.kappa`, so `intensional`, the atoms
-    intensional under `P.kappa`, is the own region of every module under
-    `P.kappa` and needs no lookup.  The own regions of the other modules
-    come from the exact lookup `P.patterns.holding`, which is read only
-    when some module is not under `P.kappa`, once per atom.  `allowed` holds every
-    atom but the intensional ones that lie in no module's region, which
-    the closure condition makes false.  Bit i stands for atom i of the
-    universe; the solvers sort it by `atom_order_key`, so that `ordered`
-    comes out in output order.  `checkers` (whole modules, for a given
-    candidate) and `split` (by component, for the search) are built on
-    first use.
+    `tables[i]` over one shared atom-to-bit index.  Every region comes from
+    one `P.patterns.holding` call per atom: `ext_masks[i]` holds the atoms
+    outside module i's own region, and `intensional` the atoms in
+    `P.kappa`'s.  `allowed` holds every atom but the intensional ones that
+    lie in no module's region, which the closure condition makes false.
+    Bit i stands for atom i of the universe; the solvers sort it by
+    `atom_order_key`, so that `ordered` comes out in output order.
+    `checkers` (whole modules, for a given candidate) and `split` (by
+    component, for the search) are built on first use.
     """
 
     def __init__(
@@ -376,30 +361,19 @@ class CompiledParts:
         universe: Sequence[PredAtom],
         P: ModularProgram,
         rules: Sequence[Sequence[GroundRule]],
-        region: Iterable[PredAtom],
     ):
         self.base = tuple(universe)
         index = {atom: 1 << i for i, atom in enumerate(self.base)}
         self.full = (1 << len(index)) - 1
-        extensional = 0
-        for atom in region:
-            extensional |= index[atom]
-        self.intensional = self.full & ~extensional
-        looked_up = 0  # bit i for module i not under `P.kappa`
-        for i, m in enumerate(P.modules):
-            looked_up |= (m.kappa != P.kappa) << i
-        regions = [
-            0 if looked_up >> i & 1 else self.intensional
-            for i in range(len(P.modules))
-        ]
-        if looked_up:
-            holding = P.patterns.holding
-            for atom, bit in index.items():
-                found = holding(atom) & looked_up
-                while found:
-                    low = found & -found
-                    regions[low.bit_length() - 1] |= bit
-                    found ^= low
+        regions = [0] * (len(P.modules) + 1)  # each module's, then `P.kappa`'s
+        holding = P.patterns.holding
+        for atom, bit in index.items():
+            found = holding(atom.pred, atom.args)
+            while found:
+                low = found & -found
+                regions[low.bit_length() - 1] |= bit
+                found ^= low
+        self.intensional = regions.pop()
         self.tables = [_compile(table, index) for table in rules]
         self.ext_masks = [self.full & ~own for own in regions]
         defined = 0
@@ -521,12 +495,7 @@ def is_answer_set(
         if not dom.contains_atom(atom):
             raise DomainError(f"atom {atom} lies outside the declared domain")
     grounded = ground_reachable([m.pi for m in P.modules], dom, I.atoms)
-    compiled = CompiledParts(
-        universe,
-        P,
-        [gp.rules for gp in grounded],
-        [atom for atom in universe if not lambda_holds(P.kappa, atom)],
-    )
+    compiled = CompiledParts(universe, P, [gp.rules for gp in grounded])
     T = compiled.full
     if engine == "brute":
         _refuse_brute_walk(T, compiled.checkers)
@@ -681,15 +650,36 @@ def _search(
     answers, and the others are false.  A split over a superset of `mask`
     is at most coarser than one over `mask`, which the argument allows.
     The empty part reads only false atoms, so that a constraint that
-    always fires still removes every answer.  `_branch` searches each part,
-    so the refusal of `brute` at a leaf counts one part's atoms.
+    always fires still removes every answer.
+
+    Every part is decided at its root first: `_propagate` runs on each,
+    and a conflict in any part means no answer at all.  The parts are then
+    searched from their propagated roots, fewest open atoms first, and an
+    empty answer list ends the search; the product is taken only when
+    every list is non-empty.  So a part with no answer costs no
+    enumeration of the others.  Neither the answers nor their output order
+    can move with the order of the parts: the product of the answer lists
+    is one set of masks whatever the order of its factors, and every
+    caller decodes masks in `_output_order`, which sorts them (or into a
+    set).  `_branch` searches each part, so the refusal of `brute` at a
+    leaf counts one part's atoms; it is raised only from a part searched
+    before a part is found empty.
     """
-    found = [0]
+    roots = []
     for part, checkers, forward in parts:
-        answers = _branch(part & mask, checkers, forward, engine)
-        found = [a | b for a in found for b in answers]
-        if not found:
-            return found
+        root = _propagate(0, part & mask, forward, checkers)
+        if root is None:
+            return []
+        roots.append((root, checkers, forward))
+    roots.sort(key=lambda searched: searched[0][1].bit_count())  # stable
+    answers = []
+    for root, checkers, forward in roots:
+        answers.append(_branch(root, checkers, forward, engine))
+        if not answers[-1]:
+            return []
+    found = [0]
+    for part in answers:
+        found = [a | b for a in found for b in part]
     free &= mask
     while free:
         bit = free & -free
@@ -699,52 +689,52 @@ def _search(
 
 
 def _branch(
-    mask: int,
+    root: tuple[int, int],
     checkers: Sequence[StabilityChecker],
     forward: StabilityChecker,
     engine: str,
 ) -> list[int]:
-    """Every subset of `mask` that all `checkers` accept (`check` with
-    `engine`), found depth-first; atoms outside `mask` stay false.
-    `forward` holds the rules of all `checkers` (`_split`).
+    """Every total extension of the propagated `root`, a `(true, open_)`
+    state of one part, that all `checkers` accept (`check` with `engine`),
+    found depth-first; atoms neither true nor open stay false.  `forward`
+    holds the rules of all `checkers` (`_split`).
 
-    The atoms of `mask` start open.  Each node runs `_propagate`, whose
-    forward step runs over `forward`, then branches on an open choice (an
-    atom outside every checker's own region) if there is one, else on the
-    lowest open atom.  At a total assignment propagation has made `T` a
-    classical model of every checker, so only the leaf minimality test is
-    left: `minimal_brute` under `brute`, which first refuses a walk past
-    `DEFAULT_CAP` atoms, and `minimal_reduct` under every other engine.
-    Classical satisfaction and completeness rest on `_propagate`.  Under
-    `brute` the leaf test is an independent subset walk.  Under the other
-    engines it repeats a call: the last round of `_propagate` ran
-    `_closure(T & ext_mask, compiled, watch, T, T)`, which is
-    `minimal_reduct(T)`, for each checker with an own atom, and for the
+    Each node branches on an open choice (an atom outside every checker's
+    own region) if there is one, else on the lowest open atom, and each
+    child is propagated (`_propagate`, whose forward step runs over
+    `forward`) as it is pushed, so that no state is propagated twice and a
+    conflicting child is never pushed.  At a total assignment propagation
+    has made `T` a classical model of every checker, so only the leaf
+    minimality test is left: `minimal_brute` under `brute`, which first
+    refuses a walk past `DEFAULT_CAP` atoms, and `minimal_reduct` under
+    every other engine.  Classical satisfaction and completeness rest on
+    `_propagate`.  Under `brute` the leaf test is an independent subset
+    walk.  Under the other engines it repeats a call: the last round of
+    `_propagate` ran `_closure(T & ext_mask, compiled, watch, T, T)`, which
+    is `minimal_reduct(T)`, for each checker with an own atom, and for the
     others the test holds trivially; no test run has seen it reject a
     leaf.  It stays so that the answers do not rest on the propagator
     alone, and for when propagation is incremental and no longer ends in
     that call.
     """
-    choices = mask
+    choices = root[1]
     for c in checkers:
         choices &= c.ext_mask
     leaves = [
         c.minimal_brute if engine == "brute" else c.minimal_reduct for c in checkers
     ]
     found = []
-    stack = [(0, mask)]
+    stack = [root]
     while stack:
         true, open_ = stack.pop()
-        state = _propagate(true, open_, forward, checkers)
-        if state is None:
-            continue
-        true, open_ = state
         if open_:
             pick = open_ & choices or open_
             bit = pick & -pick
             open_ ^= bit
-            stack.append((true, open_))
-            stack.append((true | bit, open_))
+            for child in (true, true | bit):
+                state = _propagate(child, open_, forward, checkers)
+                if state is not None:
+                    stack.append(state)
         else:
             if engine == "brute":
                 _refuse_brute_walk(true, checkers)
@@ -851,11 +841,12 @@ def _solve(
     One `ground_reachable` call, seeded with the extensional region of
     `P.kappa` plus the seeds, grounds every module, so all share one
     derived set `R`.  The base holds the region and every ground head (a
-    true atom needs a deriving rule or a choice axiom).  A head lies in the
-    domain and has a predicate of `P`, so each base atom outside the region
-    is `P.kappa`-intensional: `CompiledParts` takes `P.kappa`'s region from
-    the region, with no lookup.  The seeds are every domain atom of the
-    predicates of the components of the dependency graph that span modules
+    true atom needs a deriving rule or a choice axiom).  The region and the
+    seeds are read off `P.patterns` (`PatternIndex.outside`), as
+    `CompiledParts` reads every region: the region is the domain atoms of
+    the predicates of `P` outside `P.kappa`'s region, and the seeds are
+    every domain atom (outside no statement's region) of the predicates of
+    the components of the dependency graph that span modules
     (`P.analysis.spanning`); with one module none can, so a one-module
     solve builds no `P.analysis`.
 
@@ -873,12 +864,10 @@ def _solve(
     """
     if engine == "topo" and P.analysis.topo_refusal is not None:
         raise EngineError(P.analysis.topo_refusal)
-    region = extensional_region(P.kappa, P._predicates, dom)
+    region = P.patterns.outside(1 << len(P.modules), P._predicates, dom)
     seeds = region
     if len(P.modules) > 1 and P.analysis.spanning:
-        seeds = region | extensional_region(
-            IntensionalityStatement(), P.analysis.spanning, dom
-        )
+        seeds = region | P.patterns.outside(0, P.analysis.spanning, dom)
     grounded = ground_reachable([m.pi for m in P.modules], dom, seeds)
     if engine == "fixpoint":
         # Root propagation then decides every atom: the forward step derives
@@ -900,7 +889,7 @@ def _solve(
             "the domain or raise the cap"
         )
     compiled = CompiledParts(
-        sorted(base, key=atom_order_key), P, [gp.rules for gp in grounded], region
+        sorted(base, key=atom_order_key), P, [gp.rules for gp in grounded]
     )
     parts, free = compiled.split
     for ext_mask in compiled.ext_masks:

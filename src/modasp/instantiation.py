@@ -164,12 +164,11 @@ class ModularProgram(Value):
 
     Construction checks that every module pattern is subsumed by a global
     pattern, so each atom defined in a module is intensional globally.  A
-    program keeps what it builds on first use: its predicates, the index of
-    the module patterns with the exact lookup of their regions
-    (`patterns`) and the analysis that solving reads (`analysis`); a
-    statement keeps its own `table` once λ is read from it.  All of it is
-    syntactic: nothing kept depends on a domain, and each call that solves
-    grounds, compiles and searches afresh.
+    program keeps what it builds on first use: its predicates, the one
+    index of its patterns (`patterns`) and the analysis that solving reads
+    (`analysis`); a statement keeps no lookup.  All of it is syntactic:
+    nothing kept depends on a domain, and each call that solves grounds,
+    compiles and searches afresh.
     """
 
     kappa: IntensionalityStatement
@@ -189,11 +188,13 @@ class ModularProgram(Value):
 
     @cached_property
     def patterns(self) -> PatternIndex:
-        """The one lookup of the module statements' patterns (`PatternIndex`):
-        the dependency graph, the coherence check and the topo module order
-        read `sharing`, the regions of modules not under `kappa` read
-        `holding`."""
-        return PatternIndex([m.kappa for m in self.modules])
+        """The one lookup of every pattern of the program (`PatternIndex`):
+        statement i is module i's and statement `len(modules)` is `kappa`.
+        Every region the solvers read comes from it (`holding` and
+        `outside`), and the dependency graph, the coherence check and the
+        topo module order read `sharing` with `kappa`'s bit cleared
+        (`modular._sharing`)."""
+        return PatternIndex([*(m.kappa for m in self.modules), self.kappa])
 
     @cached_property
     def analysis(self):

@@ -8,13 +8,13 @@ constraints at the non-variable positions; the extensional axioms turn
 every tuple outside that formula into an unconditional choice.
 """
 
+import itertools
 from bisect import bisect_left
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PatternError, RequirementError, UnboundPlaceholderError
-from .grounding import _match
+from .grounding import Domain, _match
 from .program import PredAtom, Signature
 from .terms import (
     Func,
@@ -98,37 +98,7 @@ def _canonical_entries(
     return tuple(sorted(out))
 
 
-def _shapes(patterns: Sequence[Pattern]) -> Optional[tuple]:
-    """None when some pattern has a variable at every position (arity 0
-    included): the predicate is open.  Otherwise, for each tuple of ground
-    positions some pattern has, `(get, values)`: `get` is the `itemgetter`
-    of those positions (`_getter`) and `values` the tuple of what the
-    patterns of that shape hold there (a term at one position, a tuple at
-    several).  An atom lies in the region exactly when the predicate is
-    open or `get(args) in values` for some shape."""
-    groups: dict[itemgetter, dict] = {}  # values in order, once each
-    for u in patterns:
-        positions = tuple([k for k, e in enumerate(u) if not isinstance(e, Variable)])
-        if not positions:
-            return None
-        get = _getter(positions)
-        groups.setdefault(get, {})[get(u)] = 0
-    return tuple((get, tuple(values)) for get, values in groups.items())
-
-
-_GETTERS: dict[tuple[int, ...], itemgetter] = {}
-_POSITIONS: dict[itemgetter, tuple[int, ...]] = {}  # `_GETTERS` inverted
 _PREDICATE = itemgetter(0)  # of an entry `(predicate, patterns)`
-
-
-def _getter(positions: tuple[int, ...]) -> itemgetter:
-    """The one `itemgetter` of `positions`, which every table shares, so
-    that a shape is known by its getter."""
-    get = _GETTERS.get(positions)
-    if get is None:
-        get = _GETTERS[positions] = itemgetter(*positions)
-        _POSITIONS[get] = positions
-    return get
 
 
 class _PatternTable:
@@ -173,16 +143,6 @@ class IntensionalityStatement(_PatternTable, Value):
 
     def predicates(self) -> tuple[PredKey, ...]:
         return tuple(k for k, _ in self.entries)
-
-    @cached_property
-    def table(self) -> dict[PredKey, Optional[tuple]]:
-        """Per predicate with patterns, its `_shapes`: None when it is open,
-        else its shapes.  `lambda_holds`, `is_purely_intensional` and
-        `engine.extensional_region` read it."""
-        return {pred: _shapes(patterns) for pred, patterns in self.entries}
-
-    def is_purely_intensional(self, key: PredKey) -> bool:
-        return self.table.get(key, ()) is None
 
     def __str__(self):
         parts = []
@@ -292,15 +252,11 @@ def lambda_holds(kappa: IntensionalityStatement, atom: PredAtom) -> bool:
     """True when some pattern of the atom's predicate matches its arguments.
 
     Ground pattern positions must equal the argument exactly; variable
-    positions are unconstrained.  Equals classical satisfaction of the
-    membership formula at the argument tuple; read off `kappa.table`, one
-    membership test per shape.
+    positions are unconstrained (`pattern_subsumes`).  Equals classical
+    satisfaction of the membership formula at the argument tuple; the
+    reference that the region lookups of `PatternIndex` are held to.
     """
-    shapes = kappa.table.get(atom.pred, ())
-    if shapes is None:
-        return True
-    args = atom.args
-    return any(get(args) in values for get, values in shapes)
+    return any(pattern_subsumes(u, atom.args) for u in kappa.patterns_for(atom.pred))
 
 
 class ExtensionalAxiom(Value):
@@ -458,12 +414,16 @@ def require_coverage(
 class PatternIndex:
     """The patterns of a list of statements, merged into one lookup: per
     predicate, the mask of the statements open on it (bit s for statement
-    s) and, for each shape, its getter and the mask of the statements
-    holding each value there (`_shapes`, not kept on the statements).
+    s: a pattern with a variable at every position, arity 0 included) and,
+    per shape (the tuple of ground positions of some pattern), its
+    `itemgetter` and the mask of the statements holding each value there (a
+    term at one position, a tuple at several).
 
-    `holding(atom)` decides the regions of a ground atom exactly, and
-    `sharing(pred, args)` the statements with a pattern that may share an
-    instance with `args`, whose terms may hold variables and arithmetic.
+    `holding(pred, args)` decides the regions of a ground atom exactly,
+    `outside` lists the atoms over a domain in none of some statements'
+    regions, and `sharing(pred, args)` gives the statements with a pattern
+    that may share an instance with `args`, whose terms may hold variables
+    and arithmetic.
     """
 
     def __init__(self, statements: Sequence[IntensionalityStatement]):
@@ -471,30 +431,51 @@ class PatternIndex:
         for s, statement in enumerate(statements):
             for pred, patterns in statement.entries:
                 entry = by_pred.setdefault(pred, [0, {}])
-                shapes = _shapes(patterns)
-                if shapes is None:
-                    entry[0] |= 1 << s
-                    continue
-                for get, values in shapes:
-                    at = entry[1].setdefault(get, {})
-                    for value in values:
-                        at[value] = at.get(value, 0) | 1 << s
+                for u in patterns:
+                    positions = tuple(
+                        [k for k, e in enumerate(u) if not isinstance(e, Variable)]
+                    )
+                    if not positions:
+                        entry[0] |= 1 << s
+                        continue
+                    if positions not in entry[1]:
+                        entry[1][positions] = (itemgetter(*positions), {})
+                    get, at = entry[1][positions]
+                    value = get(u)
+                    at[value] = at.get(value, 0) | 1 << s
         self._lookup: dict[PredKey, tuple[int, tuple]] = {
-            pred: (opened, tuple(shaped.items()))
+            pred: (opened, tuple((k, *shape) for k, shape in shaped.items()))
             for pred, (opened, shaped) in by_pred.items()
         }
 
-    def holding(self, atom: PredAtom) -> int:
-        """The mask of the statements whose region holds the ground `atom`
-        (`lambda_holds`), bit s for statement s."""
-        entry = self._lookup.get(atom.pred)
+    def holding(self, pred: PredKey, args: Sequence[Term]) -> int:
+        """The mask of the statements whose region holds the ground atom of
+        `pred` with the precomputed `args` (`lambda_holds`), bit s for
+        statement s."""
+        entry = self._lookup.get(pred)
         if entry is None:
             return 0
         found, shapes = entry
-        args = atom.args
-        for get, at in shapes:
+        for _, get, at in shapes:
             found |= at.get(get(args), 0)
         return found
+
+    def outside(
+        self, statements: int, predicates: Iterable[PredKey], dom: Domain
+    ) -> frozenset[PredAtom]:
+        """The atoms of `predicates` over the terms of the domain `dom` that
+        no statement of the mask `statements` holds (`holding`); none of a
+        predicate that one of them is open on."""
+        out = set()
+        terms = dom.terms_sorted()
+        for pred in set(predicates):
+            entry = self._lookup.get(pred)
+            if entry is not None and entry[0] & statements:
+                continue
+            for args in itertools.product(terms, repeat=pred[1]):
+                if not self.holding(pred, args) & statements:
+                    out.add(PredAtom(pred[0], args))
+        return frozenset(out)
 
     def sharing(self, pred: PredKey, args: Sequence[Term]) -> int:
         """The mask of the statements with a pattern of `pred` that may
@@ -508,8 +489,7 @@ class PatternIndex:
         found, shapes = entry
         args = tuple(map(simplify, args))
         loose = {k for k, t in enumerate(args) if not is_precomputed(t)}
-        for get, at in shapes:
-            positions = _POSITIONS[get]
+        for positions, get, at in shapes:
             if loose.isdisjoint(positions):
                 found |= at.get(get(args), 0)
                 continue

@@ -20,7 +20,6 @@ from .grounding import Domain
 from .instantiation import Module, ModularProgram
 from .intensionality import (
     IntensionalityStatement,
-    PatternIndex,
     PredKey,
     lambda_holds,
     pattern_match,
@@ -28,7 +27,7 @@ from .intensionality import (
     patterns_unify,
 )
 from .program import PredAtom, Program, Rule
-from .terms import Value, Variable
+from .terms import Term, Value, Variable
 
 MODULAR_ENGINES = CHECK_ENGINES + ("topo",)
 
@@ -96,10 +95,18 @@ class DependencyGraph(Value):
         return [c for c in components if len({i for _, i in c}) > 1]
 
 
-def _matching_modules(patterns: PatternIndex, atom: PredAtom) -> list[int]:
+def _sharing(P: ModularProgram, pred: PredKey, args: Sequence[Term]) -> int:
+    """The mask of the modules of `P` with a pattern of `pred` that may
+    share an instance with `args` (`PatternIndex.sharing`), bit i for
+    module i.  `P.patterns` also holds `P.kappa`, at bit `len(P.modules)`;
+    it is cleared here, so that no reader of the modules sees it."""
+    return P.patterns.sharing(pred, args) & ~(1 << len(P.modules))
+
+
+def _matching_modules(P: ModularProgram, atom: PredAtom) -> list[int]:
     """Indices of the modules with a pattern for `atom` that may share an
-    instance with its arguments (`PatternIndex.sharing`), ascending."""
-    return _bits(patterns.sharing(atom.pred, atom.args))
+    instance with its arguments (`_sharing`), ascending."""
+    return _bits(_sharing(P, atom.pred, atom.args))
 
 
 def _bits(mask: int) -> list[int]:
@@ -125,11 +132,10 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
     containment check).
 
     The modules of each atom come from one lookup in `P.patterns`
-    (`PatternIndex.sharing`), so when module patterns differ in a ground
+    (`_sharing`), so when module patterns differ in a ground
     value, as under collective control, the cost is linear in the rules
     (see `is_coherent`).
     """
-    patterns = P.patterns
     preds = sorted(P.signature().predicates)
     n = len(P.modules)
     vertices = tuple((name, i) for name, _ in preds for i in range(n))
@@ -140,13 +146,13 @@ def dependency_graph(P: ModularProgram) -> DependencyGraph:
             if rule in seen_rules or rule.head is None:
                 continue
             seen_rules.add(rule)
-            head_modules = _matching_modules(patterns, rule.head)
+            head_modules = _matching_modules(P, rule.head)
             if not head_modules:
                 continue
             for literal in rule.body:
                 if literal.negations != 0 or not isinstance(literal.atom, PredAtom):
                     continue
-                for j in _matching_modules(patterns, literal.atom):
+                for j in _matching_modules(P, literal.atom):
                     for i in head_modules:
                         edge = ((rule.head.name, i), (literal.atom.name, j))
                         if edge[0] != edge[1]:
@@ -236,7 +242,7 @@ def is_coherent(P: ModularProgram) -> CoherenceReport:
     connected component of the dependency graph stays inside one module.
     No interpretation is ever constructed.  The modules that a rule atom or
     a pattern may meet come from one lookup in `P.patterns`
-    (`PatternIndex.sharing`), and only the patterns of those modules are
+    (`_sharing`), and only the patterns of those modules are
     unified with a pattern.  When the patterns of a predicate differ in a
     ground value, as the instances of one parametric module under
     collective control do, each lookup of a precomputed argument tuple is
@@ -260,7 +266,6 @@ def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
                     "its statement",
                 )
             )
-    index = P.patterns
     for key in sorted(P.signature().predicates):
         for i, module in enumerate(P.modules):
             # Pairs (u_i, u_j) with j > i, listed by j, then u_i, then u_j.
@@ -271,7 +276,7 @@ def _coherence(P: ModularProgram, graph: DependencyGraph) -> CoherenceReport:
                 general = tuple(
                     [Variable(e.name) if isinstance(e, Variable) else e for e in u_i]
                 )
-                later = index.sharing(key, general) >> i + 1
+                later = _sharing(P, key, general) >> i + 1
                 pairs += [(i + 1 + k, a, u_i) for k in _bits(later)]
             for j, _, u_i in sorted(pairs, key=lambda pair: pair[:2]):
                 for u_j in P.modules[j].kappa.patterns_for(key):
@@ -340,7 +345,7 @@ def _module_order_refusal(P: ModularProgram, graph: DependencyGraph) -> Optional
                     continue
                 edges.update(
                     (i, j)
-                    for j in _matching_modules(P.patterns, literal.atom)
+                    for j in _matching_modules(P, literal.atom)
                     if j != i
                 )
     components = strongly_connected_components(range(len(P.modules)), edges)

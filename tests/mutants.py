@@ -162,11 +162,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "regions-looked-up-under-kappa", "engine.py",
-        "if looked_up:\n            holding = P.patterns.holding",
-        "holding = P.patterns.holding\n        if looked_up:",
+        "kappa-region-from-a-second-index", "engine.py",
+        "region = P.patterns.outside(1 << len(P.modules), P._predicates, dom)",
+        "region = extensional_region(P.kappa, P._predicates, dom)",
         (
-            "tests/test_pattern_index.py::test_union_reading_builds_no_pattern_index",
+            "tests/test_pattern_index.py::test_solving_builds_only_the_program_index",
+        ),
+    ),
+    Mutant(
+        "search-ignores-a-root-conflict", "engine.py",
+        "        if root is None:\n            return []",
+        "        if root is None:\n            continue",
+        (
+            "tests/test_cli.py::TestIncrementalPlan::test_unsat_plan_is_decided_at_the_root",
         ),
     ),
     Mutant(
@@ -298,8 +306,8 @@ MUTANTS = (
     ),
     Mutant(
         "matching-modules-drops-its-last-module", "modular.py",
-        "return _bits(patterns.sharing(atom.pred, atom.args))",
-        "return _bits(patterns.sharing(atom.pred, atom.args))[:-1]",
+        "return _bits(_sharing(P, atom.pred, atom.args))",
+        "return _bits(_sharing(P, atom.pred, atom.args))[:-1]",
         (
             "tests/test_ground_graph.py::test_every_ground_edge_is_an_analysis_edge",
         ),
@@ -321,12 +329,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "table-drops-a-shape-group", "intensionality.py",
-        "for get, values in groups.items())",
-        "for get, values in list(groups.items())[1:])",
+        "index-drops-a-shape", "intensionality.py",
+        "for k, shape in shaped.items())",
+        "for k, shape in list(shaped.items())[1:])",
         (
-            "tests/test_intensionality.py::TestTableLookup::test_lambda_holds_is_the_formula",
-            "tests/test_intensionality.py::TestTableLookup::test_extensional_region_is_a_product_scan",
+            "tests/test_intensionality.py::TestRegionLookup::test_each_bit_is_lambda_holds",
+            "tests/test_intensionality.py::TestRegionLookup::test_extensional_region_is_a_product_scan",
+        ),
+    ),
+    Mutant(
+        "kappa-bit-reaches-sharing-readers", "modular.py",
+        "return P.patterns.sharing(pred, args) & ~(1 << len(P.modules))",
+        "return P.patterns.sharing(pred, args)",
+        (
+            "tests/test_pattern_index.py::TestAgainstFullScan::test_dependency_graph_edges",
+            "tests/test_pattern_index.py::TestAgainstFullScan::test_coherence_report_text_and_order",
         ),
     ),
     Mutant(

@@ -14,7 +14,8 @@ keeps of its analysis is kept, as on the benchmark's later visits.
 
 The first form prints the fastest of `--passes` passes of CHECKOUT (by
 default the repository this file is in), split into the time spent in
-`extensional_region` (region), `ground_reachable` (grounding),
+`PatternIndex.outside` (region: the extensional region and the seeds that
+`_solve` reads off `P.patterns`), `ground_reachable` (grounding),
 `CompiledParts` construction and its `split` into components (compile), the
 `_search` of `_solve` (search), the `_search` of the union reading (union
 search), `CompiledParts.ordered`
@@ -91,9 +92,10 @@ def _timed(spent: dict, layer: str, fn):
 def _patch_layers(spent: dict):
     """Wrap the calls of each layer so that their time adds to `spent`; no
     wrapped call runs inside another."""
-    from modasp import engine, modular
+    from modasp import engine, intensionality, modular
 
-    engine.extensional_region = _timed(spent, "region", engine.extensional_region)
+    index = intensionality.PatternIndex
+    index.outside = _timed(spent, "region", index.outside)
     engine.ground_reachable = _timed(spent, "grounding", engine.ground_reachable)
     parts = engine.CompiledParts
     parts.__init__ = _timed(spent, "compile", parts.__init__)

@@ -8,7 +8,6 @@ support-check criterion re-reads every model they enumerated.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -42,9 +41,9 @@ from modasp.program import Literal, PredAtom, Program, make_rule
 from modasp.terms import Numeral, SymbolicConstant, Variable
 
 import randprog
+from childenv import child_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parent.parent / "src"
 Q = ("q", 2)
 
 
@@ -59,16 +58,12 @@ def interp(*atoms):
 def run_cli(*argv):
     """Run the CLI in `tests/fixtures`; the child gets an absolute `src`
     path, since a relative `PYTHONPATH=src` would resolve against that cwd."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, "-m", "modasp.cli", *argv],
         capture_output=True,
         text=True,
         cwd=str(FIXTURES),
-        env=env,
+        env=child_env(),
     )
 
 

@@ -3,7 +3,7 @@
 import argparse
 import collections
 import json
-import os
+import math
 import subprocess
 import sys
 import time
@@ -18,8 +18,9 @@ from modasp.cli import build_parser, main
 from modasp.grounding import ground
 from modasp.program import PredAtom
 
+from childenv import child_env
+
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fixture(name):
@@ -222,6 +223,90 @@ class TestSolveCommand:
         )
         assert code == 3
         assert "capacity" in err
+
+
+INCREMENTAL_LP = """\
+#program base.
+at(0,0).
+#program step(t).
+at(X+1,t) :- at(X,t-1), go(t).
+at(X,t) :- at(X,t-1), not go(t).
+#program check(t).
+:- query(t), not done(t).
+done(t) :- at({goal},t).
+query(t).
+"""
+INCREMENTAL_CTL = """\
+use base.
+use step(t) for t in 1..h.
+use check(h).
+domain 0..h.
+intensional at(X,Y).
+intensional done(X).
+intensional query(X).
+"""
+READINGS = (("union", ("brute", "reduct")), ("modular", ("brute", "reduct", "topo")))
+
+
+class TestIncrementalPlan:
+    """clingo's incremental shape: `base`, then `step(t)` for t in 1..h,
+    then `check(h)`.  With the goal `at(3,h)`, the answer sets place three
+    `go` steps among h, each doubled by `go(0)`, which no rule reads:
+    2·C(h,3) of them.  The plan is written here, not as a fixture, so that
+    the golden matrix does not move."""
+
+    @pytest.fixture
+    def plan(self, tmp_path):
+        def write(goal, h):
+            lp, ctl = tmp_path / f"{goal}.lp", tmp_path / "plan.ctl"
+            lp.write_text(INCREMENTAL_LP.format(goal=goal), encoding="utf-8")
+            ctl.write_text(INCREMENTAL_CTL, encoding="utf-8")
+            return str(lp), "--control", str(ctl), "-c", f"h={h}"
+
+        return write
+
+    @pytest.mark.parametrize("h", range(3, 9))
+    def test_answer_sets_are_two_times_h_choose_3(self, h, plan, capsys):
+        files = plan(3, h)
+        found = set()
+        for mode, engines in READINGS:
+            for engine in engines:
+                code, out, _ = run(
+                    capsys, "solve", *files, "--cap", "1000", "--mode", mode,
+                    "--engine", engine, "--output", "machine",
+                )
+                assert code == 0
+                answers = json.loads(out)["answer_sets"]
+                assert len(answers) == 2 * math.comb(h, 3)
+                found.add(json.dumps(answers))
+        assert len(found) == 1
+        assert run(capsys, "compare", *files, "--cap", "1000")[0] == 0
+        assert run(capsys, "check-coherence", *files)[:2] == (0, "coherent\n")
+
+    def test_unsat_plan_is_decided_at_the_root(self, plan, capsys, monkeypatch):
+        # No rule derives the goal `at(g,h)`, whose `g` stays a symbolic
+        # constant, so the constraint of `check(h)` fails at the root of its
+        # part: one root propagation per part, at any h, under every engine
+        # of both readings, where a search that enumerates the other part
+        # first makes 2^(h+1).
+        calls = [0]
+        propagate = engine_mod._propagate
+
+        def counted(*args):
+            calls[0] += 1
+            return propagate(*args)
+
+        monkeypatch.setattr(engine_mod, "_propagate", counted)
+        for h in (8, 40):
+            files = plan("g", h)
+            for mode, engines in READINGS:
+                for engine in engines:
+                    calls[0] = 0
+                    code, out, _ = run(
+                        capsys, "solve", *files, "--cap", "10000", "--mode", mode,
+                        "--engine", engine,
+                    )
+                    assert (code, calls[0]) == (1, 2), (h, mode, engine)
 
 
 class TestCheckCoherence:
@@ -924,12 +1009,9 @@ class TestOutputPass:
             f"codes = [main(argv) for argv in {commands!r}]\n"
             "print(codes, 'json' in sys.modules, file=sys.stderr)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
         child = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=child_env(),
         )
         assert child.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
         assert child.stdout.count("\n") > 2 * 729

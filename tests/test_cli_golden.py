@@ -20,7 +20,6 @@ import contextlib
 import functools
 import io
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -28,8 +27,9 @@ from pathlib import Path
 
 import pytest
 
+from childenv import child_env
+
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = FIXTURES / "cli_golden.json"
 SOLVE_ENGINES = ("brute", "reduct", "fixpoint", "topo")
 CANDIDATES = ("", "q(0,0)", "q(0,0) q(1,1) q(2,2) q(3,3)")
@@ -94,13 +94,9 @@ def run_cli(argv: list[str]) -> dict:
 def run_child(argv: list[str], *options: str, **env: str):
     """`python OPTIONS -m modasp.cli ARGV` in a fresh interpreter, in the
     fixtures directory, with `src` on its path and `env` added."""
-    env = {**os.environ, **env}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, *options, "-m", "modasp.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=FIXTURES,
+        capture_output=True, text=True, env=child_env(**env), cwd=FIXTURES,
     )
 
 

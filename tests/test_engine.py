@@ -381,11 +381,9 @@ def _sweep(mask, checkers, engine):
 
 def _compiled_parts(universe, kappa, parts):
     """`CompiledParts` of the program under `kappa` with one module per
-    part `(ground rules, statement)`, given `kappa`'s extensional atoms by
-    `lambda_holds`."""
+    part `(ground rules, statement)`."""
     P = ModularProgram(kappa, tuple(Module(st, Program.of(())) for _, st in parts))
-    region = [atom for atom in universe if not lambda_holds(kappa, atom)]
-    return CompiledParts(universe, P, [rules for rules, _ in parts], region)
+    return CompiledParts(universe, P, [rules for rules, _ in parts])
 
 
 def _full_base(grounded, region, cap=24):
@@ -829,16 +827,20 @@ class TestSplit:
 
 
 class TestKappaRegion:
-    """`_solve` hands `CompiledParts` the extensional region, so that the
-    global statement is not looked up: every base atom outside the region
-    is a head, and so intensional.  The masks must be those of a direct
-    scan of the base with `lambda_holds`."""
+    """`CompiledParts` reads the global statement's region, as every module
+    region, from `P.patterns`: the masks of a solve must be those of a
+    direct scan of its base with `lambda_holds`."""
 
     def test_region_masks_match_the_direct_scan(self, monkeypatch):
         import randprog
 
         def forbidden(*args):
-            raise AssertionError("union solving looks up no pattern")
+            raise AssertionError("union solving looks up no shared pattern")
+
+        def scan(statement, base):
+            return sum(
+                1 << b for b, atom in enumerate(base) if lambda_holds(statement, atom)
+            )
 
         rng = random.Random(61)
         union = modular = 0
@@ -849,17 +851,23 @@ class TestKappaRegion:
             with monkeypatch.context() as patched:
                 patched.setattr(PatternIndex, "sharing", forbidden)
                 compiled, _ = _solve(one, dom, "reduct", 24)
-            scanned = _compiled_parts(compiled.base, P.kappa, [((), P.kappa)])
-            assert compiled.intensional == scanned.intensional
-            assert compiled.allowed == scanned.allowed
+            intensional = scan(P.kappa, compiled.base)
+            assert compiled.intensional == intensional
+            assert compiled.allowed == compiled.full
+            assert [c.ext_mask for c in compiled.checkers] == [
+                compiled.full & ~intensional
+            ]
             union += compiled.intensional != compiled.full
             compiled, _ = _solve(P, dom, "reduct", 24)
-            parts = [((), m.kappa) for m in P.modules]
-            scanned = _compiled_parts(compiled.base, P.kappa, parts)
-            assert compiled.intensional == scanned.intensional
-            assert compiled.allowed == scanned.allowed
+            intensional = scan(P.kappa, compiled.base)
+            regions = [scan(m.kappa, compiled.base) for m in P.modules]
+            defined = 0
+            for region in regions:
+                defined |= region
+            assert compiled.intensional == intensional
+            assert compiled.allowed == compiled.full & ~(intensional & ~defined)
             assert [c.ext_mask for c in compiled.checkers] == [
-                c.ext_mask for c in scanned.checkers
+                compiled.full & ~region for region in regions
             ]
             modular += len(P.modules) > 1
         assert union >= 20 and modular >= 20
@@ -961,9 +969,9 @@ class TestIndex:
         branch = engine_mod._branch
         seen = []
 
-        def recording(mask, checkers, forward, engine):
+        def recording(root, checkers, forward, engine):
             seen.append([*checkers, forward])
-            return branch(mask, checkers, forward, engine)
+            return branch(root, checkers, forward, engine)
 
         monkeypatch.setattr(engine_mod, "_branch", recording)
         rng = random.Random(47)
@@ -1056,7 +1064,7 @@ class TestOutputOrder:
 
 def _no_parts(universe):
     """Compiled parts over `universe` with no module, for decoding only."""
-    return CompiledParts(universe, ModularProgram(IntensionalityStatement(), ()), [], [])
+    return CompiledParts(universe, ModularProgram(IntensionalityStatement(), ()), [])
 
 
 EVEN_LOOP = """

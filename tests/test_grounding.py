@@ -30,7 +30,7 @@ from modasp.instantiation import (
     collective_union,
     global_statement,
 )
-from modasp.intensionality import IntensionalityStatement, lambda_holds
+from modasp.intensionality import IntensionalityStatement
 from modasp.modular import union_program
 from modasp.parsing import parse_control, parse_program
 from modasp.program import Literal, PredAtom, Program, Rule, atom_order_key, make_rule
@@ -401,8 +401,7 @@ class TestUnionEngines:
             region = region_of(kappa, pi, dom)
             base = sorted(gp.heads() | region, key=atom_order_key)
             one = ModularProgram(kappa, (Module(kappa, pi),))
-            extensional = [atom for atom in base if not lambda_holds(kappa, atom)]
-            compiled = CompiledParts(base, one, [gp.rules], extensional)
+            compiled = CompiledParts(base, one, [gp.rules])
             parts, free = compiled.split
             masks = _search(compiled.full, parts, free & compiled.ext_masks[0], "brute")
             expected = set(compiled.ordered(masks).values())

@@ -9,6 +9,7 @@ import pytest
 import randprog
 from modasp.engine import extensional_region
 from modasp.grounding import Domain
+from modasp.instantiation import Module, ModularProgram
 
 from modasp.errors import PatternError, UnboundPlaceholderError
 from modasp.intensionality import (
@@ -23,7 +24,7 @@ from modasp.intensionality import (
     pattern_match,
     patterns_unify,
 )
-from modasp.program import PredAtom, Signature
+from modasp.program import PredAtom, Program, Signature
 from modasp.terms import (
     Arith,
     Func,
@@ -153,36 +154,66 @@ def _random_atom(rng):
     )
 
 
-class TestTableLookup:
-    """`lambda_holds` and `extensional_region` read each statement's table
-    of shapes; they must say what the membership formula says."""
+def _random_program(rng):
+    """A modular program under a random global statement (`_random_statement`)
+    whose modules are under it, under some of its patterns, or under none."""
+    kappa = _random_statement(rng)
+    statements = [kappa]
+    for _ in range(rng.randint(1, 3)):
+        statements.append(
+            IntensionalityStatement.of(
+                {
+                    key: rng.sample(patterns, rng.randint(0, len(patterns)))
+                    for key, patterns in kappa.entries
+                }
+            )
+        )
+    rng.shuffle(statements)
+    return ModularProgram(
+        kappa, tuple(Module(st, Program.of(())) for st in statements)
+    )
 
-    def test_lambda_holds_is_the_formula(self):
+
+class TestRegionLookup:
+    """Every region the solvers read comes from `P.patterns`: its bit of
+    each module and of the global statement, and `extensional_region`, must
+    say what the membership formula (`lambda_holds`) says."""
+
+    def test_each_bit_is_lambda_holds(self):
         rng = random.Random(2024)
         seen = Counter()
         for _ in range(400):
-            statement = _random_statement(rng)
+            P = _random_program(rng)
+            statements = [*(m.kappa for m in P.modules), P.kappa]
             for _ in range(25):
                 atom = _random_atom(rng)
-                expected = lambda_formula(statement, atom.pred).holds(atom.args)
-                assert lambda_holds(statement, atom) == expected
-                shapes = statement.table.get(atom.pred, ())
+                expected = lambda_formula(P.kappa, atom.pred).holds(atom.args)
+                assert lambda_holds(P.kappa, atom) == expected
+                found = P.patterns.holding(atom.pred, atom.args)
+                for s, statement in enumerate(statements):
+                    assert found >> s & 1 == lambda_holds(statement, atom)
+                assert not found >> len(statements)
+                patterns = P.kappa.patterns_for(atom.pred)
                 seen["held" if expected else "not held"] += 1
-                if atom.pred not in statement.table:
+                seen["some module not"] += 0 < found.bit_count() < len(statements)
+                if not patterns:
                     seen["no entry"] += 1
-                elif shapes is None:
+                elif any(all(isinstance(e, Variable) for e in u) for u in patterns):
                     seen["open"] += 1
                 else:
                     seen["shaped"] += 1
                     seen["held by a shape"] += expected
+                    shapes = {
+                        tuple(not isinstance(e, Variable) for e in u) for u in patterns
+                    }
                     seen["several shapes"] += len(shapes) > 1
                     seen["several positions"] += any(
                         sum(not isinstance(e, Variable) for e in u) > 1
-                        for u in statement.patterns_for(atom.pred)
+                        for u in patterns
                     )
                 seen["arity 0"] += not atom.args
                 seen["not precomputed"] += not all(map(is_precomputed, atom.args))
-        assert min(seen.values()) >= 100 and len(seen) == 10, seen
+        assert min(seen.values()) >= 100 and len(seen) == 11, seen
 
     def test_extensional_region_is_a_product_scan(self):
         rng = random.Random(2025)
@@ -199,7 +230,14 @@ class TestTableLookup:
             }
             assert extensional_region(statement, preds, dom) == expected
             regions["empty" if not expected else "some"] += 1
-            regions["cut"] += any(statement.table.get(key) for key in preds)
+            regions["cut"] += any(
+                statement.patterns_for(key)
+                and all(
+                    any(not isinstance(e, Variable) for e in u)
+                    for u in statement.patterns_for(key)
+                )
+                for key in preds
+            )
         assert min(regions.values()) >= 50, regions
 
 
@@ -451,7 +489,6 @@ class TestStatementBasics:
 
     def test_purely_intensional_factory(self):
         statement = IntensionalityStatement.purely_intensional([Q])
-        assert statement.is_purely_intensional(Q)
         assert statement.patterns_for(Q) == ((var("X1"), var("X2")),)
 
     def test_missing_predicate_is_extensional(self):

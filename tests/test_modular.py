@@ -24,7 +24,7 @@ from modasp.instantiation import (
     collective_modular,
     collective_union,
 )
-from modasp.intensionality import IntensionalityStatement
+from modasp.intensionality import IntensionalityStatement, PatternIndex
 from modasp.modular import (
     ComparisonReport,
     _coherence,
@@ -509,22 +509,21 @@ class TestModularAnswerSets:
     @pytest.mark.parametrize("engine", ["brute", "reduct", "topo"])
     def test_comparison_grounds_each_module_once(self, engine, monkeypatch):
         # Both readings share one grounding of the modules, one dependency
-        # graph and one extensional region; no component spans modules, so
-        # no seeds are built, and the union program is never ground.
+        # graph and one extensional region, read off `P.patterns`; no
+        # component spans modules, so no seeds are read, and the union
+        # program is never ground.
         P, dom = plan_program(
             (FIXTURES / "property.lp").read_text(encoding="utf-8"),
             (FIXTURES / "property3.ctl").read_text(encoding="utf-8"),
         )
         calls = _count_grounding(monkeypatch)
-        calls.update(extensional_region=0, dependency_graph=0)
+        calls.update(outside=0, dependency_graph=0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the union side must reuse the module grounding")
 
         monkeypatch.setattr(
-            engine_mod,
-            "extensional_region",
-            _counted(calls, "extensional_region", engine_mod.extensional_region),
+            PatternIndex, "outside", _counted(calls, "outside", PatternIndex.outside)
         )
         monkeypatch.setattr(engine_mod, "enumerate_kappa_stable", forbidden)
         monkeypatch.setattr(
@@ -536,7 +535,7 @@ class TestModularAnswerSets:
         assert calls == {
             "ground": 0,
             "ground_reachable": 1,
-            "extensional_region": 1,
+            "outside": 1,
             "dependency_graph": 1,
         }
         assert report.equal
