@@ -225,26 +225,6 @@ class TestSolveCommand:
         assert "capacity" in err
 
 
-INCREMENTAL_LP = """\
-#program base.
-at(0,0).
-#program step(t).
-at(X+1,t) :- at(X,t-1), go(t).
-at(X,t) :- at(X,t-1), not go(t).
-#program check(t).
-:- query(t), not done(t).
-done(t) :- at({goal},t).
-query(t).
-"""
-INCREMENTAL_CTL = """\
-use base.
-use step(t) for t in 1..h.
-use check(h).
-domain 0..h.
-intensional at(X,Y).
-intensional done(X).
-intensional query(X).
-"""
 READINGS = (("union", ("brute", "reduct")), ("modular", ("brute", "reduct", "topo")))
 
 
@@ -252,16 +232,17 @@ class TestIncrementalPlan:
     """clingo's incremental shape: `base`, then `step(t)` for t in 1..h,
     then `check(h)`.  With the goal `at(3,h)`, the answer sets place three
     `go` steps among h, each doubled by `go(0)`, which no rule reads:
-    2·C(h,3) of them.  The plan is written here, not as a fixture, so that
-    the golden matrix does not move."""
+    2·C(h,3) of them.  The plan is the fixture pair `incremental.lp` and
+    `incremental.ctl`, whose `const h = 4.` the golden matrix runs; here
+    `-c` sets h, and the goal's place is rewritten."""
 
     @pytest.fixture
     def plan(self, tmp_path):
         def write(goal, h):
-            lp, ctl = tmp_path / f"{goal}.lp", tmp_path / "plan.ctl"
-            lp.write_text(INCREMENTAL_LP.format(goal=goal), encoding="utf-8")
-            ctl.write_text(INCREMENTAL_CTL, encoding="utf-8")
-            return str(lp), "--control", str(ctl), "-c", f"h={h}"
+            lp = tmp_path / f"{goal}.lp"
+            text = (FIXTURES / "incremental.lp").read_text(encoding="utf-8")
+            lp.write_text(text.replace("at(3,t)", f"at({goal},t)"), encoding="utf-8")
+            return str(lp), "--control", fixture("incremental.ctl"), "-c", f"h={h}"
 
         return write
 

@@ -37,6 +37,10 @@ CANDIDATES = ("", "q(0,0)", "q(0,0) q(1,1) q(2,2) q(3,3)")
 # two-digit numerals in a candidate.
 TERMS_MODEL = "both(a) in(a,9) in(a,10) in(f(b),10) item(a) item(f(b)) out(f(b),9)"
 MACHINE = ["--output", "machine"]
+# Pairs left out of the matrix: gamma1.ctl uses incremental.lp's `base` and
+# leaves `at` and part of `q` extensional, so every subset of 23 atoms is an
+# answer set.
+UNPAIRED = {("incremental.lp", "gamma1.ctl")}
 
 
 def matrix() -> list[list[str]]:
@@ -45,6 +49,8 @@ def matrix() -> list[list[str]]:
     for lp in sorted(FIXTURES.glob("*.lp")):
         out += [["parse", lp.name], ["parse", lp.name, *MACHINE]]
         for ctl in sorted(FIXTURES.glob("*.ctl")):
+            if (lp.name, ctl.name) in UNPAIRED:
+                continue
             files = [lp.name, "--control", ctl.name]
             candidates = CANDIDATES
             if ctl.name == "terms.ctl":
