@@ -35,7 +35,8 @@ def _relevant_base_size(P, dom):
     atoms = set()
     for module in P.modules:
         atoms |= ground(module.pi, dom).heads()
-    atoms |= extensional_region(P.kappa, P.signature().predicates, dom)
+    # kappa is the last statement of the program's own pattern index.
+    atoms |= P.patterns.outside(1 << len(P.modules), P.signature().predicates, dom)
     return len(atoms)
 
 
