@@ -105,44 +105,33 @@ class HTInterpretation(Value):
 # --- direct satisfaction (reference implementations) ---------------------------
 
 
-def _literal_truth_classical(I: Interpretation, literal: Literal) -> bool:
-    if isinstance(literal.atom, Comparison):
-        value = _comparison_holds(literal.atom)
-    else:
-        value = _eval_atom(literal.atom) in I.atoms
-    if literal.negations == 1:
-        return not value
-    return value
-
-
-def _literal_truth_ht(hi: HTInterpretation, literal: Literal) -> bool:
+def _literal_holds(
+    literal: Literal, here: frozenset[PredAtom], there: frozenset[PredAtom]
+) -> bool:
+    """Truth of `literal` at the here-world `here` of the there-world
+    `there`: a plain atom is read at `here`, a negated or double-negated
+    one at `there`, and a comparison holds at both or neither.  Classical
+    truth in `I` is truth at `here == there == I` (Lifschitz, Pearce &
+    Valverde, ACM TOCL 2001)."""
     atom = literal.atom
-    if literal.negations == 1:
-        # not A holds here-and-there exactly when the there-world refutes A.
-        return not _literal_truth_classical(hi.there, Literal(atom, 0))
-    if literal.negations == 2:
-        return _literal_truth_classical(hi.there, Literal(atom, 0))
     if isinstance(atom, Comparison):
-        return _comparison_holds(atom)
-    return _eval_atom(atom) in hi.here
+        value = _comparison_holds(atom)
+    else:
+        value = _eval_atom(atom) in (there if literal.negations else here)
+    return not value if literal.negations == 1 else value
 
 
-def _classical_rule(I: Interpretation, rule: Rule) -> bool:
-    body = all(_literal_truth_classical(I, lit) for lit in rule.body)
-    if not body:
+def _holds(
+    item: Literal | Rule, here: frozenset[PredAtom], there: frozenset[PredAtom]
+) -> bool:
+    """Truth of a literal, or of a rule as an implication, at the here-world
+    `here` of `there`: a rule holds when its body fails or its head holds
+    at `here`."""
+    if isinstance(item, Literal):
+        return _literal_holds(item, here, there)
+    if not all(_literal_holds(lit, here, there) for lit in item.body):
         return True
-    return rule.head is not None and _eval_atom(rule.head) in I.atoms
-
-
-def _ht_rule(hi: HTInterpretation, rule: Rule) -> bool:
-    # An implication holds at the here-world when (i) its body fails here or
-    # its head holds here, and (ii) it holds classically at the there-world.
-    if not _classical_rule(hi.there, rule):
-        return False
-    body = all(_literal_truth_ht(hi, lit) for lit in rule.body)
-    if not body:
-        return True
-    return rule.head is not None and _eval_atom(rule.head) in hi.here
+    return item.head is not None and _eval_atom(item.head) in here
 
 
 def _as_rules(f, dom: Optional[Domain]) -> list[Rule]:
@@ -169,28 +158,19 @@ def _as_rules(f, dom: Optional[Domain]) -> list[Rule]:
 
 
 def classical_satisfies(I: Interpretation, f, dom: Optional[Domain] = None) -> bool:
-    """Classical satisfaction of a rule, literal or atom; non-ground rules
-    are expanded over the domain."""
-    items = _as_rules(f, dom)
-    for item in items:
-        if isinstance(item, Literal):
-            if not _literal_truth_classical(I, item):
-                return False
-        elif not _classical_rule(I, item):
-            return False
-    return True
+    """Classical satisfaction of a rule, literal or atom, which is truth at
+    ⟨I, I⟩; non-ground rules are expanded over the domain."""
+    return all(_holds(item, I.atoms, I.atoms) for item in _as_rules(f, dom))
 
 
 def ht_satisfies(hi: HTInterpretation, f, dom: Optional[Domain] = None) -> bool:
-    """Here-and-there satisfaction of a rule, literal or atom."""
-    items = _as_rules(f, dom)
-    for item in items:
-        if isinstance(item, Literal):
-            if not _literal_truth_ht(hi, item):
-                return False
-        elif not _ht_rule(hi, item):
-            return False
-    return True
+    """Here-and-there satisfaction of a rule, literal or atom: each holds at
+    ⟨T, T⟩ (classically in the there-world T) and at ⟨H, T⟩."""
+    there = hi.there.atoms
+    return all(
+        _holds(item, there, there) and _holds(item, hi.here, there)
+        for item in _as_rules(f, dom)
+    )
 
 
 # --- extensional atoms over a domain --------------------------------------------
@@ -503,8 +483,12 @@ def is_answer_set(
 
 
 def _refuse_brute_walk(T: int, checkers: Sequence[StabilityChecker]):
-    """`minimal_brute` walks the subsets of a part's intensional atoms in
-    `T`: refuse more than `DEFAULT_CAP` of them before walking any."""
+    """`minimal_brute` walks the subsets of the atoms of `T` that one of the
+    `checkers` holds intensional: refuse more than `DEFAULT_CAP` of them
+    before walking any.  `is_answer_set` passes one checker per module, so
+    it counts one module's intensional atoms in the candidate; a leaf of
+    the search passes a component's checkers and true atoms, so it counts
+    one module's intensional atoms of that component."""
     walked = max(((T & ~c.ext_mask).bit_count() for c in checkers), default=0)
     if walked > DEFAULT_CAP:
         raise CapacityError(
@@ -591,17 +575,14 @@ def _split(
         root = find(bit.bit_length() - 1)
         members[root] = members.get(root, 0) | bit
     atoms = list(members.values()) or [0]
-    if len(atoms) == 1:
-        rows = [tables]
-    else:
-        # Each table's rules by component, the empty part's in the first.
-        part_of = {root: k for k, root in enumerate(members)}
-        rows = [[[] for _ in tables] for _ in atoms]
-        for j, table in enumerate(tables):
-            for entry in table:
-                m = (entry[0] | entry[1] | entry[2] | entry[3]) & mask
-                k = part_of[find(m.bit_length() - 1)] if m else 0
-                rows[k][j].append(entry)
+    # Each table's rules by component, the empty part's in the first.
+    part_of = {root: k for k, root in enumerate(members)}
+    rows = [[[] for _ in tables] for _ in atoms]
+    for j, table in enumerate(tables):
+        for entry in table:
+            m = (entry[0] | entry[1] | entry[2] | entry[3]) & mask
+            k = part_of[find(m.bit_length() - 1)] if m else 0
+            rows[k][j].append(entry)
     parts = []
     for part, row in zip(atoms, rows):
         checkers = [
@@ -900,10 +881,6 @@ def _solve(
 # --- support (derivability) -------------------------------------------------------
 
 
-def _body_holds(I: Interpretation, body: Sequence[Literal]) -> bool:
-    return all(_literal_truth_classical(I, lit) for lit in body)
-
-
 def check_support(
     I: Interpretation,
     kappa: IntensionalityStatement,
@@ -930,7 +907,9 @@ def check_support(
             continue
         for theta in _assignments(_variable_sorts(rule), theta0, dom):
             instance = substitute_rule(rule, theta)
-            if _eval_atom(instance.head) == atom and _body_holds(I, instance.body):
+            if _eval_atom(instance.head) == atom and all(
+                _literal_holds(lit, I.atoms, I.atoms) for lit in instance.body
+            ):
                 return True
     return False
 

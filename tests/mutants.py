@@ -46,6 +46,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "split-drops-the-empty-part", "engine.py",
+        "            rows[k][j].append(entry)",
+        "            m and rows[k][j].append(entry)",
+        (
+            "tests/test_engine.py::TestSearch::test_empty_block_mask_checks_the_partial",
+            "tests/test_engine.py::TestSplit::test_empty_part_removes_every_answer",
+        ),
+    ),
+    Mutant(
+        "here-world-reads-negation", "engine.py",
+        "(there if literal.negations else here)",
+        "(there if literal.negations == 2 else here)",
+        (
+            "tests/test_engine.py::TestHTSatisfaction::test_negation_is_read_at_the_there_world",
+            "tests/test_engine.py::TestReferenceAgreement::test_compiled_checker_matches_literal_evaluation",
+        ),
+    ),
+    Mutant(
         "search-lets-rule-free-own-atoms-be-true", "engine.py",
         "        free &= ext_mask\n", "        free &= free\n",
         (

@@ -154,6 +154,15 @@ class TestHTSatisfaction:
         hi = HTInterpretation.of([], interp(q(0, 0)))
         assert not ht_satisfies(hi, q(0, 0))
 
+    def test_negation_is_read_at_the_there_world(self):
+        # <{}, {q(0,0)}>: q(0,0) is false here and true there.  Negation
+        # reads it there, so the body of `q(0,1) :- not q(0,0).` fails at
+        # both worlds and the rule holds; `not not q(0,0)` holds.
+        hi = HTInterpretation.of([], interp(q(0, 0)))
+        rule = parse_program("q(0,1) :- not q(0,0).").subprogram("base").rules[0]
+        assert ht_satisfies(hi, rule)
+        assert ht_satisfies(hi, Literal(q(0, 0), 2))
+
     def test_classical_model_gives_ht_model(self):
         I = interp(q(0, 0), q(0, 1))
         rule = parse_program("q(0,1) :- q(0,0).").subprogram("base").rules[0]
