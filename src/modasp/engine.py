@@ -134,7 +134,7 @@ def _holds(
     return item.head is not None and _eval_atom(item.head) in here
 
 
-def _as_rules(f, dom: Optional[Domain]) -> list[Rule]:
+def _as_rules(f, dom: Optional[Domain]) -> list[Literal | Rule]:
     if isinstance(f, GroundRule):
         return [f.as_rule()]
     if isinstance(f, Program):
